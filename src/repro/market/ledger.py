@@ -19,6 +19,9 @@ from repro.utils.validation import check_nonnegative
 
 __all__ = ["LedgerSnapshot", "AllowanceLedger"]
 
+#: Slots the history buffer holds before its first doubling.
+_INITIAL_CAPACITY = 64
+
 
 @dataclass(frozen=True)
 class LedgerSnapshot:
@@ -51,12 +54,14 @@ class AllowanceLedger:
 
     def __init__(self, initial_cap: float, *, tracer: Tracer | None = None) -> None:
         self._cap = check_nonnegative(initial_cap, "initial_cap")
-        self._emissions: list[float] = []
-        self._bought: list[float] = []
-        self._sold: list[float] = []
+        # Rows are emissions, bought and sold; column ``t`` is slot ``t``.
+        # Only the first ``_slots`` columns are history — the rest is spare
+        # capacity, doubled whenever the buffer fills.
+        self._book = np.zeros((3, _INITIAL_CAPACITY))
+        self._slots = 0
         self._tracer = tracer if tracer is not None else NULL_TRACER
-        # Running totals for event emission only; snapshot() keeps its
-        # np.sum reductions so reported aggregates are unchanged.
+        # Running totals for event emission only; snapshot() reduces the
+        # recorded history pairwise, exactly as np.sum over it would.
         self._running_emissions = 0.0
         self._running_net_purchase = 0.0
         self._rejected_trades = 0
@@ -68,10 +73,26 @@ class AllowanceLedger:
         self._tracer = tracer
 
     def __getstate__(self) -> dict[str, object]:
-        """Pickle without the bound tracer (it may hold open file sinks)."""
+        """Pickle the recorded history only, without the bound tracer.
+
+        The spare capacity stays behind so snapshots do not grow with it,
+        and the tracer may hold open file sinks.
+        """
         state = dict(self.__dict__)
         state["_tracer"] = NULL_TRACER
+        state["_book"] = self._book[:, : self._slots].copy()
         return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        """Restore a pickled ledger, including the older list layout."""
+        state = dict(state)
+        if "_book" not in state:
+            # Ledgers pickled before the array-backed book kept one Python
+            # list per series; the float64 conversion is exact.
+            history = [state.pop(key) for key in ("_emissions", "_bought", "_sold")]
+            state["_book"] = np.array(history, dtype=float)
+            state["_slots"] = len(history[0])
+        self.__dict__.update(state)
 
     @property
     def initial_cap(self) -> float:
@@ -81,16 +102,23 @@ class AllowanceLedger:
     @property
     def slots_recorded(self) -> int:
         """Number of slots recorded so far."""
-        return len(self._emissions)
+        return self._slots
 
     def record(self, emissions: float, bought: float, sold: float) -> None:
         """Record one slot's emissions and trade quantities."""
         check_nonnegative(emissions, "emissions")
         check_nonnegative(bought, "bought")
         check_nonnegative(sold, "sold")
-        self._emissions.append(float(emissions))
-        self._bought.append(float(bought))
-        self._sold.append(float(sold))
+        t = self._slots
+        book = self._book
+        if t == book.shape[1]:
+            grown = np.zeros((3, max(2 * t, _INITIAL_CAPACITY)))
+            grown[:, :t] = book
+            book = self._book = grown
+        book[0, t] = emissions
+        book[1, t] = bought
+        book[2, t] = sold
+        self._slots = t + 1
         self._running_emissions += float(emissions)
         self._running_net_purchase += float(bought) - float(sold)
         tracer = self._tracer
@@ -98,7 +126,7 @@ class AllowanceLedger:
             holdings = self._cap + self._running_net_purchase
             tracer.emit(
                 EmissionEvent(
-                    t=len(self._emissions) - 1,
+                    t=t,
                     emissions_kg=float(emissions),
                     cumulative_kg=self._running_emissions,
                     holdings_kg=holdings,
@@ -129,21 +157,26 @@ class AllowanceLedger:
 
     def snapshot(self) -> LedgerSnapshot:
         """Current cumulative state."""
+        n = self._slots
+        book = self._book
+        # ``np.add.reduce`` is the pairwise routine inside ``np.sum``; over
+        # the same contiguous values it gives the same bits.
         return LedgerSnapshot(
-            slots=self.slots_recorded,
-            cumulative_emissions=float(np.sum(self._emissions)),
-            cumulative_bought=float(np.sum(self._bought)),
-            cumulative_sold=float(np.sum(self._sold)),
+            slots=n,
+            cumulative_emissions=float(np.add.reduce(book[0, :n])),
+            cumulative_bought=float(np.add.reduce(book[1, :n])),
+            cumulative_sold=float(np.add.reduce(book[2, :n])),
             initial_cap=self._cap,
         )
 
     def emissions_series(self) -> np.ndarray:
-        """Per-slot emissions recorded so far."""
-        return np.asarray(self._emissions)
+        """Per-slot emissions recorded so far (a copy)."""
+        return self._book[0, : self._slots].copy()
 
     def net_purchase_series(self) -> np.ndarray:
         """Per-slot net allowance purchases (bought - sold)."""
-        return np.asarray(self._bought) - np.asarray(self._sold)
+        n = self._slots
+        return self._book[1, :n] - self._book[2, :n]
 
     def violation_series(self) -> np.ndarray:
         """Running positive violation after each recorded slot.
@@ -151,6 +184,6 @@ class AllowanceLedger:
         Entry ``t`` is ``[sum_{s<=t} e_s - (R + sum_{s<=t} z_s - w_s)]^+`` —
         the paper's fit measured at every prefix of the horizon.
         """
-        emissions = np.cumsum(self._emissions)
-        holdings = self._cap + np.cumsum(self._bought) - np.cumsum(self._sold)
-        return np.maximum(emissions - holdings, 0.0)
+        emissions, bought, sold = self._book[:, : self._slots]
+        holdings = self._cap + np.cumsum(bought) - np.cumsum(sold)
+        return np.maximum(np.cumsum(emissions) - holdings, 0.0)

@@ -13,12 +13,15 @@ The fast path runs in two phases:
 
 * **Phase A (selection)** resolves every edge's Algorithm-1 trajectory.
   When the whole fleet runs plain :class:`OnlineModelSelection`, this is
-  *block-wise*: at each block boundary the coinciding OMD solves are
-  batched through :func:`tsallis_inf_probabilities_batch`, and the opened
-  block's full span of slot losses is then computed and folded in one
+  *block-wise* and runs in rounds: round ``k`` opens block ``k`` of every
+  edge whose schedule has that many blocks, with one
+  :func:`tsallis_inf_probabilities_batch` call for the whole round (each
+  row at its own start slot).  Each opened block's full span of slot
+  losses is then computed and folded in one
   :meth:`~OnlineModelSelection.observe_block` call — no per-slot
   ``select``/``observe`` round-trips at all.  Mixed or subclassed fleets
-  fall back to a per-slot loop over the policies' public interface.
+  fall back to a per-slot loop over the policies' public interface, which
+  batches only the block openings that coincide at a slot.
 * **Phase B (trading)** replays the system-level sequence: selection does
   not depend on trading, so slot emissions for the whole horizon come from
   one :meth:`EnergyModel.slot_emissions_kg_batch` call, after which a lean
@@ -44,9 +47,13 @@ Why digests are preserved (the full argument is in DESIGN.md):
   left-to-right Python-float order as per-slot ``observe`` calls.
 * **Energy arithmetic** — :meth:`EnergyModel.slot_emissions_kg_batch`
   preserves the scalar method's operation order element by element.
-* **Tsallis solves** — block openings that coincide at a slot across edges
-  are solved by :func:`~repro.core.tsallis.tsallis_inf_probabilities_batch`,
-  whose rows follow the scalar safeguarded-Newton trajectory bitwise.
+* **Tsallis solves** — a round's block openings are solved by
+  :func:`~repro.core.tsallis.tsallis_inf_probabilities_batch`, whose rows
+  follow the scalar safeguarded-Newton trajectory bitwise whatever else
+  shares the batch.  Rounds are safe because edges are independent in
+  Phase A: edge ``i``'s block ``k`` reads only edge ``i``'s estimator,
+  which round ``k - 1`` has closed, and samples on edge ``i``'s own
+  ``selection-<edge>`` stream in block order.
 * **Live inference** — forward passes stay per edge-slot on the slot's own
   index draw (exactly the kernel's call), so batching elsewhere never
   changes a BLAS reduction shape.
@@ -93,56 +100,64 @@ def can_vectorize(sim: "Simulator") -> bool:
     )
 
 
-def _block_open_slots(policies: list) -> dict[int, list[tuple[int, OnlineModelSelection, int]]]:
-    """Map slot -> [(edge, policy, block)] for plain Algorithm-1 policies.
+#: One Theorem-1 block opening: ``(edge, policy, block, start slot)``.
+_Opening = tuple[int, OnlineModelSelection, int, int]
 
-    Block boundaries are fixed by the Theorem-1 schedule, so the slots at
-    which each edge must open a block are known up front; edges whose
-    boundaries coincide at a slot get their OMD solves batched.  Only exact
-    :class:`OnlineModelSelection` instances participate — subclasses may
-    override the opening logic and fall back to their own ``select``.
+
+def _block_openings(policies: list, *, by_slot: bool) -> dict[int, list[_Opening]]:
+    """Every block opening of the plain Algorithm-1 edges, grouped for batching.
+
+    Block boundaries are fixed by the Theorem-1 schedule, so every opening
+    and its start slot are known up front.  ``by_slot=False`` groups them
+    into rounds — round ``k`` holds block ``k`` of every edge whose
+    schedule has more than ``k`` blocks; ``by_slot=True`` groups the
+    openings that coincide at a slot.  Each group lists edges in ascending
+    order.  Only exact :class:`OnlineModelSelection` instances participate
+    — subclasses may override the opening logic and fall back to their own
+    ``select``.
     """
-    groups: dict[int, list[tuple[int, OnlineModelSelection, int]]] = {}
+    groups: dict[int, list[_Opening]] = {}
     for i, policy in enumerate(policies):
         if type(policy) is not OnlineModelSelection:
             continue
         start = 0
         for block, length in enumerate(policy.schedule.lengths):
-            groups.setdefault(start, []).append((i, policy, block))
+            groups.setdefault(start if by_slot else block, []).append(
+                (i, policy, block, start)
+            )
             start += int(length)
     return groups
 
 
-def _open_blocks(
-    t: int, group: list[tuple[int, OnlineModelSelection, int]]
-) -> list[int]:
-    """Open every block due at slot ``t``, batching coinciding solves.
+def _open_blocks(group: list[_Opening]) -> list[int]:
+    """Open every block in ``group`` with one batched OMD solve.
 
-    A single opening uses the scalar solver (exactly what ``select`` would
-    have done); two or more use the batched solver, whose rows are bitwise
-    identical to the scalar trajectories.  Sampling the block model happens
-    inside each policy, on its own ``selection-<edge>`` stream, in edge
-    order — the same per-stream draw order as the scalar loop.  Both
+    Each row opens at its own start slot.  A single opening uses the
+    scalar solver (exactly what ``select`` would have done); two or more
+    use the batched solver, whose rows are bitwise identical to the scalar
+    trajectories whatever else shares the batch.  Sampling the block model
+    happens inside each policy, on its own ``selection-<edge>`` stream, in
+    block order — the same per-stream draw order as the scalar loop.  Both
     solvers already ran the simplex postcondition, so the openings skip the
     re-check.  Returns the sampled models, aligned with ``group``.
     """
     if len(group) == 1:
-        _, policy, block = group[0]
+        _, policy, block, start = group[0]
         model = policy.open_block_with(
             block,
-            t,
+            start,
             tsallis_inf_probabilities(
                 policy.cumulative_estimates(), policy.block_eta(block)
             ),
             validated=True,
         )
         return [model]
-    stacked = np.stack([p.cumulative_estimates() for _, p, _ in group])
-    etas = np.array([p.block_eta(b) for _, p, b in group])
+    stacked = np.stack([p.cumulative_estimates() for _, p, _, _ in group])
+    etas = np.array([p.block_eta(b) for _, p, b, _ in group])
     probabilities = tsallis_inf_probabilities_batch(stacked, etas)
     return [
-        policy.open_block_with(block, t, row, validated=True)
-        for row, (_, policy, block) in zip(probabilities, group)
+        policy.open_block_with(block, start, row, validated=True)
+        for row, (_, policy, block, start) in zip(probabilities, group)
     ]
 
 
@@ -226,8 +241,8 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
                 ]
             )
 
-    open_groups = _block_open_slots(policies)
     blockwise = all(type(policy) is OnlineModelSelection for policy in policies)
+    open_groups = _block_openings(policies, by_slot=not blockwise)
 
     selections = np.zeros((horizon, num_edges), dtype=int)
     loss_mat = np.empty((num_edges, horizon))
@@ -242,12 +257,15 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
 
     # Phase A — selection trajectories (independent of trading).
     if blockwise:
-        # Whole blocks at a time: open at the boundary, then compute and
-        # fold the block's entire slot-loss span in one observe_block call.
-        for t in sorted(open_groups):
-            group = open_groups[t]
-            models = _open_blocks(t, group)
-            for model, (i, policy, block) in zip(models, group):
+        # Whole blocks at a time, one round per block index: round k opens
+        # block k of every edge in one batched solve, then computes and
+        # folds each block's entire slot-loss span in one observe_block
+        # call.  Edge i's block k reads only edge i's estimator, which
+        # round k-1 closed, so rounds reorder nothing any edge observes.
+        for k in range(len(open_groups)):
+            group = open_groups[k]
+            models = _open_blocks(group)
+            for model, (i, policy, block, t) in zip(models, group):
                 end = t + int(policy.schedule.lengths[block])
                 latency = latency_rows[i][model]
                 row_loss = loss_rows[i]
@@ -298,7 +316,7 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
         for t in range(horizon):
             group = open_groups.get(t)
             if group is not None:
-                _open_blocks(t, group)
+                _open_blocks(group)
             for i in range(num_edges):
                 model = select_fns[i](t)
                 flat = flat_indices[i]

@@ -14,8 +14,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.tsallis import (
+    tsallis_inf_probabilities,
+    tsallis_inf_probabilities_batch,
+)
 from repro.faults import EdgeOutage, FaultPlan
 from repro.policies import make_selection_policies, make_trading_policy
+from repro.sim import vector
 from repro.sim.config import ScenarioConfig
 from repro.sim.io import result_digest
 from repro.sim.scenario import build_scenario
@@ -116,6 +121,37 @@ def test_class_mix_draws_are_bit_identical(mnist_scenario):
     spec = RunSpec(seed=6)
     scalar, fast = _digests(mnist_scenario, spec)
     assert scalar == fast
+
+
+def test_blockwise_path_solves_once_per_block_round(monkeypatch):
+    """Phase A batches its OMD solves by block round, not by slot.
+
+    Round ``k`` opens block ``k`` of every edge, so a 64-edge fleet needs
+    no more solves than its longest schedule has blocks.  Grouping opens by
+    start slot instead would need one solve per distinct boundary slot —
+    about three times as many on this fleet.
+    """
+    scenario = _scenario(64, 60, seed=0)
+    spec = RunSpec(seed=3)
+    calls: list[int] = []
+
+    def batch(cumulative_losses, etas):
+        calls.append(len(etas))
+        return tsallis_inf_probabilities_batch(cumulative_losses, etas)
+
+    def scalar(cumulative_losses, eta):
+        calls.append(1)
+        return tsallis_inf_probabilities(cumulative_losses, eta)
+
+    monkeypatch.setattr(vector, "tsallis_inf_probabilities_batch", batch)
+    monkeypatch.setattr(vector, "tsallis_inf_probabilities", scalar)
+    sim = Simulator.from_spec(scenario, spec)
+    schedules = [len(policy.schedule.lengths) for policy in sim.selection_policies]
+    fast = sim.run(vectorized=True)
+    assert len(calls) <= max(schedules)
+    assert sum(calls) == sum(schedules)
+    scalar_result = Simulator.from_spec(scenario, spec).run(vectorized=False)
+    assert result_digest(fast) == result_digest(scalar_result)
 
 
 # ---------------------------------------------------------------------------
