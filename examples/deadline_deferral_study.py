@@ -19,7 +19,7 @@ Run:  python examples/deadline_deferral_study.py
 from repro.experiments.reporting import format_table
 from repro.ingress import IngressConfig
 from repro.obs import Tracer
-from repro.serve import ServeConfig, make_runtime
+from repro.serve import ServeConfig, ShardRuntime
 from repro.sim import ScenarioConfig
 
 #: Per-slot release budget — tight enough that the spike must queue.
@@ -41,7 +41,7 @@ def run_one(deferral: bool) -> tuple[dict, object]:
         label=f"deferral-{'on' if deferral else 'off'}",
         ingress=ingress.to_dict(),
     )
-    runtime = make_runtime(config, tracer=Tracer())
+    runtime = ShardRuntime(config, tracer=Tracer())
     result = runtime.run()
     return runtime.ingress.summary(), result
 

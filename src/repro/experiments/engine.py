@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
@@ -386,31 +385,6 @@ class SweepEngine:
         if not specs:
             raise ValueError("need at least one run spec")
         cells = [SweepCell.from_spec(spec) for spec in specs]
-        return self.run_cells(scenario, cells)
-
-    def run_many(
-        self,
-        scenario: Scenario,
-        selection: str,
-        trading: str,
-        seeds: Sequence[int],
-        label: str | None = None,
-    ) -> list[SimulationResult]:
-        """Deprecated: one cell per seed from a keyword tail.
-
-        .. deprecated:: 1.2
-            Use :meth:`run_specs` with one :class:`repro.RunSpec` per seed;
-            results are bit-identical through either entry point.
-        """
-        warnings.warn(
-            "SweepEngine.run_many is deprecated; build repro.RunSpec values "
-            "and call run_specs(scenario, specs) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not seeds:
-            raise ValueError("need at least one seed")
-        cells = [SweepCell(selection, trading, int(s), label) for s in seeds]
         return self.run_cells(scenario, cells)
 
     def run_offline_many(

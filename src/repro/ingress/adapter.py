@@ -148,9 +148,9 @@ def wrap_with_ingress(
     """Wrap every edge's adapter with the ingress tier.
 
     Called from :func:`repro.serve.runtime.build_serve_kernels` — the
-    shared determinism seam — so the in-process runtime, every shard
-    worker, and the shard parent all hold identically-configured ingress
-    state as a pure function of the serve config.
+    shared determinism seam — so every worker, inline or process, and the
+    parent all hold identically-configured ingress state as a pure function
+    of the serve config.
     """
     return [
         IngressAdapter(

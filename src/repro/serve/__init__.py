@@ -6,10 +6,10 @@ adapters, with bounded-queue backpressure, periodic snapshot/restore, a
 stdlib health endpoint, and a deterministic virtual-clock mode that is
 bit-identical to :meth:`repro.sim.simulator.Simulator.run`.
 
-The edge tier also runs *process-sharded* (:mod:`repro.serve.shard`):
-edges partitioned across worker processes behind the same coordinator
-protocol, with identical virtual-clock results, and a wall-clock soak
-harness (:mod:`repro.serve.soak`, ``repro soak``) that drives the shards
+One runtime, :class:`~repro.serve.shard.ShardRuntime`, serves every
+configuration: ``num_workers=0`` runs the edges in-process on an inline
+worker, ``num_workers >= 1`` shards them across worker processes.  A
+wall-clock soak harness (:mod:`repro.serve.soak`, ``repro soak``) drives it
 under deterministic load shapes (:mod:`repro.serve.load`).
 """
 
@@ -44,18 +44,8 @@ from repro.serve.reconfig import (
     RemoveEdge,
     load_reconfig_plan,
 )
-from repro.serve.runtime import (
-    ServeRuntime,
-    SlotAggregator,
-    build_serve_kernels,
-    serve_run,
-)
-from repro.serve.shard import (
-    ShardRuntime,
-    make_runtime,
-    runtime_from_snapshot,
-    shard_edges,
-)
+from repro.serve.runtime import build_serve_kernels
+from repro.serve.shard import ShardRuntime, shard_edges
 from repro.serve.snapshot import SNAPSHOT_VERSION, load_snapshot, save_snapshot
 from repro.serve.soak import SoakReport, run_soak, run_soak_suite
 
@@ -73,10 +63,8 @@ __all__ = [
     "ReconfigPlan",
     "RemoveEdge",
     "ServeConfig",
-    "ServeRuntime",
     "ShapeAdapter",
     "ShardRuntime",
-    "SlotAggregator",
     "SlotClock",
     "SoakReport",
     "StatusServer",
@@ -96,14 +84,11 @@ __all__ = [
     "load_snapshot",
     "make_adapters",
     "make_load_grid",
-    "make_runtime",
     "realize_chaos",
     "release_target",
     "run_soak",
     "run_soak_suite",
-    "runtime_from_snapshot",
     "save_snapshot",
-    "serve_run",
     "shape_profile",
     "shard_edges",
 ]

@@ -35,10 +35,7 @@ def release_target(
     next snapshot boundary — nor, when given, the next restart-checkpoint
     boundary (``restart_state_every``) or reconfiguration ``barrier`` —
     so when the coordinator reaches one, every worker is provably
-    quiescent.  Shared by the in-process coordinator
-    (:class:`~repro.serve.runtime.ServeRuntime`) and the sharded parent
-    (:class:`~repro.serve.shard.ShardRuntime`) so the two runtimes release
-    identical schedules.
+    quiescent.
     """
     depth = 1 if lockstep else pipeline_depth
     target = completed + depth

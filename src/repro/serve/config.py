@@ -83,7 +83,8 @@ class ServeConfig:
     snapshot_every: int = 0
     snapshot_path: str | None = None
     health_port: int | None = None
-    num_workers: int = 1
+    #: ``0`` serves in-process; ``N >= 1`` shards edges across N processes.
+    num_workers: int = 0
     on_worker_death: str = "fail"
     max_restarts: int = 3
     restart_backoff_s: float = 0.05
@@ -138,9 +139,9 @@ class ServeConfig:
                 f"shape_total_events must be non-negative, "
                 f"got {self.shape_total_events}"
             )
-        if self.num_workers < 1:
+        if self.num_workers < 0:
             raise ValueError(
-                f"num_workers must be >= 1, got {self.num_workers}"
+                f"num_workers must be >= 0, got {self.num_workers}"
             )
         if self.on_worker_death not in WORKER_DEATH_POLICIES:
             raise ValueError(

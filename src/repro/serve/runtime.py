@@ -1,96 +1,31 @@
-"""The asyncio edge-fleet runtime: Algorithms 1 + 2 as long-lived tasks.
+"""The determinism seam of the serve tier: building one run's kernels.
 
-Topology (one run):
-
-* per edge, a **feeder** task draws the slot's workload from its stream
-  adapter and enqueues it on that edge's bounded work queue (blocking or
-  shedding on backpressure), and an **actor** task drains the queue and
-  drives the edge's :class:`~repro.sim.kernel.EdgeSlotKernel` — the
-  Algorithm-1 select/observe loop;
-* one **coordinator** task collects every edge's slot outcome, aggregates
-  system emissions in edge order, drives the
-  :class:`~repro.sim.kernel.TradingSlotKernel` (Algorithm 2 + market +
-  ledger), persists snapshots at quiescent slot boundaries, and releases
-  further slots on the configured clock.
-
-Determinism: the kernels, RNG stream layout, and aggregation order are the
-simulator's own (``Simulator.build_kernels``).  Under a virtual clock the
-release depth is one slot — the lockstep schedule — so a serve run is
-bit-identical to ``Simulator.run`` and is locked against the same golden
-digests.  Wall-clock mode trades that lockstep for pipelining (up to
-``pipeline_depth`` slots in flight) and optional shedding.
+Every process that takes part in a serve run — the parent that owns the
+trading loop and each worker that steps a shard of edges — calls
+:func:`build_serve_kernels` with the same :class:`ServeConfig` and so holds
+bit-identical kernels.  The kernels and the per-slot fold
+(:class:`~repro.sim.kernel.SlotAggregator`) are the simulator's own
+(``Simulator.build_kernels``), which is why a virtual-clock serve run is
+bit-identical to ``Simulator.run``.  The runtime that drives them is
+:class:`~repro.serve.shard.ShardRuntime`.
 """
 
 from __future__ import annotations
 
-import asyncio
-from pathlib import Path
-
-import numpy as np
-
 from repro.faults.plan import FaultPlan
-from repro.obs.events import ArrivalEvent, QueueShedEvent, SlotStartEvent, SnapshotEvent
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.serve.adapters import StreamAdapter, make_adapters
-from repro.serve.clock import SlotClock, VirtualClock, WallClock, release_target
 from repro.serve.config import ServeConfig
-from repro.serve.http import StatusServer
 from repro.serve.load import make_load_grid
-from repro.serve.queues import BoundedWorkQueue, WorkItem
-from repro.serve.snapshot import load_snapshot, save_snapshot
-from repro.sim.kernel import EdgeSlotKernel, EdgeSlotOutcome, TradingSlotKernel
-from repro.sim.results import SimulationResult
+from repro.sim.kernel import EdgeSlotKernel, SlotAggregator, TradingSlotKernel
 from repro.sim.scenario import Scenario, build_scenario
 from repro.sim.simulator import Simulator
 from repro.spec import RunSpec
 
 __all__ = [
-    "ServeRuntime",
     "SlotAggregator",
     "build_serve_kernels",
-    "offline_outcome",
-    "serve_run",
 ]
-
-#: Zero-cost field values for synthesized offline outcomes.
-_OFFLINE_COSTS = dict(
-    expected_loss=0.0,
-    slot_loss=0.0,
-    latency=0.0,
-    switch_cost=0.0,
-    emissions_kg=0.0,
-    correct=0.0,
-)
-
-
-def offline_outcome(
-    t: int, edge: int, model: int, *, arrivals: int = 0
-) -> EdgeSlotOutcome:
-    """A zero-cost offline outcome for an edge that served nothing at ``t``.
-
-    The shared synthesis used for dead shards, inactive (reconfigured-out)
-    edges, and worker-side offline replay after a restart: ``arrivals`` are
-    counted as dropped-offline so the accounting equation
-    ``in == served + shed + offline`` stays exact.
-    """
-    return EdgeSlotOutcome(
-        t=t,
-        edge=edge,
-        model=int(model),
-        switched=False,
-        offline=True,
-        shed=False,
-        arrivals=int(arrivals),
-        served=0,
-        **_OFFLINE_COSTS,
-    )
-
-
-class _WorkerFailure:
-    """Carries a worker task's exception to the coordinator for re-raise."""
-
-    def __init__(self, exc: BaseException) -> None:
-        self.exc = exc
 
 
 def build_serve_kernels(
@@ -101,12 +36,11 @@ def build_serve_kernels(
 ) -> tuple[Scenario, list[StreamAdapter], list[EdgeSlotKernel], TradingSlotKernel]:
     """Materialize one serve run's scenario, adapters, and slot kernels.
 
-    This is the determinism seam shared by the in-process runtime and every
-    sharded worker: kernels and RNG streams are a pure function of the
-    config (streams are keyed by *name*, not creation order), so any
-    process that calls this with an equal config holds bit-identical
-    kernels.  A shard worker steps only its own edges; the untouched rest
-    cost nothing because streams draw lazily.
+    Kernels and RNG streams are a pure function of the config (streams are
+    keyed by *name*, not creation order), so any process that calls this
+    with an equal config holds bit-identical kernels.  A worker steps only
+    its own edges; the untouched rest cost nothing because streams draw
+    lazily.
     """
     scenario = build_scenario(config.scenario)
     spec = RunSpec(
@@ -150,459 +84,3 @@ def build_serve_kernels(
             tracer=tracer,
         )
     return scenario, adapters, edge_kernels, trading_kernel
-
-
-class SlotAggregator:
-    """The per-slot edge-order fold into result arrays plus the trade step.
-
-    Extracted from the coordinator so the in-process runtime and the
-    sharded parent aggregate *identically*: outcomes are folded in global
-    edge order (the simulator's float-summation order), then the trading
-    kernel steps once on the slot's system emissions.  Holds the result
-    arrays, their snapshot/restore halves, and the final
-    :class:`SimulationResult` assembly.
-    """
-
-    def __init__(self, scenario: Scenario, trading_kernel: TradingSlotKernel) -> None:
-        self.scenario = scenario
-        self.trading_kernel = trading_kernel
-        horizon, num_edges = scenario.horizon, scenario.num_edges
-        self.arrays: dict[str, np.ndarray] = {
-            "expected_inference": np.zeros(horizon),
-            "realized_loss": np.zeros(horizon),
-            "compute_cost": np.zeros(horizon),
-            "switching_cost": np.zeros(horizon),
-            "emissions": np.zeros(horizon),
-            "bought": np.zeros(horizon),
-            "sold": np.zeros(horizon),
-            "trading_cost": np.zeros(horizon),
-            "arrivals_total": np.zeros(horizon),
-            "accuracy": np.zeros(horizon),
-            "selections": np.zeros((horizon, num_edges), dtype=int),
-            "switches": np.zeros((horizon, num_edges), dtype=bool),
-        }
-
-    def fold(self, t: int, outcomes: list[EdgeSlotOutcome]) -> None:
-        """Fold slot ``t``'s outcomes (edge order) and step the trading kernel."""
-        arrays = self.arrays
-        slot_emissions = 0.0
-        slot_correct = 0.0
-        slot_arrivals = 0
-        for i, outcome in enumerate(outcomes):
-            arrays["selections"][t, i] = outcome.model
-            arrays["switches"][t, i] = outcome.switched
-            if outcome.offline:
-                continue
-            arrays["expected_inference"][t] += outcome.expected_loss
-            arrays["realized_loss"][t] += outcome.slot_loss
-            arrays["compute_cost"][t] += outcome.latency
-            if outcome.switched:
-                arrays["switching_cost"][t] += outcome.switch_cost
-            slot_emissions += outcome.emissions_kg
-            slot_correct += outcome.correct
-            slot_arrivals += outcome.served
-
-        arrays["emissions"][t] = slot_emissions
-        arrays["arrivals_total"][t] = slot_arrivals
-        arrays["accuracy"][t] = (
-            slot_correct / slot_arrivals if slot_arrivals else np.nan
-        )
-        (
-            arrays["bought"][t],
-            arrays["sold"][t],
-            arrays["trading_cost"][t],
-        ) = self.trading_kernel.step(t, slot_emissions)
-
-    def partial_arrays(self, next_slot: int) -> dict[str, np.ndarray]:
-        """Snapshot copies of the arrays' completed prefix."""
-        return {
-            name: array[:next_slot].copy()
-            for name, array in self.arrays.items()
-        }
-
-    def load_arrays(self, saved: dict[str, np.ndarray]) -> None:
-        """Restore the completed prefix captured by :meth:`partial_arrays`."""
-        for name, prefix in saved.items():
-            self.arrays[name][: len(prefix)] = prefix
-
-    def result(self, label: str) -> SimulationResult:
-        """Assemble the completed run's :class:`SimulationResult`."""
-        scenario, arrays = self.scenario, self.arrays
-        return SimulationResult(
-            label=label,
-            horizon=scenario.horizon,
-            num_edges=scenario.num_edges,
-            carbon_cap=scenario.config.carbon_cap_kg,
-            expected_inference_cost=arrays["expected_inference"],
-            realized_inference_loss=arrays["realized_loss"],
-            compute_cost=arrays["compute_cost"],
-            switching_cost=arrays["switching_cost"],
-            emissions=arrays["emissions"],
-            bought=arrays["bought"],
-            sold=arrays["sold"],
-            trading_cost=arrays["trading_cost"],
-            buy_prices=scenario.prices.buy.copy(),
-            sell_prices=scenario.prices.sell.copy(),
-            arrivals=arrays["arrivals_total"],
-            accuracy=arrays["accuracy"],
-            selections=arrays["selections"],
-            switches=arrays["switches"],
-        )
-
-
-class ServeRuntime:
-    """One streaming serve run over a scenario's horizon.
-
-    Construct from a :class:`ServeConfig` (the scenario is built from its
-    embedded :class:`~repro.sim.config.ScenarioConfig`), or resume one from
-    disk with :meth:`from_snapshot`.  :meth:`run` executes to the end of the
-    horizon and returns the same :class:`SimulationResult` the simulator
-    would; ``run(max_slots=k)`` stops after ``k`` completed slots (the
-    "killed mid-horizon" path — state survives via snapshots).
-    """
-
-    def __init__(
-        self,
-        config: ServeConfig,
-        *,
-        tracer: Tracer | None = None,
-        faults: FaultPlan | None = None,
-    ) -> None:
-        self.config = config
-        self.label = config.effective_label
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self._rebind_tracer = tracer is not None
-        (
-            self.scenario,
-            self.adapters,
-            self.edge_kernels,
-            self.trading_kernel,
-        ) = build_serve_kernels(config, tracer=tracer, faults=faults)
-        self.horizon = self.scenario.horizon
-        self.num_edges = self.scenario.num_edges
-        self.clock: SlotClock = (
-            VirtualClock()
-            if config.virtual_clock
-            else WallClock(config.slot_duration)
-        )
-        self.queues = [
-            BoundedWorkQueue(config.queue_capacity) for _ in range(self.num_edges)
-        ]
-        self.completed_slot = -1
-        self.status_server: StatusServer | None = None
-        #: Set once run_async has spawned the fleet (and the status server,
-        #: when one is configured) — the event-driven "server is up" wait.
-        self.server_ready = asyncio.Event()
-        self.aggregator = SlotAggregator(self.scenario, self.trading_kernel)
-        self._arrays = self.aggregator.arrays
-        tracer_obj = self.tracer
-        self._events_in = tracer_obj.counter("serve/events_in")
-        self._events_served = tracer_obj.counter("serve/events_served")
-        self._events_shed = tracer_obj.counter("serve/events_shed")
-        self._events_dropped_offline = tracer_obj.counter(
-            "serve/events_dropped_offline"
-        )
-        self._slots_completed = tracer_obj.counter("serve/slots_completed")
-        self._snapshots_taken = tracer_obj.counter("serve/snapshots")
-        ingress_config = config.ingress_config()
-        self.ingress = None
-        if ingress_config is not None:
-            from repro.ingress.stats import IngressStats
-
-            self.ingress = IngressStats(ingress_config.class_names)
-            self._requests_in = tracer_obj.counter("ingress/requests_in")
-            self._requests_dropped = tracer_obj.counter("ingress/requests_dropped")
-            self._requests_deferred = tracer_obj.counter(
-                "ingress/requests_deferred"
-            )
-            self._deadline_hits = tracer_obj.counter("ingress/deadline_hits")
-            self._deadline_misses = tracer_obj.counter("ingress/deadline_misses")
-        self._reports: asyncio.Queue[EdgeSlotOutcome | _WorkerFailure] | None = None
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        path: str | Path,
-        *,
-        tracer: Tracer | None = None,
-        faults: FaultPlan | None = None,
-    ) -> "ServeRuntime":
-        """Rebuild a runtime mid-horizon from a persisted snapshot."""
-        state = load_snapshot(path)
-        config = ServeConfig.from_dict(state["config"])
-        runtime = cls(config, tracer=tracer, faults=faults)
-        runtime._restore(state)
-        return runtime
-
-    def _restore(self, state: dict[str, object]) -> None:
-        if state["label"] != self.label:
-            raise ValueError(
-                f"snapshot is for run {state['label']!r}, "
-                f"this runtime serves {self.label!r}"
-            )
-        next_slot = int(state["next_slot"])
-        if not 0 <= next_slot <= self.horizon:
-            raise ValueError(
-                f"snapshot resumes at slot {next_slot}, "
-                f"horizon is {self.horizon}"
-            )
-        for kernel, kernel_state in zip(self.edge_kernels, state["edges"]):
-            kernel.load_state(kernel_state)
-        for adapter, adapter_state in zip(self.adapters, state["adapters"]):
-            adapter.load_state(adapter_state)
-        self.trading_kernel.load_state(state["trading"])
-        if self._rebind_tracer:
-            for i, kernel in enumerate(self.edge_kernels):
-                kernel.policy.bind_tracer(self.tracer, edge=i)
-            self.trading_kernel.policy.bind_tracer(self.tracer)
-            self.trading_kernel.market.bind_tracer(self.tracer)
-            self.trading_kernel.ledger.bind_tracer(self.tracer)
-        self.aggregator.load_arrays(state["arrays"])
-        self.completed_slot = next_slot - 1
-
-    def snapshot_state(self) -> dict[str, object]:
-        """The full controller state as one picklable dict."""
-        next_slot = self.completed_slot + 1
-        return {
-            "label": self.label,
-            "config": self.config.to_dict(),
-            "next_slot": next_slot,
-            "edges": [kernel.state_dict() for kernel in self.edge_kernels],
-            "adapters": [adapter.state_dict() for adapter in self.adapters],
-            "trading": self.trading_kernel.state_dict(),
-            "arrays": self.aggregator.partial_arrays(next_slot),
-        }
-
-    def health(self) -> dict[str, object]:
-        """Liveness payload for ``GET /healthz``."""
-        done = self.completed_slot >= self.horizon - 1
-        return {
-            "status": "done" if done else "serving",
-            "label": self.label,
-            "completed_slot": self.completed_slot,
-            "released_slot": self.clock.released,
-            "horizon": self.horizon,
-            "num_edges": self.num_edges,
-            "queues": [
-                {
-                    "edge": i,
-                    "depth_events": queue.depth_events,
-                    "depth_items": queue.depth_items,
-                    "peak_events": queue.stats.peak_events,
-                    "rejected": queue.stats.rejected,
-                }
-                for i, queue in enumerate(self.queues)
-            ],
-        }
-
-    def metrics(self) -> dict[str, object]:
-        """Tracer counters/timers and event tallies for ``GET /metrics``."""
-        payload: dict[str, object] = dict(self.tracer.metrics_snapshot())
-        payload["events"] = self.tracer.event_counts()
-        return payload
-
-    def result(self) -> SimulationResult:
-        """The completed run's records (requires the full horizon served)."""
-        if self.completed_slot < self.horizon - 1:
-            raise RuntimeError(
-                f"run stopped after slot {self.completed_slot}; "
-                f"horizon is {self.horizon} — resume it before asking for results"
-            )
-        return self.aggregator.result(self.label)
-
-    def run(self, *, max_slots: int | None = None) -> SimulationResult | None:
-        """Serve the horizon (or ``max_slots`` of it) on a fresh event loop.
-
-        Returns the :class:`SimulationResult` when the horizon completed,
-        ``None`` after a partial run (resume from the last snapshot).
-        """
-        return asyncio.run(self.run_async(max_slots=max_slots))
-
-    async def run_async(
-        self, *, max_slots: int | None = None
-    ) -> SimulationResult | None:
-        """Async entry point: spawn the fleet, await completion."""
-        start = self.completed_slot + 1
-        stop = self.horizon
-        if max_slots is not None:
-            if max_slots < 1:
-                raise ValueError(f"max_slots must be >= 1, got {max_slots}")
-            stop = min(stop, start + max_slots)
-        if start >= stop:
-            return self.result() if stop == self.horizon else None
-        self._reports = asyncio.Queue()
-        if self.config.health_port is not None:
-            self.status_server = StatusServer(
-                {"/healthz": self.health, "/metrics": self.metrics},
-                port=self.config.health_port,
-            )
-            await self.status_server.start()
-        self.server_ready.set()
-        try:
-            await self._release_through(self._release_target(start - 1))
-            workers = [
-                asyncio.create_task(
-                    self._feeder(i, start, stop), name=f"serve-feeder-{i}"
-                )
-                for i in range(self.num_edges)
-            ]
-            workers += [
-                asyncio.create_task(
-                    self._actor(i, start, stop), name=f"serve-actor-{i}"
-                )
-                for i in range(self.num_edges)
-            ]
-            try:
-                await self._coordinate(start, stop)
-            finally:
-                for task in workers:
-                    if not task.done():
-                        task.cancel()
-                await asyncio.gather(*workers, return_exceptions=True)
-        finally:
-            if self.status_server is not None:
-                await self.status_server.stop()
-        return self.result() if stop == self.horizon else None
-
-    def _release_target(self, completed: int) -> int:
-        """Furthest slot safe to release after completing ``completed``."""
-        return release_target(
-            completed,
-            horizon=self.horizon,
-            lockstep=self.config.virtual_clock,
-            pipeline_depth=self.config.pipeline_depth,
-            snapshot_every=self.config.snapshot_every,
-        )
-
-    async def _release_through(self, target: int) -> None:
-        """Release slots up to ``target``, emitting their slot-start events."""
-        tracer = self.tracer
-        if tracer.enabled:
-            for t in range(self.clock.released + 1, target + 1):
-                tracer.emit(SlotStartEvent(t=t, horizon=self.horizon))
-        await self.clock.release(target)
-
-    async def _feeder(self, edge: int, start: int, stop: int) -> None:
-        adapter = self.adapters[edge]
-        queue = self.queues[edge]
-        tracer = self.tracer
-        shed_mode = self.config.backpressure == "shed"
-        try:
-            for t in range(start, stop):
-                await self.clock.wait_for_slot(t)
-                await self.clock.pace(t)
-                item = adapter.next_item(t)
-                self._events_in.increment(item.count)
-                if tracer.enabled:
-                    tracer.emit(ArrivalEvent(t=t, edge=edge, count=item.count))
-                if shed_mode:
-                    admitted = await queue.put(item, block=False)
-                    if not admitted:
-                        self._events_shed.increment(item.count)
-                        if tracer.enabled:
-                            tracer.emit(
-                                QueueShedEvent(t=t, edge=edge, count=item.count)
-                            )
-                        await queue.put(
-                            WorkItem(t=t, count=item.count, shed=True),
-                            block=False,
-                        )
-                else:
-                    await queue.put(item)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            assert self._reports is not None
-            await self._reports.put(_WorkerFailure(exc))
-
-    async def _actor(self, edge: int, start: int, stop: int) -> None:
-        kernel = self.edge_kernels[edge]
-        queue = self.queues[edge]
-        delay = self.config.label_delay
-        try:
-            for t in range(start, stop):
-                item = await queue.get()
-                outcome = kernel.step(
-                    item.t, item.count, indices=item.indices, shed=item.shed
-                )
-                if outcome.offline:
-                    self._events_dropped_offline.increment(outcome.arrivals)
-                else:
-                    self._events_served.increment(outcome.served)
-                if delay:
-                    kernel.deliver_due(t - delay)
-                assert self._reports is not None
-                await self._reports.put(outcome)
-            if delay and stop == self.horizon:
-                kernel.deliver_due(self.horizon)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            assert self._reports is not None
-            await self._reports.put(_WorkerFailure(exc))
-
-    async def _coordinate(self, start: int, stop: int) -> None:
-        assert self._reports is not None
-        num_edges = self.num_edges
-        buffered: dict[tuple[int, int], EdgeSlotOutcome] = {}
-        for t in range(start, stop):
-            while any((t, i) not in buffered for i in range(num_edges)):
-                report = await self._reports.get()
-                if isinstance(report, _WorkerFailure):
-                    raise report.exc
-                buffered[(report.t, report.edge)] = report
-
-            outcomes = [buffered.pop((t, i)) for i in range(num_edges)]
-            if self.ingress is not None:
-                for outcome in outcomes:
-                    self._absorb_ingress(
-                        self.adapters[outcome.edge].resolve_slot(outcome)
-                    )
-            self.aggregator.fold(t, outcomes)
-            self.completed_slot = t
-            self._slots_completed.increment()
-
-            every = self.config.snapshot_every
-            if every and (t + 1) % every == 0 and t + 1 < self.horizon:
-                await self._take_snapshot(t)
-            await self._release_through(self._release_target(t))
-
-    def _absorb_ingress(self, payload: dict[str, object]) -> None:
-        """Fold one edge's resolved slot stats into the run accounting."""
-        assert self.ingress is not None
-        self.ingress.absorb(payload)
-        self._requests_in.increment(payload["in"])
-        self._requests_dropped.increment(payload["dropped"])
-        self._requests_deferred.increment(payload["deferred"])
-        self._deadline_hits.increment(payload["hits"])
-        self._deadline_misses.increment(payload["misses"])
-
-    async def _take_snapshot(self, t: int) -> None:
-        busy = [i for i, queue in enumerate(self.queues) if queue.depth_items]
-        if busy:
-            raise RuntimeError(
-                f"snapshot at slot boundary {t + 1} found non-quiescent "
-                f"queues on edges {busy} — release capping is broken"
-            )
-        path = self.config.snapshot_path
-        assert path is not None  # enforced by ServeConfig validation
-        # Capture state synchronously at the quiescent boundary, then hand
-        # the blocking file write to a worker thread: feeders resumed during
-        # the await cannot perturb what gets persisted.
-        state = self.snapshot_state()
-        await asyncio.to_thread(save_snapshot, path, state)
-        self._snapshots_taken.increment()
-        if self.tracer.enabled:
-            self.tracer.emit(SnapshotEvent(t=t, path=str(path)))
-
-
-def serve_run(
-    config: ServeConfig,
-    *,
-    tracer: Tracer | None = None,
-    faults: FaultPlan | None = None,
-    max_slots: int | None = None,
-) -> SimulationResult | None:
-    """One-call serve API: build a runtime, run it, return the result."""
-    runtime = ServeRuntime(config, tracer=tracer, faults=faults)
-    return runtime.run(max_slots=max_slots)

@@ -22,15 +22,14 @@ on the policies, so different policies face *identical* workloads and data
 (common random numbers) — exactly how the paper compares combinations.
 
 The per-edge and trading step bodies live in :mod:`repro.sim.kernel` as
-stateful slot kernels shared with the :mod:`repro.serve` runtime; the
-simulator is the lockstep driver of those kernels.
+stateful slot kernels shared with the :mod:`repro.serve` runtime, and so
+does the per-slot outcome fold (:class:`~repro.sim.kernel.SlotAggregator`);
+the simulator is the lockstep driver of those kernels.
 """
 
 from __future__ import annotations
 
 import warnings
-
-import numpy as np
 
 from repro.data.streams import ArrivalProcess
 from repro.faults.injector import FaultInjector
@@ -41,7 +40,12 @@ from repro.obs.events import SlotStartEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.policies.selection import SelectionPolicy
 from repro.policies.trading import TradingPolicy
-from repro.sim.kernel import EdgeSlotKernel, TradingSlotKernel, class_index_map
+from repro.sim.kernel import (
+    EdgeSlotKernel,
+    SlotAggregator,
+    TradingSlotKernel,
+    class_index_map,
+)
 from repro.sim.results import SimulationResult
 from repro.sim.scenario import Scenario
 from repro.utils.rng import RngFactory
@@ -268,85 +272,28 @@ class Simulator:
 
     def _run_scalar(self) -> SimulationResult:
         """The scalar reference loop: one kernel step per edge per slot."""
-        scenario = self.scenario
-        cfg = scenario.config
-        horizon, num_edges = scenario.horizon, scenario.num_edges
-
+        horizon = self.scenario.horizon
         arrival_processes, edge_kernels, trading_kernel = self.build_kernels()
-
+        folder = SlotAggregator(self.scenario, trading_kernel)
+        edges = list(zip(arrival_processes, edge_kernels))
         tracer = self.tracer
         tracing = tracer.enabled
-
-        expected_inference = np.zeros(horizon)
-        realized_loss = np.zeros(horizon)
-        compute_cost = np.zeros(horizon)
-        switching_cost = np.zeros(horizon)
-        emissions = np.zeros(horizon)
-        bought = np.zeros(horizon)
-        sold = np.zeros(horizon)
-        trading_cost = np.zeros(horizon)
-        arrivals_total = np.zeros(horizon)
-        accuracy = np.zeros(horizon)
-        selections = np.zeros((horizon, num_edges), dtype=int)
-        switches = np.zeros((horizon, num_edges), dtype=bool)
+        delay = self.label_delay
 
         for t in range(horizon):
             if tracing:
                 tracer.emit(SlotStartEvent(t=t, horizon=horizon))
-            slot_emissions = 0.0
-            slot_correct = 0.0
-            slot_arrivals = 0
-            for i in range(num_edges):
-                count = arrival_processes[i].sample(t)
-                outcome = edge_kernels[i].step(t, count)
-                selections[t, i] = outcome.model
-                switches[t, i] = outcome.switched
-                if outcome.offline:
-                    continue
-                expected_inference[t] += outcome.expected_loss
-                realized_loss[t] += outcome.slot_loss
-                compute_cost[t] += outcome.latency
-                if outcome.switched:
-                    switching_cost[t] += outcome.switch_cost
-                slot_emissions += outcome.emissions_kg
-                slot_correct += outcome.correct
-                slot_arrivals += outcome.served
-
-            emissions[t] = slot_emissions
-            arrivals_total[t] = slot_arrivals
-            accuracy[t] = slot_correct / slot_arrivals if slot_arrivals else np.nan
-
-            bought[t], sold[t], trading_cost[t] = trading_kernel.step(
-                t, slot_emissions
+            folder.fold(
+                t, [kernel.step(t, process.sample(t)) for process, kernel in edges]
             )
-
-            if self.label_delay > 0:
+            if delay > 0:
                 for kernel in edge_kernels:
-                    kernel.deliver_due(t - self.label_delay)
+                    kernel.deliver_due(t - delay)
 
-        if self.label_delay > 0:
+        if delay > 0:
             # Labels still in flight at the end of the horizon arrive after
             # it; deliver them so every policy's accounting completes.
             for kernel in edge_kernels:
                 kernel.deliver_due(horizon)
 
-        return SimulationResult(
-            label=self.label,
-            horizon=horizon,
-            num_edges=num_edges,
-            carbon_cap=cfg.carbon_cap_kg,
-            expected_inference_cost=expected_inference,
-            realized_inference_loss=realized_loss,
-            compute_cost=compute_cost,
-            switching_cost=switching_cost,
-            emissions=emissions,
-            bought=bought,
-            sold=sold,
-            trading_cost=trading_cost,
-            buy_prices=scenario.prices.buy.copy(),
-            sell_prices=scenario.prices.sell.copy(),
-            arrivals=arrivals_total,
-            accuracy=accuracy,
-            selections=selections,
-            switches=switches,
-        )
+        return folder.result(self.label)

@@ -1,14 +1,11 @@
 """The unified run specification: :class:`RunSpec`.
 
-Before this module, three call sites each grew their own keyword tail for
-"one simulation run" — ``Simulator.from_names(...)``, ``repro.run(...)``,
-and ``SweepEngine.run_many(...)`` — and scripts had no portable way to say
-*which* run they meant.  A :class:`RunSpec` is that missing noun: a frozen,
-typed, JSON-round-trippable value holding the scenario recipe, the policy
-names, the seed, the fault plan, and the trace options.  Every runner
-accepts one (``Simulator.from_spec``, ``repro.run(spec)``,
-``SweepEngine.run_spec``); the legacy keyword tails keep working but emit
-:class:`DeprecationWarning`.
+A :class:`RunSpec` names *which* simulation run is meant: a frozen, typed,
+JSON-round-trippable value holding the scenario recipe, the policy names,
+the seed, the fault plan, and the trace options.  Every runner accepts one
+(``Simulator.from_spec``, ``repro.run(spec)``, ``SweepEngine.run_spec``);
+the older keyword-tail forms, ``Simulator.from_names`` and ``repro.run``
+with keywords, still work but emit :class:`DeprecationWarning`.
 
     >>> spec = RunSpec(selection="UCB", trading="Ours", seed=3)
     >>> RunSpec.from_json(spec.to_json()) == spec

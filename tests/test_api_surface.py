@@ -159,25 +159,6 @@ def test_simulator_from_names_warns_and_matches_from_spec():
     assert result_digest(sim.run()) == result_digest(via_spec)
 
 
-def test_engine_run_many_warns_and_run_specs_does_not():
-    import warnings
-
-    from repro.experiments.engine import SweepEngine
-    from repro.sim.io import result_digest
-
-    scenario = repro.build_scenario(repro.ScenarioConfig(num_edges=2, horizon=12))
-    engine = SweepEngine()
-    with pytest.warns(DeprecationWarning, match="run_many is deprecated"):
-        legacy = engine.run_many(scenario, "Ours", "Ours", [0, 1])
-    specs = [_spec(seed=s) for s in (0, 1)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        modern = engine.run_specs(scenario, specs)
-    assert [result_digest(r) for r in legacy] == [
-        result_digest(r) for r in modern
-    ]
-
-
 def test_no_deprecated_keyword_tails_left_in_shipping_code():
     """No caller in src/ or benchmarks/ may use the deprecated tails."""
     import pathlib
@@ -193,13 +174,6 @@ def test_no_deprecated_keyword_tails_left_in_shipping_code():
                 line = text[: match.start()].count("\n") + 1
                 snippet = text.splitlines()[line - 1].strip()
                 offenders.append(f"{path.relative_to(root)}:{line}: {snippet}")
-    allowed = {
-        # spec.py's module docstring names the tails it replaced
-        "src/repro/spec.py",
-    }
-    real = [
-        line
-        for line in offenders
-        if line.split(":")[0] not in allowed
-    ]
-    assert not real, "deprecated keyword-tail calls remain:\n" + "\n".join(real)
+    assert not offenders, "deprecated keyword-tail calls remain:\n" + "\n".join(
+        offenders
+    )

@@ -93,7 +93,7 @@ class TestTraceCommand:
         target = tmp_path / "events.jsonl"
         code = main(
             ["trace", "--edges", "3", "--horizon", "16",
-             "--output", str(target), "--summary", *extra]
+             "--trace-output", str(target), "--summary", *extra]
         )
         assert code == 0
         return target

@@ -40,7 +40,9 @@ def canon(results) -> list[str]:
 class TestSerialEngine:
     def test_matches_run_combo_per_seed(self, small_scenario):
         engine = SweepEngine(workers=1)
-        results = engine.run_many(small_scenario, "UCB", "LY", [0, 1, 2], label="UCB-LY")
+        results = run_many(
+            small_scenario, "UCB", "LY", [0, 1, 2], label="UCB-LY", engine=engine
+        )
         direct = [
             run_combo(small_scenario, "UCB", "LY", seed, label="UCB-LY")
             for seed in (0, 1, 2)
@@ -53,19 +55,19 @@ class TestSerialEngine:
 
         monkeypatch.setattr(engine_module, "ProcessPoolExecutor", forbidden)
         engine = SweepEngine(workers=1)
-        results = engine.run_many(small_scenario, "Ours", "Ours", [0, 1])
+        results = run_many(small_scenario, "Ours", "Ours", [0, 1], engine=engine)
         assert len(results) == 2
 
     def test_empty_seeds_rejected(self, small_scenario):
         with pytest.raises(ValueError, match="seed"):
-            SweepEngine().run_many(small_scenario, "Ours", "Ours", [])
+            run_many(small_scenario, "Ours", "Ours", [], engine=SweepEngine())
 
     def test_unknown_policy_rejected_before_any_run(self, small_scenario):
         engine = SweepEngine()
         with pytest.raises(ValueError, match="selection"):
-            engine.run_many(small_scenario, "Thompson", "Ours", [0])
+            run_many(small_scenario, "Thompson", "Ours", [0], engine=engine)
         with pytest.raises(ValueError, match="trading"):
-            engine.run_many(small_scenario, "Ours", "Hedge", [0])
+            run_many(small_scenario, "Ours", "Hedge", [0], engine=engine)
         assert engine.stats.cells == 0
 
     def test_invalid_worker_count_rejected(self):
@@ -78,11 +80,21 @@ class TestSerialEngine:
 
 class TestParallelEngine:
     def test_workers2_bit_identical_to_serial(self, small_scenario):
-        serial = SweepEngine(workers=1).run_many(
-            small_scenario, "Ours", "Ours", [0, 1, 2, 3], label="Ours"
+        serial = run_many(
+            small_scenario,
+            "Ours",
+            "Ours",
+            [0, 1, 2, 3],
+            label="Ours",
+            engine=SweepEngine(workers=1),
         )
-        parallel = SweepEngine(workers=2).run_many(
-            small_scenario, "Ours", "Ours", [0, 1, 2, 3], label="Ours"
+        parallel = run_many(
+            small_scenario,
+            "Ours",
+            "Ours",
+            [0, 1, 2, 3],
+            label="Ours",
+            engine=SweepEngine(workers=2),
         )
         assert canon(parallel) == canon(serial)
 
@@ -108,19 +120,19 @@ class TestCacheIntegration:
     def test_partial_hits_execute_only_misses(self, small_scenario, tmp_path):
         cache = ResultCache(tmp_path)
         warm = SweepEngine(cache=cache)
-        warm.run_many(small_scenario, "Ours", "Ours", [0, 1])
+        run_many(small_scenario, "Ours", "Ours", [0, 1], engine=warm)
         follow = SweepEngine(cache=ResultCache(tmp_path))
-        results = follow.run_many(small_scenario, "Ours", "Ours", [0, 1, 2])
+        results = run_many(small_scenario, "Ours", "Ours", [0, 1, 2], engine=follow)
         assert follow.stats.cache_hits == 2
         assert follow.stats.executed == 1
         assert canon(results) == canon(
-            SweepEngine().run_many(small_scenario, "Ours", "Ours", [0, 1, 2])
+            run_many(small_scenario, "Ours", "Ours", [0, 1, 2], engine=SweepEngine())
         )
 
     def test_stats_accumulate_across_calls(self, small_scenario, tmp_path):
         engine = SweepEngine(cache=ResultCache(tmp_path))
-        engine.run_many(small_scenario, "Ours", "Ours", [0])
-        engine.run_many(small_scenario, "Ours", "Ours", [0])
+        run_many(small_scenario, "Ours", "Ours", [0], engine=engine)
+        run_many(small_scenario, "Ours", "Ours", [0], engine=engine)
         assert engine.stats.cells == 2
         assert engine.stats.executed == 1
         assert engine.stats.cache_hits == 1

@@ -20,6 +20,7 @@ import pytest
 from repro.experiments.cache import ResultCache
 from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.engine import SweepCell, SweepEngine
+from repro.experiments.runner import run_many
 from repro.sim.config import ScenarioConfig
 from repro.sim.io import canonical_result_json
 from repro.sim.scenario import build_scenario
@@ -39,7 +40,9 @@ def scenario():
 
 @pytest.fixture(scope="module")
 def serial_bytes(scenario):
-    results = SweepEngine().run_many(scenario, "UCB", "LY", SEEDS, label="UCB-LY")
+    results = run_many(
+        scenario, "UCB", "LY", SEEDS, label="UCB-LY", engine=SweepEngine()
+    )
     return [canonical_result_json(r) for r in results]
 
 
@@ -54,7 +57,9 @@ class TestCrashRecovery:
         marker = tmp_path / "crash.marker"
         monkeypatch.setenv("REPRO_ENGINE_TEST_CRASH", f"2:{marker}")
         engine = SweepEngine(workers=2)
-        results = engine.run_many(scenario, "UCB", "LY", SEEDS, label="UCB-LY")
+        results = run_many(
+            scenario, "UCB", "LY", SEEDS, label="UCB-LY", engine=engine
+        )
         assert marker.exists(), "the crash hook must actually have fired"
         assert canon(results) == serial_bytes
         assert engine.stats.pool_failures >= 1
@@ -77,7 +82,9 @@ class TestCrashRecovery:
 
         monkeypatch.setattr(SweepEngine, "_pool_round", rearm_and_run)
         engine = SweepEngine(workers=2, max_retries=1, pool_failure_limit=2)
-        results = engine.run_many(scenario, "UCB", "LY", SEEDS, label="UCB-LY")
+        results = run_many(
+            scenario, "UCB", "LY", SEEDS, label="UCB-LY", engine=engine
+        )
         assert canon(results) == serial_bytes
         assert engine.stats.pool_failures >= 1
         assert engine.stats.fallback_cells >= 1
@@ -90,7 +97,9 @@ class TestHangRecovery:
         marker = tmp_path / "hang.marker"
         monkeypatch.setenv("REPRO_ENGINE_TEST_HANG", f"1:{marker}")
         engine = SweepEngine(workers=2, cell_timeout=2.0)
-        results = engine.run_many(scenario, "UCB", "LY", SEEDS, label="UCB-LY")
+        results = run_many(
+            scenario, "UCB", "LY", SEEDS, label="UCB-LY", engine=engine
+        )
         assert marker.exists(), "the hang hook must actually have fired"
         assert canon(results) == serial_bytes
         assert engine.stats.pool_failures >= 1

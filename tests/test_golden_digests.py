@@ -17,7 +17,7 @@ import pytest
 
 from repro.experiments.cache import ResultCache
 from repro.experiments.engine import SweepEngine
-from repro.experiments.runner import run_combo
+from repro.experiments.runner import run_combo, run_many
 from repro.sim.config import ScenarioConfig
 from repro.sim.io import result_digest
 from repro.sim.scenario import build_scenario
@@ -74,8 +74,8 @@ class TestExecutionPathParity:
 
     def digests(self, engine, scenario_name):
         scenario = build_scenario(SCENARIO_CONFIGS[scenario_name])
-        results = engine.run_many(
-            scenario, "Ours", "Ours", self.SEEDS, label="Ours-Ours"
+        results = run_many(
+            scenario, "Ours", "Ours", self.SEEDS, label="Ours-Ours", engine=engine
         )
         return [result_digest(r) for r in results]
 

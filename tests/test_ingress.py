@@ -30,7 +30,7 @@ from repro.ingress import (
     resolve_payload,
 )
 from repro.obs import Tracer
-from repro.serve import ServeConfig, make_runtime, serve_run
+from repro.serve import ServeConfig, ShardRuntime
 from repro.serve.soak import run_soak
 from repro.sim.io import result_digest
 from repro.utils.rng import spawn_generator, thinning_stream
@@ -321,14 +321,14 @@ class TestGoldenParity:
         config = ingress_serve_config(
             "A", 0, ingress=IngressConfig(deferral=False)
         )
-        result = serve_run(config, tracer=Tracer())
+        result = ShardRuntime(config, tracer=Tracer()).run()
         assert result_digest(result) == GOLDEN_DIGESTS[("A", 0)]
 
     def test_sharded_digest_unmoved(self):
         config = ingress_serve_config(
             "A", 0, ingress=IngressConfig(deferral=False), num_workers=2
         )
-        runtime = make_runtime(config, tracer=Tracer())
+        runtime = ShardRuntime(config, tracer=Tracer())
         assert result_digest(runtime.run()) == GOLDEN_DIGESTS[("A", 0)]
 
     def test_deferral_moves_the_digest(self):
@@ -338,7 +338,7 @@ class TestGoldenParity:
         config = ingress_serve_config(
             "A", 0, ingress=IngressConfig(slot_capacity=3, defer_margin=0.0)
         )
-        result = serve_run(config, tracer=Tracer())
+        result = ShardRuntime(config, tracer=Tracer()).run()
         assert result_digest(result) != GOLDEN_DIGESTS[("A", 0)]
 
 
@@ -352,7 +352,7 @@ class TestServeIntegration:
         )
         config = ingress_serve_config("A", 0, ingress=ingress)
         tracer = Tracer()
-        runtime = make_runtime(config, tracer=tracer)
+        runtime = ShardRuntime(config, tracer=tracer)
         runtime.run()
         counters = tracer.metrics_snapshot()["counters"]
         stats = runtime.ingress
@@ -372,16 +372,14 @@ class TestServeIntegration:
             ServeConfig(ingress="default")
 
     def test_snapshot_resume_preserves_digest(self, tmp_path):
-        from repro.serve import runtime_from_snapshot
-
         path = tmp_path / "state.pkl"
         config = ingress_serve_config(
             "A", 0, ingress=IngressConfig(deferral=False),
             snapshot_every=8, snapshot_path=str(path),
         )
-        runtime = make_runtime(config, tracer=Tracer())
+        runtime = ShardRuntime(config, tracer=Tracer())
         runtime.run(max_slots=8)
-        resumed = runtime_from_snapshot(path, tracer=Tracer())
+        resumed = ShardRuntime.from_snapshot(path, tracer=Tracer())
         assert result_digest(resumed.run()) == GOLDEN_DIGESTS[("A", 0)]
 
 
