@@ -22,8 +22,9 @@ from pathlib import Path
 
 __all__ = ["SNAPSHOT_VERSION", "load_snapshot", "save_snapshot"]
 
-#: Bumped on incompatible layout changes; loaders reject mismatches.
-SNAPSHOT_VERSION = 1
+#: Bumped on incompatible layout changes; loaders reject other versions
+#: except the ones :func:`load_snapshot` migrates.
+SNAPSHOT_VERSION = 2
 
 
 def save_snapshot(path: str | Path, state: dict[str, object]) -> None:
@@ -38,12 +39,22 @@ def save_snapshot(path: str | Path, state: dict[str, object]) -> None:
 
 
 def load_snapshot(path: str | Path) -> dict[str, object]:
-    """Load a state dict persisted by :func:`save_snapshot`."""
+    """Load a state dict persisted by :func:`save_snapshot`.
+
+    Version 1 files predate the in-process worker: their config's
+    ``num_workers=1`` meant "in-process", which is ``0`` now, so it is
+    rewritten and the run resumes where it was written.
+    """
     with Path(path).open("rb") as handle:
         payload = pickle.load(handle)
     if not isinstance(payload, dict):
         raise ValueError(f"snapshot {path} does not hold a state dict")
     version = payload.get("version")
+    if version == 1:
+        config = payload.get("config")
+        if isinstance(config, dict) and config.get("num_workers") == 1:
+            payload["config"] = {**config, "num_workers": 0}
+        payload["version"] = version = SNAPSHOT_VERSION
     if version != SNAPSHOT_VERSION:
         raise ValueError(
             f"snapshot {path} has version {version!r}, "
