@@ -4,7 +4,7 @@ The simulator accepts anything implementing the ``SelectionPolicy`` /
 ``TradingPolicy`` interfaces, and the policy registry makes new families
 first-class citizens: one ``@register_selection`` / ``@register_trading``
 decorator each, and they are available by name everywhere — ``repro.run``,
-``Simulator.from_names``, ``run_combo``, and the ``repro simulate`` /
+``Simulator.from_spec``, ``run_combo``, and the ``repro simulate`` /
 ``repro trace`` CLIs.  This example registers two simple custom families
 and benchmarks them against the paper's algorithms on the same scenario
 (common random numbers make the comparison exact):
@@ -96,9 +96,10 @@ def main() -> None:
 
     rows = []
     for label, (selection, trading) in contenders.items():
-        result = repro.run(
-            scenario, selection=selection, trading=trading, seed=7, label=label
+        spec = repro.RunSpec(
+            scenario=config, selection=selection, trading=trading, seed=7, label=label
         )
+        result = repro.run(spec, scenario=scenario)
         s = summarize_run(result, config.weights)
         rows.append(
             [label, s.total_cost, s.switching_cost, s.trading_cost, s.final_fit, s.mean_accuracy]

@@ -25,8 +25,10 @@ def main() -> None:
     # 2. Simulate the full horizon: "Ours" resolves to one Algorithm-1
     #    policy per edge plus the Algorithm-2 trading policy, calibrated to
     #    the scenario by the repro.policies registry.
-    result = repro.run(scenario, selection="Ours", trading="Ours", seed=42,
-                       label="Ours")
+    spec = repro.RunSpec(
+        scenario=config, selection="Ours", trading="Ours", seed=42, label="Ours"
+    )
+    result = repro.run(spec, scenario=scenario)
 
     # 3. Inspect the outcome.
     summary = summarize_run(result, config.weights)

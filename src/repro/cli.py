@@ -30,7 +30,6 @@ Examples::
     python -m repro.cli cache prune --max-age-days 30 --max-size-mb 512 --dry-run
     python -m repro.cli bench --smoke --check
     python -m repro.cli bench simulator --output-dir bench-out
-    python -m repro.cli lint src/repro --format json
 """
 
 from __future__ import annotations
@@ -298,21 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="then evict oldest entries until the cache fits M MiB")
     prune.add_argument("--dry-run", action="store_true",
                        help="report what would be evicted without deleting")
-
-    lint = sub.add_parser(
-        "lint", help="run the reprolint static-analysis gate (exit 1 on findings)"
-    )
-    lint.add_argument("paths", nargs="*",
-                      help="files/directories (default: the repro package)")
-    lint.add_argument("--format", choices=("text", "json", "sarif"), default="text")
-    lint.add_argument("--select", metavar="CODES", default=None,
-                      help="comma-separated rule codes to run (default: all)")
-    lint.add_argument("--list-rules", action="store_true",
-                      help="list registered rule codes and exit")
-    lint.add_argument("--baseline", metavar="FILE", default=None,
-                      help="gate only on findings absent from this baseline")
-    lint.add_argument("--write-baseline", metavar="FILE", default=None,
-                      help="record current findings to FILE and exit 0")
 
     return parser
 
@@ -739,22 +723,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import main as lint_main
-
-    argv: list[str] = list(args.paths)
-    argv += ["--format", args.format]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv += ["--write-baseline", args.write_baseline]
-    return lint_main(argv)
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
@@ -776,8 +744,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_faults(args)
     if args.command == "cache":
         return _cmd_cache(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

@@ -5,13 +5,12 @@ agreement with the paper) are only checkable when every run is seed-exact
 and every numerical invariant holds.  reprolint enforces that discipline
 statically: a visitor framework over the Python AST, a registry of rules
 with stable ``RPL001``... codes, per-line ``# noqa: RPLxxx`` suppression,
-and text/JSON/SARIF reporters.  Since the project-level pass, runs over a
-path set share one :class:`~repro.lint.project.ProjectContext` — an
-import/symbol index that lets rules follow calls and re-exports *across*
-the linted files (async-safety RPL012, RNG-stream discipline RPL015,
-shape-claim checking RPL017).  The whole package gates itself through
-``tests/test_lint_self.py``, which requires ``repro-lint src/repro`` to
-report zero findings.
+and a text reporter.  Runs over a path set share one
+:class:`~repro.lint.project.ProjectContext` — an import/symbol index that
+lets rules follow calls and re-exports *across* the linted files
+(async-safety RPL012, RNG-stream discipline RPL015).  The whole package
+gates itself through ``tests/test_lint_self.py``, which requires
+``repro-lint src/repro`` to report zero findings.
 
 Quick use::
 
@@ -19,19 +18,9 @@ Quick use::
     findings = lint_paths(["src/repro"])      # [] when clean
 
     $ python -m repro.lint src/repro          # exit 0 clean / 1 findings
-    $ python -m repro.lint --format sarif src # CI code-scanning output
-    $ python -m repro.lint --write-baseline lint-baseline.json src
-    $ python -m repro.lint --baseline lint-baseline.json src
 """
 
-from repro.lint.baseline import (
-    filter_new_findings,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.engine import (
-    SEVERITIES,
     FileContext,
     Finding,
     iter_python_files,
@@ -39,16 +28,10 @@ from repro.lint.engine import (
     lint_paths,
     lint_source,
 )
-from repro.lint.project import (
-    ModuleInfo,
-    ProjectContext,
-    ShapeClaim,
-    build_project,
-)
-from repro.lint.reporters import render_json, render_sarif, render_text
+from repro.lint.project import ModuleInfo, ProjectContext, build_project
+from repro.lint.reporters import render_text
 from repro.lint.rules import (
     DEFAULT_PATH_RULES,
-    DEFAULT_PATH_SEVERITY,
     ProjectRule,
     Rule,
     all_rules,
@@ -58,28 +41,19 @@ from repro.lint.rules import (
 
 __all__ = [
     "DEFAULT_PATH_RULES",
-    "DEFAULT_PATH_SEVERITY",
     "FileContext",
     "Finding",
     "ModuleInfo",
     "ProjectContext",
     "ProjectRule",
     "Rule",
-    "SEVERITIES",
-    "ShapeClaim",
     "all_rules",
     "build_project",
-    "filter_new_findings",
-    "fingerprint",
     "iter_python_files",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register",
     "registered_codes",
-    "render_json",
-    "render_sarif",
     "render_text",
-    "write_baseline",
 ]

@@ -2,16 +2,15 @@
 
 Exit-code contract (relied on by CI and :mod:`tests.test_cli`):
 
-* ``0`` — no error-severity findings (warnings alone never gate);
-* ``1`` — at least one error-severity finding;
+* ``0`` — no findings;
+* ``1`` — at least one finding;
 * ``2`` — usage or I/O error (unknown rule code, missing path, ...).
 
 Examples::
 
     repro-lint src/repro
-    repro-lint --format json src/repro/core
-    repro-lint --select RPL003,RPL007 src
-    python -m repro.lint src/repro
+    repro-lint --select RPL003,RPL008 src
+    python -m repro.lint src/ tests/ examples/
 """
 
 from __future__ import annotations
@@ -20,15 +19,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.lint.baseline import (
-    filter_new_findings,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.engine import iter_python_files, lint_file
-from repro.lint.project import build_project
-from repro.lint.reporters import render_json, render_sarif, render_text
-from repro.lint.rules import DEFAULT_PATH_RULES, DEFAULT_PATH_SEVERITY, all_rules
+from repro.lint.engine import iter_python_files, lint_paths
+from repro.lint.reporters import render_text
+from repro.lint.rules import DEFAULT_PATH_RULES, all_rules
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -48,27 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: the installed repro package)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=(
-            "gate only on findings absent from this baseline file; all "
-            "findings are still reported"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        default=None,
-        help="record the current findings to FILE and exit 0",
-    )
-    parser.add_argument(
         "--select",
         metavar="CODES",
         default=None,
@@ -79,14 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="list registered rule codes and exit",
     )
-    parser.add_argument(
-        "--no-path-rules",
-        action="store_true",
-        help=(
-            "ignore the default per-path waivers and severity downgrades "
-            "(e.g. benchmarks/ may print, examples/ prints are warnings)"
-        ),
-    )
     return parser
 
 
@@ -96,81 +60,17 @@ def _default_paths() -> list[str]:
     return [str(Path(repro.__file__).parent)]
 
 
-def run(
-    paths: list[str],
-    *,
-    output_format: str = "text",
-    select: list[str] | None = None,
-    path_rules: dict[str, frozenset[str]] | None = None,
-    path_severity: dict[str, dict[str, str]] | None = None,
-    baseline: str | None = None,
-    write_baseline_to: str | None = None,
-) -> tuple[str, int]:
-    """Lint ``paths``; return ``(report, exit_code)`` per the CLI contract.
+def run(paths: list[str], *, select: list[str] | None = None) -> tuple[str, int]:
+    """Lint ``paths`` under :data:`~repro.lint.rules.DEFAULT_PATH_RULES`.
 
-    ``path_rules`` defaults to :data:`repro.lint.rules.DEFAULT_PATH_RULES`
-    and ``path_severity`` to
-    :data:`repro.lint.rules.DEFAULT_PATH_SEVERITY` (pass ``{}`` to disable
-    either).  Only error-severity findings set exit code 1 — warnings are
-    reported but never fatal.
-
-    With ``baseline``, findings whose fingerprints the baseline file covers
-    are still reported but no longer gate the exit code; with
-    ``write_baseline_to``, the current findings are recorded to that file
-    and the run exits 0.
+    Returns ``(report, exit_code)`` per the CLI contract.
     """
-    if path_rules is None:
-        path_rules = DEFAULT_PATH_RULES
-    if path_severity is None:
-        path_severity = DEFAULT_PATH_SEVERITY
-    try:
-        known = load_baseline(baseline) if baseline is not None else None
-    except (OSError, ValueError) as exc:
-        return f"repro-lint: error: {exc}", 2
     try:
         files = list(iter_python_files(paths))
-        project = build_project(files)
-        findings = []
-        for target in files:
-            findings.extend(
-                lint_file(
-                    target,
-                    select=select,
-                    path_rules=path_rules,
-                    path_severity=path_severity,
-                    project=project,
-                )
-            )
+        findings = lint_paths(files, select=select, path_rules=DEFAULT_PATH_RULES)
     except (FileNotFoundError, ValueError, OSError) as exc:
         return f"repro-lint: error: {exc}", 2
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    if write_baseline_to is not None:
-        try:
-            write_baseline(write_baseline_to, findings)
-        except OSError as exc:
-            return f"repro-lint: error: {exc}", 2
-        return (
-            f"reprolint: baseline with {len(findings)} finding(s) written "
-            f"to {write_baseline_to}",
-            0,
-        )
-    gating = findings
-    baseline_note = ""
-    if known is not None:
-        gating = filter_new_findings(findings, known)
-        absorbed = len(findings) - len(gating)
-        baseline_note = (
-            f"\nreprolint: {absorbed} finding(s) matched the baseline; "
-            f"gating on {len(gating)} new"
-        )
-    if output_format == "json":
-        report = render_json(findings, checked_files=len(files))
-    elif output_format == "sarif":
-        report = render_sarif(findings, checked_files=len(files))
-    else:
-        report = render_text(findings, checked_files=len(files)) + baseline_note
-    errors = sum(1 for f in gating if f.is_error)
-    return report, 1 if errors else 0
+    return render_text(findings, checked_files=len(files)), 1 if findings else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -182,15 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     paths = args.paths or _default_paths()
     select = args.select.split(",") if args.select else None
-    report, code = run(
-        paths,
-        output_format=args.format,
-        select=select,
-        path_rules={} if args.no_path_rules else None,
-        path_severity={} if args.no_path_rules else None,
-        baseline=args.baseline,
-        write_baseline_to=args.write_baseline,
-    )
+    report, code = run(paths, select=select)
     stream = sys.stderr if code == 2 else sys.stdout
     print(report, file=stream)
     return code

@@ -16,9 +16,9 @@ Both forms may carry a trailing free-text reason after ``--``, e.g.
 
 Beyond line-level ``noqa``, whole path classes can waive specific rules via
 *per-path rules*: a mapping of path component (a directory name or module
-stem) to the rule codes waived there, e.g. ``{"examples": {"RPL010"}}`` —
-examples are user-facing scripts, so their prints are by design.  The
-default configuration lives in :data:`repro.lint.rules.DEFAULT_PATH_RULES`.
+stem) to the rule codes waived there, e.g. ``{"tests": {"RPL003"}}`` —
+tests compare floats bit-for-bit on purpose.  The default configuration
+lives in :data:`repro.lint.rules.DEFAULT_PATH_RULES`.
 
 Since the project-level pass, :func:`lint_paths` builds one shared
 :class:`~repro.lint.project.ProjectContext` over every discovered file and
@@ -34,14 +34,13 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "FileContext",
     "Finding",
-    "SEVERITIES",
     "collect_noqa",
     "iter_python_files",
     "lint_file",
@@ -59,51 +58,19 @@ _SKIP_FILE_RE = re.compile(r"#\s*reprolint:\s*skip-file", re.IGNORECASE)
 _ALL_CODES = frozenset({"*"})
 
 
-#: Finding severities, ordered: only ``error`` findings gate exit codes.
-SEVERITIES = ("error", "warning")
-
-
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at one source location.
-
-    ``severity`` is ``"error"`` (gates the CLI's exit code) or
-    ``"warning"`` (reported, never fatal).  Rules stamp their class-level
-    default; per-path severity overrides can downgrade specific codes for
-    whole path classes (e.g. prints under ``examples/``).
-    """
+    """One rule violation at one source location; every finding gates."""
 
     path: str
     line: int
     col: int
     code: str
     message: str
-    severity: str = "error"
 
     def render(self) -> str:
-        """The canonical one-line text form ``path:line:col: CODE message``.
-
-        Warnings carry an explicit ``[warning]`` marker; errors keep the
-        historical unmarked form.
-        """
-        marker = "" if self.severity == "error" else f"[{self.severity}] "
-        return f"{self.path}:{self.line}:{self.col}: {self.code} {marker}{self.message}"
-
-    @property
-    def is_error(self) -> bool:
-        """Whether this finding should gate an exit code."""
-        return self.severity == "error"
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready mapping with stable keys."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-            "severity": self.severity,
-        }
+        """The canonical one-line text form ``path:line:col: CODE message``."""
+        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
 
 
 @dataclass
@@ -111,10 +78,9 @@ class FileContext:
     """Everything a rule may inspect about one source file."""
 
     path: str
-    source: str
     tree: ast.Module
     #: Path components of the file (directories plus stem), used by rules
-    #: that apply only to parts of the tree (``core/``, hot paths, ...).
+    #: that apply only to parts of the tree (``faults/``, ``utils/rng``).
     parts: tuple[str, ...] = field(default_factory=tuple)
 
     @property
@@ -220,43 +186,19 @@ def _path_waivers(
     return frozenset(waived)
 
 
-def _path_severity_overrides(
-    context: FileContext,
-    path_severity: Mapping[str, Mapping[str, str]] | None,
-) -> dict[str, str]:
-    """Per-rule severity overrides applying to this file's path."""
-    if not path_severity:
-        return {}
-    overrides: dict[str, str] = {}
-    for part, levels in path_severity.items():
-        if context.stem == part or context.in_directory(part):
-            for code, level in levels.items():
-                if level not in SEVERITIES:
-                    raise ValueError(
-                        f"unknown severity {level!r} for {code} under "
-                        f"{part!r}; expected one of {SEVERITIES}"
-                    )
-                overrides[code.strip().upper()] = level
-    return overrides
-
-
 def lint_source(
     source: str,
     path: str = "<string>",
     *,
     select: Iterable[str] | None = None,
     path_rules: Mapping[str, Iterable[str]] | None = None,
-    path_severity: Mapping[str, Mapping[str, str]] | None = None,
     project=None,
 ) -> list[Finding]:
     """Lint one in-memory source blob; ``path`` steers path-scoped rules.
 
     ``path_rules`` maps a path component (directory name or module stem) to
     rule codes waived for files under it — configuration-level suppression,
-    as opposed to line-level ``noqa``.  ``path_severity`` maps a path
-    component to per-code severity overrides, downgrading (or upgrading)
-    findings without hiding them, e.g. ``{"examples": {"RPL010":
-    "warning"}}`` keeps example prints visible but non-fatal.
+    as opposed to line-level ``noqa``.
 
     Syntax errors are reported as a single pseudo-finding with code
     ``RPL000`` rather than raised, so a broken file cannot crash a run
@@ -278,11 +220,8 @@ def lint_source(
     suppressions, skip_file = collect_noqa(source)
     if skip_file:
         return []
-    context = FileContext(
-        path=path, source=source, tree=tree, parts=_context_parts(path)
-    )
+    context = FileContext(path=path, tree=tree, parts=_context_parts(path))
     waived = _path_waivers(context, path_rules)
-    overrides = _path_severity_overrides(context, path_severity)
     findings: list[Finding] = []
     for rule in rules:
         if rule.code in waived:
@@ -292,11 +231,6 @@ def lint_source(
         else:
             findings.extend(rule.check(context))
     findings = [f for f in findings if not _is_suppressed(f, suppressions)]
-    if overrides:
-        findings = [
-            replace(f, severity=overrides[f.code]) if f.code in overrides else f
-            for f in findings
-        ]
     findings.sort(key=lambda f: (f.line, f.col, f.code))
     return findings
 
@@ -306,7 +240,6 @@ def lint_file(
     *,
     select: Iterable[str] | None = None,
     path_rules: Mapping[str, Iterable[str]] | None = None,
-    path_severity: Mapping[str, Mapping[str, str]] | None = None,
     project=None,
 ) -> list[Finding]:
     """Lint one file on disk."""
@@ -317,7 +250,6 @@ def lint_file(
         path=str(target),
         select=select,
         path_rules=path_rules,
-        path_severity=path_severity,
         project=project,
     )
 
@@ -327,7 +259,6 @@ def lint_paths(
     *,
     select: Iterable[str] | None = None,
     path_rules: Mapping[str, Iterable[str]] | None = None,
-    path_severity: Mapping[str, Mapping[str, str]] | None = None,
 ) -> list[Finding]:
     """Lint every Python file under ``paths``; findings sorted by location.
 
@@ -346,7 +277,6 @@ def lint_paths(
                 target,
                 select=select,
                 path_rules=path_rules,
-                path_severity=path_severity,
                 project=project,
             )
         )

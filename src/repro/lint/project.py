@@ -4,15 +4,12 @@ The original reprolint engine hands each rule one :class:`FileContext` at a
 time, which is enough for local properties (float equality, global RNG
 calls) but blind to the properties that actually protect the golden-digest
 guarantee: an ``async def`` in :mod:`repro.serve` calling through two sync
-helpers into a blocking ``open()``, a module creating a raw
-``np.random.Generator`` behind a factory wrapper imported from elsewhere,
-or a ``(I, N)`` shape claim in one module contradicted by the indexing in
-another.
+helpers into a blocking ``open()``, or a module creating a raw
+``np.random.Generator`` behind a factory wrapper imported from elsewhere.
 
 :class:`ProjectContext` closes that gap.  Built once per ``lint_paths``
-run, it holds a parsed :class:`ModuleInfo` per file — import aliases, the
-module's top-level functions and classes (with methods), and every shape
-claim harvested from docstrings and trailing comments — plus a dotted-name
+run, it holds a parsed :class:`ModuleInfo` per file — import aliases and
+the module's top-level functions and class methods — plus a dotted-name
 index that resolves imports *between the linted files*.  Rules that
 subclass :class:`~repro.lint.rules.Rule` keep working untouched;
 project-aware rules subclass ``ProjectRule`` and receive the context (or
@@ -29,22 +26,17 @@ silent rather than guess.
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "FunctionDefNode",
     "ModuleInfo",
     "ProjectContext",
     "ResolvedFunction",
-    "ShapeClaim",
     "build_module",
     "build_project",
-    "harvest_claims",
     "module_name_candidates",
 ]
 
@@ -54,32 +46,6 @@ FunctionDefNode = (ast.FunctionDef, ast.AsyncFunctionDef)
 #: Re-export chains (``from a import f`` where ``a`` itself imported ``f``)
 #: are followed at most this many hops.
 _RESOLVE_DEPTH = 5
-
-
-@dataclass(frozen=True)
-class ShapeClaim:
-    """One documented array-shape claim, e.g. ``(I, N)`` -> ndim 2.
-
-    ``dims`` keeps the symbolic axis names as written (``("I", "N")``);
-    rules only consume ``ndim`` but reporters quote the original text.
-    """
-
-    name: str
-    dims: tuple[str, ...]
-    line: int
-    source: str  # "docstring" or "comment"
-
-    @property
-    def ndim(self) -> int:
-        """Number of claimed axes."""
-        return len(self.dims)
-
-    @property
-    def text(self) -> str:
-        """The claim as written, ``(I, N)`` style."""
-        if len(self.dims) == 1:
-            return f"({self.dims[0]},)"
-        return "(" + ", ".join(self.dims) + ")"
 
 
 @dataclass(frozen=True)
@@ -97,259 +63,23 @@ class ModuleInfo:
 
     name: str
     path: str
-    tree: ast.Module
     #: Local alias -> dotted target: ``np -> numpy``,
     #: ``save_snapshot -> repro.serve.snapshot.save_snapshot``.
     imports: dict[str, str] = field(default_factory=dict)
-    #: Dotted module targets this module imports (resolved or not).
-    imported_targets: set[str] = field(default_factory=set)
     #: Top-level function name -> def node.
     functions: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = field(
         default_factory=dict
     )
-    #: Top-level class name -> class node.
-    classes: dict[str, ast.ClassDef] = field(default_factory=dict)
     #: ``Class.method`` -> def node for every method of every class.
     methods: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = field(
         default_factory=dict
     )
-    #: Scope qualname ("<module>", "func", "Class.method", "Class") ->
-    #: {claimed name -> ShapeClaim} harvested from docstrings/comments.
-    claims: dict[str, dict[str, ShapeClaim]] = field(default_factory=dict)
 
     def class_method(
         self, cls: str, method: str
     ) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
         """The def node of ``cls.method``, if that class defines it here."""
         return self.methods.get(f"{cls}.{method}")
-
-
-# A shape tuple: two or more identifiers/ints, or one with a trailing comma
-# (``(N,)``) so prose parentheses like "(seconds)" never match.
-_DIM = r"[A-Za-z_]\w*|\d+"
-_SHAPE_TUPLE_RE = re.compile(
-    rf"\(\s*(?P<one>{_DIM})\s*,\s*\)|\(\s*(?P<many>({_DIM})(\s*,\s*({_DIM}))+)\s*\)"
-)
-# A claim inside running text must be introduced by the word "shape".
-_SHAPE_KEYWORD_RE = re.compile(
-    rf"shape\s*(?:of\s+)?[:`\s]*\(\s*({_DIM})(\s*,\s*({_DIM}))*\s*,?\s*\)",
-    re.IGNORECASE,
-)
-# numpydoc parameter header: ``name :`` or ``name:`` alone on its line.
-_PARAM_HEADER_RE = re.compile(r"^\s*(?P<name>[A-Za-z_]\w*)\s*:?\s*$|^\s*(?P<named>[A-Za-z_]\w*)\s*:\s+\S")
-# Trailing comment claims: ``# (I, N) ...`` or ``# shape: (I, N) ...``.
-_COMMENT_CLAIM_RE = re.compile(
-    rf"^#\s*(?:shape\s*:?\s*)?(?P<tuple>\(\s*({_DIM})\s*,\s*\)|\(\s*({_DIM})(\s*,\s*({_DIM}))+\s*\))"
-)
-
-
-def _parse_tuple(text: str) -> tuple[str, ...]:
-    """Split the dims out of a matched shape-tuple string."""
-    inner = text.strip()[1:-1]
-    return tuple(d.strip() for d in inner.split(",") if d.strip())
-
-
-def _leading_tuple(line: str) -> tuple[str, ...] | None:
-    """A shape tuple at the start of a description line, if any.
-
-    numpydoc descriptions open with the shape — ``(I, N) computation cost``
-    — optionally wrapped in backticks.
-    """
-    stripped = line.strip().lstrip("`")
-    match = _SHAPE_TUPLE_RE.match(stripped)
-    if match is None:
-        return None
-    return _parse_tuple(match.group(0))
-
-
-def _keyword_tuple(line: str) -> tuple[str, ...] | None:
-    """A shape tuple introduced by the word "shape" anywhere in the line."""
-    match = _SHAPE_KEYWORD_RE.search(line)
-    if match is None:
-        return None
-    tuple_match = _SHAPE_TUPLE_RE.search(match.group(0))
-    if tuple_match is None:
-        return None
-    return _parse_tuple(tuple_match.group(0))
-
-
-def _claims_from_docstring(
-    docstring: str, names: Iterable[str], doc_line: int
-) -> dict[str, ShapeClaim]:
-    """Harvest per-name shape claims from one docstring.
-
-    Two forms bind a claim to ``name`` (which must be a parameter or
-    attribute of the documented scope):
-
-    * a numpydoc entry — a ``name :``/``name:`` header line whose following
-      description (or same line) opens with or states a shape tuple;
-    * an inline mention — a line containing both ``name`` and
-      ``shape (X, Y)``.
-    """
-    wanted = set(names)
-    claims: dict[str, ShapeClaim] = {}
-    lines = docstring.splitlines()
-    current: str | None = None
-    for offset, line in enumerate(lines):
-        header = _PARAM_HEADER_RE.match(line)
-        header_name = None
-        if header is not None:
-            header_name = header.group("name") or header.group("named")
-        if header_name in wanted:
-            current = header_name
-            dims = _leading_tuple(line.split(":", 1)[1]) if ":" in line else None
-            dims = dims or _keyword_tuple(line)
-            if dims and current not in claims:
-                claims[current] = ShapeClaim(
-                    name=current, dims=dims, line=doc_line + offset,
-                    source="docstring",
-                )
-            continue
-        if current is not None and line.strip():
-            dims = _leading_tuple(line) or _keyword_tuple(line)
-            if dims and current not in claims:
-                claims[current] = ShapeClaim(
-                    name=current, dims=dims, line=doc_line + offset,
-                    source="docstring",
-                )
-            # A non-indented line ends the entry's description block.
-            if not line.startswith((" ", "\t")):
-                current = None
-            continue
-        # Inline form: "``x`` ... shape ``(I, N)``" on one line.  The name
-        # must appear *outside* the tuple — dims mentioning a scalar
-        # parameter (``shape (num_edges, horizon)``) are not claims about
-        # that parameter.
-        keyword_match = _SHAPE_KEYWORD_RE.search(line)
-        if keyword_match is None:
-            continue
-        for name in wanted:
-            if name in claims:
-                continue
-            for name_match in re.finditer(
-                rf"(?<![\w.]){re.escape(name)}(?![\w(])", line
-            ):
-                if (
-                    name_match.start() < keyword_match.start()
-                    or name_match.start() >= keyword_match.end()
-                ):
-                    dims = _keyword_tuple(line)
-                    if dims:
-                        claims[name] = ShapeClaim(
-                            name=name, dims=dims, line=doc_line + offset,
-                            source="docstring",
-                        )
-                    break
-    return claims
-
-
-def _comment_claims(source: str) -> dict[int, tuple[str, ...]]:
-    """Line -> claimed dims for every trailing shape comment in ``source``."""
-    claims: dict[int, tuple[str, ...]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for token in tokens:
-            if token.type != tokenize.COMMENT:
-                continue
-            match = _COMMENT_CLAIM_RE.match(token.string.strip())
-            if match is not None:
-                claims[token.start[0]] = _parse_tuple(match.group("tuple"))
-    except (tokenize.TokenError, SyntaxError, IndentationError):
-        pass
-    return claims
-
-
-def _param_names(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[str]:
-    args = node.args
-    return [a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]]
-
-
-def _attribute_names(node: ast.ClassDef) -> list[str]:
-    names: list[str] = []
-    for stmt in node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            names.append(stmt.target.id)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    names.append(target.id)
-    return names
-
-
-def _bind_comment_claims(
-    scope_claims: dict[str, ShapeClaim],
-    body: Sequence[ast.stmt],
-    comments: dict[int, tuple[str, ...]],
-) -> None:
-    """Attach same-line trailing comment claims to assignment targets."""
-    for stmt in body:
-        target: ast.expr | None = None
-        if isinstance(stmt, ast.AnnAssign):
-            target = stmt.target
-        elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-        if target is None or not isinstance(target, ast.Name):
-            continue
-        dims = comments.get(stmt.lineno)
-        if dims is None:
-            continue
-        scope_claims.setdefault(
-            target.id,
-            ShapeClaim(
-                name=target.id, dims=dims, line=stmt.lineno, source="comment"
-            ),
-        )
-
-
-def harvest_claims(tree: ast.Module, source: str) -> dict[str, dict[str, ShapeClaim]]:
-    """All shape claims of one module, keyed by scope qualname.
-
-    Scopes: ``"<module>"`` for module-level assignments, a function's name
-    (or ``Class.method``) for its parameters and locals, and a class name
-    for its attributes (dataclass fields with trailing shape comments, or a
-    numpydoc ``Attributes`` docstring section).
-    """
-    comments = _comment_claims(source)
-    claims: dict[str, dict[str, ShapeClaim]] = {}
-
-    module_scope: dict[str, ShapeClaim] = {}
-    _bind_comment_claims(module_scope, tree.body, comments)
-    if module_scope:
-        claims["<module>"] = module_scope
-
-    def record_function(
-        node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str
-    ) -> None:
-        scope: dict[str, ShapeClaim] = {}
-        doc = ast.get_docstring(node, clean=True)
-        if doc:
-            doc_line = node.body[0].lineno if node.body else node.lineno
-            scope.update(_claims_from_docstring(doc, _param_names(node), doc_line))
-        _bind_comment_claims(scope, list(ast.walk(node)) and node.body, comments)
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.For, ast.While, ast.If, ast.With, ast.Try)):
-                _bind_comment_claims(scope, sub.body, comments)
-        if scope:
-            claims[qualname] = scope
-
-    for stmt in tree.body:
-        if isinstance(stmt, FunctionDefNode):
-            record_function(stmt, stmt.name)
-        elif isinstance(stmt, ast.ClassDef):
-            cls_scope: dict[str, ShapeClaim] = {}
-            doc = ast.get_docstring(stmt, clean=True)
-            if doc:
-                doc_line = stmt.body[0].lineno if stmt.body else stmt.lineno
-                cls_scope.update(
-                    _claims_from_docstring(doc, _attribute_names(stmt), doc_line)
-                )
-            _bind_comment_claims(cls_scope, stmt.body, comments)
-            if cls_scope:
-                claims[stmt.name] = cls_scope
-            for sub in stmt.body:
-                if isinstance(sub, FunctionDefNode):
-                    record_function(sub, f"{stmt.name}.{sub.name}")
-    return claims
 
 
 def module_name_candidates(path: str) -> list[str]:
@@ -372,10 +102,9 @@ def module_name_candidates(path: str) -> list[str]:
     return [c for c in candidates if c]
 
 
-def _collect_imports(tree: ast.Module, module_name: str) -> tuple[dict[str, str], set[str]]:
-    """Alias map and imported-module targets for one module."""
+def _collect_imports(tree: ast.Module, module_name: str) -> dict[str, str]:
+    """Local alias -> dotted target for every import in one module."""
     imports: dict[str, str] = {}
-    targets: set[str] = set()
     package = module_name.rsplit(".", 1)[0] if "." in module_name else ""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -385,7 +114,6 @@ def _collect_imports(tree: ast.Module, module_name: str) -> tuple[dict[str, str]
                 )
                 if alias.asname:
                     imports[alias.asname] = alias.name
-                targets.add(alias.name)
         elif isinstance(node, ast.ImportFrom):
             base = node.module or ""
             if node.level:
@@ -395,26 +123,23 @@ def _collect_imports(tree: ast.Module, module_name: str) -> tuple[dict[str, str]
                 base = ".".join(anchor + ([node.module] if node.module else []))
                 if not base:
                     base = node.module or package
-            targets.add(base)
             for alias in node.names:
                 if alias.name == "*":
                     continue
                 imports[alias.asname or alias.name] = (
                     f"{base}.{alias.name}" if base else alias.name
                 )
-    return imports, targets
+    return imports
 
 
 class ProjectContext:
     """The cross-module index shared by project-aware rules.
 
-    Holds one :class:`ModuleInfo` per linted file, a suffix index for
-    resolving dotted imports to those modules, the project-wide attribute
-    shape-claim table, and the module import graph.
+    Holds one :class:`ModuleInfo` per linted file and a suffix index for
+    resolving dotted imports to those modules.
     """
 
     def __init__(self, modules: Sequence[ModuleInfo]) -> None:
-        self.modules: dict[str, ModuleInfo] = {m.name: m for m in modules}
         self.by_path: dict[str, ModuleInfo] = {m.path: m for m in modules}
         # Suffix index: dotted suffix -> modules it identifies.  Ambiguous
         # suffixes (two files named utils.py in sibling packages) resolve
@@ -423,22 +148,6 @@ class ProjectContext:
         for module in modules:
             for candidate in module_name_candidates(module.path):
                 self._suffixes.setdefault(candidate, []).append(module)
-        # Project-wide attribute claims (class attribute name -> claim),
-        # dropped entirely when two classes disagree about the same name.
-        self.attribute_claims: dict[str, ShapeClaim] = {}
-        conflicting: set[str] = set()
-        for module in modules:
-            for scope, scope_claims in module.claims.items():
-                if scope == "<module>" or scope not in module.classes:
-                    continue
-                for name, claim in scope_claims.items():
-                    seen = self.attribute_claims.get(name)
-                    if seen is None:
-                        self.attribute_claims[name] = claim
-                    elif seen.ndim != claim.ndim:
-                        conflicting.add(name)
-        for name in conflicting:
-            del self.attribute_claims[name]
 
     # -- module/import resolution -------------------------------------
 
@@ -452,18 +161,6 @@ class ProjectContext:
         if hits and len(hits) == 1:
             return hits[0]
         return None
-
-    def import_graph(self) -> dict[str, set[str]]:
-        """Module name -> imported *project* module names (resolved only)."""
-        graph: dict[str, set[str]] = {}
-        for module in self.modules.values():
-            edges = set()
-            for target in module.imported_targets:
-                resolved = self.resolve_module(target)
-                if resolved is not None and resolved.name != module.name:
-                    edges.add(resolved.name)
-            graph[module.name] = edges
-        return graph
 
     def resolve_function(
         self, module: ModuleInfo, name: str, *, _depth: int = 0
@@ -526,29 +223,20 @@ def _canonical_name(path: str) -> str:
     candidates = module_name_candidates(path)
     for candidate in candidates:
         head = candidate.split(".", 1)[0]
-        if head in ("repro", "tests", "examples", "benchmarks"):
+        if head in ("repro", "tests", "examples"):
             return candidate
     # Fall back to the two-component suffix (or the stem alone).
     return candidates[min(1, len(candidates) - 1)]
 
 
-def build_module(path: str, source: str, tree: ast.Module) -> ModuleInfo:
+def build_module(path: str, tree: ast.Module) -> ModuleInfo:
     """Index one parsed module for the project context."""
     name = _canonical_name(path)
-    imports, targets = _collect_imports(tree, name)
-    info = ModuleInfo(
-        name=name,
-        path=path,
-        tree=tree,
-        imports=imports,
-        imported_targets=targets,
-        claims=harvest_claims(tree, source),
-    )
+    info = ModuleInfo(name=name, path=path, imports=_collect_imports(tree, name))
     for stmt in tree.body:
         if isinstance(stmt, FunctionDefNode):
             info.functions[stmt.name] = stmt
         elif isinstance(stmt, ast.ClassDef):
-            info.classes[stmt.name] = stmt
             for sub in stmt.body:
                 if isinstance(sub, FunctionDefNode):
                     info.methods[f"{stmt.name}.{sub.name}"] = sub
@@ -566,9 +254,8 @@ def build_project(files: Iterable[Path | str]) -> ProjectContext:
     for entry in files:
         path = Path(entry)
         try:
-            source = path.read_text(encoding="utf-8")
-            tree = ast.parse(source)
+            tree = ast.parse(path.read_text(encoding="utf-8"))
         except (OSError, SyntaxError, ValueError):
             continue
-        modules.append(build_module(str(path), source, tree))
+        modules.append(build_module(str(path), tree))
     return ProjectContext(modules)

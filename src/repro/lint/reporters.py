@@ -1,137 +1,27 @@
-"""Finding reporters: human-readable text, JSON, and SARIF 2.1.0."""
+"""The finding reporter: GCC-style text lines plus a summary."""
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from typing import Sequence
 
 from repro.lint.engine import Finding
-from repro.lint.rules import all_rules
 
-__all__ = ["render_json", "render_sarif", "render_text"]
-
-#: JSON schema version; bump when the payload shape changes.
-JSON_SCHEMA_VERSION = 1
-
-#: SARIF spec version emitted by :func:`render_sarif`.
-SARIF_VERSION = "2.1.0"
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
+__all__ = ["render_text"]
 
 
 def render_text(findings: Sequence[Finding], *, checked_files: int = 0) -> str:
-    """GCC-style ``path:line:col: CODE message`` lines plus a summary.
-
-    When warnings are present the summary breaks the total down by
-    severity, since only the errors gate the exit code.
-    """
+    """GCC-style ``path:line:col: CODE message`` lines plus a summary."""
     lines = [finding.render() for finding in findings]
     if findings:
         by_code = Counter(finding.code for finding in findings)
         breakdown = ", ".join(
             f"{code} x{count}" for code, count in sorted(by_code.items())
         )
-        warnings = sum(1 for f in findings if not f.is_error)
-        severity = (
-            f" ({len(findings) - warnings} error(s), {warnings} warning(s))"
-            if warnings
-            else ""
-        )
         lines.append(
             f"reprolint: {len(findings)} finding(s) in {checked_files} "
-            f"file(s) [{breakdown}]{severity}"
+            f"file(s) [{breakdown}]"
         )
     else:
         lines.append(f"reprolint: 0 findings in {checked_files} file(s)")
     return "\n".join(lines)
-
-
-def render_json(findings: Sequence[Finding], *, checked_files: int = 0) -> str:
-    """A stable JSON document: schema version, rule set, findings, summary."""
-    payload = {
-        "schema_version": JSON_SCHEMA_VERSION,
-        "rules": [
-            {"code": rule.code, "summary": rule.summary, "severity": rule.severity}
-            for rule in all_rules()
-        ],
-        "findings": [finding.as_dict() for finding in findings],
-        "summary": {
-            "checked_files": checked_files,
-            "total_findings": len(findings),
-            "errors": sum(1 for f in findings if f.is_error),
-            "warnings": sum(1 for f in findings if not f.is_error),
-            "findings_by_code": dict(
-                sorted(Counter(f.code for f in findings).items())
-            ),
-        },
-    }
-    return json.dumps(payload, indent=2, sort_keys=False)
-
-
-def render_sarif(findings: Sequence[Finding], *, checked_files: int = 0) -> str:
-    """A SARIF 2.1.0 document (the format CI code-scanning UIs ingest).
-
-    One run, one driver (``reprolint``), one ``rules`` entry per registered
-    rule, one ``result`` per finding.  Severity maps ``error`` -> SARIF
-    ``error`` and ``warning`` -> SARIF ``warning``; columns are converted
-    from the engine's 0-based offsets to SARIF's 1-based convention.
-    """
-    rules = all_rules()
-    rule_index = {rule.code: i for i, rule in enumerate(rules)}
-    results = [
-        {
-            "ruleId": f.code,
-            "ruleIndex": rule_index.get(f.code, -1),
-            "level": "error" if f.is_error else "warning",
-            "message": {"text": f.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {
-                            "uri": f.path.replace("\\", "/"),
-                            "uriBaseId": "SRCROOT",
-                        },
-                        "region": {
-                            "startLine": f.line,
-                            "startColumn": f.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for f in findings
-    ]
-    payload = {
-        "$schema": _SARIF_SCHEMA,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "rules": [
-                            {
-                                "id": rule.code,
-                                "shortDescription": {"text": rule.summary},
-                                "defaultConfiguration": {
-                                    "level": (
-                                        "error"
-                                        if rule.severity == "error"
-                                        else "warning"
-                                    )
-                                },
-                            }
-                            for rule in rules
-                        ],
-                    }
-                },
-                "originalUriBaseIds": {"SRCROOT": {"uri": "file:///"}},
-                "properties": {"checked_files": checked_files},
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=False)

@@ -10,7 +10,8 @@ Tsallis-INF sampling and Algorithm 2's primal-dual updates are verifiable
 against the paper's Theorem 1-3 bounds only if every run is seed-exact and
 every simplex/estimator invariant holds, so randomness must flow through
 named ``np.random.Generator`` streams, clock reads must not leak into
-simulated time, and hot-path numerics must be guarded.
+simulated time, float comparisons must state a tolerance, failures must
+not be swallowed, and the async serve tier must never block its loop.
 """
 
 from __future__ import annotations
@@ -29,26 +30,15 @@ from repro.lint.project import (
 __all__ = [
     "BlockingCallInAsyncRule",
     "DEFAULT_PATH_RULES",
-    "DEFAULT_PATH_SEVERITY",
     "DroppedTaskRule",
-    "DunderAllDriftRule",
     "FloatEqualityRule",
     "GlobalRandomStateRule",
-    "HOT_PATH_DIRS",
-    "InPlaceArrayMutationRule",
     "LateRealizedRandomnessRule",
-    "MutableDefaultRule",
-    "PRINT_ALLOWED",
-    "PrintInLibraryRule",
     "ProjectRule",
     "RawGeneratorRule",
     "Rule",
-    "ShapeClaimRule",
-    "SharedAsyncStateRule",
     "SilentExceptionRule",
-    "UnguardedHotPathNumericsRule",
     "UnseededDefaultRngRule",
-    "UnvalidatedArrayParamRule",
     "WallClockRule",
     "all_rules",
     "dotted_name",
@@ -56,35 +46,12 @@ __all__ = [
     "registered_codes",
 ]
 
-#: Directories whose modules form the numerical hot path (Algorithms 1-2).
-HOT_PATH_DIRS = ("core", "bandits", "trading")
-
-#: Directories/modules allowed to write to stdout (user-facing surfaces).
-PRINT_ALLOWED = ("experiments", "lint", "cli", "__main__")
-
 #: Per-path rule waivers applied by default (directory/stem -> rule codes).
-#: ``benchmarks/`` harnesses print their results by design — that is their
-#: entire user interface — so RPL010 is waived there by configuration
-#: instead of per-line ``noqa`` noise; every other rule still applies.
 #: ``tests/`` intentionally compare floats bit-for-bit (the reproducibility
 #: contract *is* exact equality) and spin up ad-hoc seeded generators per
-#: test case, so RPL003 and RPL015 are waived there; benchmarks likewise
-#: seed throwaway generators for load synthesis.
-#: ``repro.bench`` (the in-package benchmark registry behind ``repro
-#: bench``) needs no entry: its workload generators go through the keyed
-#: ``spawn_generator`` helper, and its printing surface is confined to
-#: ``bench/cli.py``, which the RPL010 ``cli``-stem allowance covers.
+#: test case, so RPL003 and RPL015 are waived there.
 DEFAULT_PATH_RULES: dict[str, frozenset[str]] = {
-    "benchmarks": frozenset({"RPL010", "RPL015"}),
     "tests": frozenset({"RPL003", "RPL015"}),
-}
-
-#: Per-path severity overrides applied by default (directory/stem ->
-#: {code: severity}).  ``examples/`` scripts also print by design, but a
-#: *downgrade* beats a waiver there: prints stay visible in reports (so an
-#: example growing non-demo logic is noticed) without failing the gate.
-DEFAULT_PATH_SEVERITY: dict[str, dict[str, str]] = {
-    "examples": {"RPL010": "warning"},
 }
 
 _REGISTRY: dict[str, type["Rule"]] = {}
@@ -111,16 +78,10 @@ def registered_codes() -> list[str]:
 
 
 class Rule:
-    """Base class: subclasses set ``code``/``summary`` and yield findings.
-
-    ``severity`` is the rule's default level for every finding it emits
-    (``"error"`` gates the CLI exit code, ``"warning"`` never does);
-    per-path severity overrides may adjust it after the fact.
-    """
+    """Base class: subclasses set ``code``/``summary`` and yield findings."""
 
     code: str = "RPL000"
     summary: str = ""
-    severity: str = "error"
 
     def check(self, context: FileContext) -> Iterator[Finding]:
         """Yield findings for one file; default walks every AST node."""
@@ -139,7 +100,6 @@ class Rule:
             col=getattr(node, "col_offset", 0),
             code=self.code,
             message=message,
-            severity=self.severity,
         )
 
 
@@ -273,234 +233,6 @@ class FloatEqualityRule(Rule):
                 )
 
 
-_MUTABLE_FACTORIES = frozenset({"list", "dict", "set"})
-
-
-@register
-class MutableDefaultRule(Rule):
-    """RPL004 — mutable default argument values."""
-
-    code = "RPL004"
-    summary = "mutable default argument is shared across calls; default to None"
-
-    def visit(self, node: ast.AST, context: FileContext) -> Iterator[Finding]:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            mutable = isinstance(default, (ast.List, ast.Dict, ast.Set)) or (
-                isinstance(default, ast.Call)
-                and isinstance(default.func, ast.Name)
-                and default.func.id in _MUTABLE_FACTORIES
-            )
-            if mutable:
-                yield self.finding(
-                    context,
-                    default,
-                    f"mutable default argument in {node.name}() is evaluated "
-                    "once and shared across calls; default to None and "
-                    "construct inside the body",
-                )
-
-
-_STABILIZERS = frozenset({"clip", "min", "max", "minimum", "maximum", "where"})
-
-
-def _has_stabilizer(node: ast.AST) -> bool:
-    """Whether a subtree contains a range-limiting call (clip/min/max/...)."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Call):
-            name = dotted_name(sub.func)
-            if name is not None and name.split(".")[-1] in _STABILIZERS:
-                return True
-    return False
-
-
-_ZERO_REDUCERS = frozenset({"sum", "len", "count_nonzero", "prod"})
-
-
-@register
-class UnguardedHotPathNumericsRule(Rule):
-    """RPL005 — unguarded ``exp`` / risky division in hot-path modules."""
-
-    code = "RPL005"
-    summary = (
-        "hot-path (core/bandits/trading) exp without clip/max-shift, or "
-        "division by a bare reduction that can be zero"
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        if not context.in_directory(*HOT_PATH_DIRS):
-            return
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.Call):
-                name = _call_name(node)
-                if (
-                    name is not None
-                    and name.split(".")[-1] == "exp"
-                    and name.split(".")[0] in {"np", "numpy", "math"}
-                    and node.args
-                    and not _has_stabilizer(node.args[0])
-                ):
-                    yield self.finding(
-                        context,
-                        node,
-                        "np.exp on an unbounded argument can overflow and "
-                        "poison the simplex; clip or max-shift the exponent "
-                        "first",
-                    )
-            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div):
-                den = node.right
-                if isinstance(den, ast.Call):
-                    name = _call_name(den)
-                    if (
-                        name is not None
-                        and name.split(".")[-1] in _ZERO_REDUCERS
-                        and not _has_stabilizer(node.right)
-                    ):
-                        yield self.finding(
-                            context,
-                            node,
-                            f"division by {name}(...) can divide by zero on "
-                            "empty/degenerate input; bound it with max(...) "
-                            "or validate first",
-                        )
-
-
-def _annotation_text(annotation: ast.AST | None) -> str:
-    if annotation is None:
-        return ""
-    try:
-        return ast.unparse(annotation)
-    except Exception:  # pragma: no cover - unparse failure is cosmetic only
-        return ""
-
-
-_ARRAY_MARKERS = ("ndarray", "ArrayLike")
-
-
-@register
-class UnvalidatedArrayParamRule(Rule):
-    """RPL006 — public ``core/`` callables taking arrays without check_*."""
-
-    code = "RPL006"
-    summary = (
-        "public core/ function accepts an ndarray parameter but never calls "
-        "a check_* validator"
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        if not context.in_directory("core"):
-            return
-        for node in ast.walk(context.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name.startswith("_"):
-                continue
-            args = node.args
-            annotated = [
-                arg.arg
-                for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]
-                if any(
-                    marker in _annotation_text(arg.annotation)
-                    for marker in _ARRAY_MARKERS
-                )
-            ]
-            if not annotated:
-                continue
-            calls_validator = any(
-                isinstance(sub, ast.Call)
-                and (name := dotted_name(sub.func)) is not None
-                and name.split(".")[-1].startswith("check_")
-                for sub in ast.walk(node)
-            )
-            if not calls_validator:
-                yield self.finding(
-                    context,
-                    node,
-                    f"{node.name}() accepts array parameter(s) "
-                    f"{', '.join(annotated)} but never calls a check_* "
-                    "validator (repro.utils.validation)",
-                )
-
-
-@register
-class DunderAllDriftRule(Rule):
-    """RPL007 — ``__all__`` out of sync with the module's public names."""
-
-    code = "RPL007"
-    summary = (
-        "__all__ lists an unbound name, or a public top-level def/class is "
-        "missing from __all__"
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        module = context.tree
-        all_node: ast.AST | None = None
-        declared: list[str] | None = None
-        for stmt in module.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id == "__all__":
-                    all_node = stmt
-                    if isinstance(value, (ast.List, ast.Tuple)):
-                        declared = [
-                            elt.value
-                            for elt in value.elts
-                            if isinstance(elt, ast.Constant)
-                            and isinstance(elt.value, str)
-                        ]
-        if all_node is None or declared is None:
-            return
-
-        bound: set[str] = set()
-        public_defs: dict[str, ast.AST] = {}
-        for stmt in module.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                bound.add(stmt.name)
-                if not stmt.name.startswith("_"):
-                    public_defs[stmt.name] = stmt
-            elif isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    for sub in ast.walk(target):
-                        if isinstance(sub, ast.Name):
-                            bound.add(sub.id)
-            elif isinstance(stmt, ast.AnnAssign):
-                if isinstance(stmt.target, ast.Name):
-                    bound.add(stmt.target.id)
-            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                for alias in stmt.names:
-                    if alias.name == "*":
-                        return  # star imports defeat static analysis
-                    bound.add(alias.asname or alias.name.split(".")[0])
-        bound.add("__version__")
-
-        for name in declared:
-            if name not in bound:
-                yield self.finding(
-                    context,
-                    all_node,
-                    f"__all__ lists {name!r} which is not defined or "
-                    "imported at module top level",
-                )
-        declared_set = set(declared)
-        for name, node in sorted(public_defs.items()):
-            if name not in declared_set:
-                yield self.finding(
-                    context,
-                    node,
-                    f"public top-level name {name!r} is missing from "
-                    "__all__; export it or rename with a leading underscore",
-                )
-
-
 _WALL_CLOCK_CALLS = frozenset(
     {
         "time.time",
@@ -571,155 +303,8 @@ class SilentExceptionRule(Rule):
             )
 
 
-@register
-class PrintInLibraryRule(Rule):
-    """RPL010 — stray ``print`` in library (non-CLI, non-experiment) code."""
-
-    code = "RPL010"
-    summary = (
-        "print() in library code pollutes experiment output; raise, return, "
-        "or report through the experiments/reporting layer"
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        if context.stem in PRINT_ALLOWED or context.in_directory(*PRINT_ALLOWED):
-            return
-        for node in ast.walk(context.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "print"
-            ):
-                yield self.finding(
-                    context,
-                    node,
-                    "print() in library code; route output through the "
-                    "reporting layer or a returned value",
-                )
-
-
-#: ndarray methods that mutate the array they are called on.
-_INPLACE_ARRAY_METHODS = frozenset(
-    {"fill", "sort", "partition", "put", "resize", "setflags", "itemset"}
-)
-
-#: Calls that produce an independent array (rebinding a parameter through
-#: one of these severs aliasing with the caller's array).
-_COPYING_CALLS = frozenset({"copy", "array", "deepcopy", "ascontiguousarray"})
-
-
-def _is_copy_expr(value: ast.expr) -> bool:
-    """Whether an expression's result is detached from its inputs' storage."""
-    for sub in ast.walk(value):
-        if isinstance(sub, ast.Call):
-            name = dotted_name(sub.func)
-            if name is not None and name.split(".")[-1] in _COPYING_CALLS:
-                return True
-    return False
-
-
-@register
-class InPlaceArrayMutationRule(Rule):
-    """RPL011 — array parameters mutated in place without a ``.copy()``."""
-
-    code = "RPL011"
-    summary = (
-        "function mutates an ndarray parameter in place without copying "
-        "first; the caller's array is silently modified"
-    )
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(node, context)
-
-    def _check_function(
-        self,
-        func: ast.FunctionDef | ast.AsyncFunctionDef,
-        context: FileContext,
-    ) -> Iterator[Finding]:
-        args = func.args
-        array_params = {
-            arg.arg
-            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]
-            if any(
-                marker in _annotation_text(arg.annotation)
-                for marker in _ARRAY_MARKERS
-            )
-        }
-        if not array_params:
-            return
-        # A parameter rebound to a fresh array (x = x.copy(), np.array(x),
-        # copy.deepcopy(x), ...) no longer aliases the caller's storage:
-        # mutations after the rebind line are the callee's own business.
-        copied_after: dict[str, int] = {}
-        for sub in ast.walk(func):
-            if isinstance(sub, ast.Assign) and _is_copy_expr(sub.value):
-                for target in sub.targets:
-                    if isinstance(target, ast.Name) and target.id in array_params:
-                        line = copied_after.get(target.id, sub.lineno)
-                        copied_after[target.id] = min(line, sub.lineno)
-        for sub in ast.walk(func):
-            param = self._mutated_param(sub, array_params)
-            if param is None:
-                continue
-            if getattr(sub, "lineno", 0) > copied_after.get(param, 1 << 60):
-                continue
-            yield self.finding(
-                context,
-                sub,
-                f"{func.name}() mutates array parameter {param!r} in "
-                "place; the caller's array is silently modified — operate "
-                f"on a copy ({param} = {param}.copy()) or document the "
-                "aliasing contract",
-            )
-
-    @staticmethod
-    def _mutated_param(node: ast.AST, params: set[str]) -> str | None:
-        """The parameter name ``node`` mutates in place, if any."""
-
-        def base_name(target: ast.expr) -> str | None:
-            if isinstance(target, ast.Subscript):
-                inner = target.value
-                while isinstance(inner, (ast.Subscript, ast.Attribute)):
-                    inner = inner.value
-                if isinstance(inner, ast.Name):
-                    return inner.id
-            return None
-
-        if isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                name = base_name(target)
-                if name in params:
-                    return name
-        elif isinstance(node, ast.AugAssign):
-            target = node.target
-            if isinstance(target, ast.Name) and target.id in params:
-                return target.id
-            name = base_name(target)
-            if name in params:
-                return name
-        elif isinstance(node, ast.Call):
-            if (
-                isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in params
-                and node.func.attr in _INPLACE_ARRAY_METHODS
-            ):
-                return node.func.value.id
-            for keyword in node.keywords:
-                if (
-                    keyword.arg == "out"
-                    and isinstance(keyword.value, ast.Name)
-                    and keyword.value.id in params
-                ):
-                    return keyword.value.id
-        return None
-
-
 # ---------------------------------------------------------------------------
-# Project-aware rules (RPL012-RPL017)
+# Project-aware rules (RPL012, RPL015)
 # ---------------------------------------------------------------------------
 
 
@@ -748,7 +333,7 @@ def _module_for(
         module = project.module_for_path(context.path)
         if module is not None:
             return module
-    return build_module(context.path, context.source, context.tree)
+    return build_module(context.path, context.tree)
 
 
 def _canonical_call(name: str, module: ModuleInfo | None) -> str:
@@ -1012,93 +597,6 @@ class DroppedTaskRule(Rule):
             )
 
 
-@register
-class SharedAsyncStateRule(Rule):
-    """RPL014 — one attribute written from two or more coroutine methods."""
-
-    code = "RPL014"
-    summary = (
-        "instance attribute written from multiple async methods; interleaved "
-        "coroutines race on it — route the hand-off through BoundedWorkQueue "
-        "or confine writes to one task"
-    )
-    severity = "warning"
-
-    def check(self, context: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, ast.ClassDef):
-                yield from self._check_class(node, context)
-
-    def _check_class(
-        self, cls: ast.ClassDef, context: FileContext
-    ) -> Iterator[Finding]:
-        # attr name -> [(method name, write node), ...] over async methods.
-        # Writes inside ``async with self.<lock/condition>`` blocks are
-        # already serialized and do not count.
-        writes: dict[str, list[tuple[str, ast.AST]]] = {}
-        for stmt in cls.body:
-            if not isinstance(stmt, ast.AsyncFunctionDef):
-                continue
-            for sub in self._unguarded_nodes(stmt):
-                attr = self._written_self_attr(sub)
-                if attr is not None:
-                    writes.setdefault(attr, []).append((stmt.name, sub))
-        for attr, sites in sorted(writes.items()):
-            methods = sorted({name for name, _ in sites})
-            if len(methods) < 2:
-                continue
-            _, node = sites[0]
-            yield self.finding(
-                context,
-                node,
-                f"self.{attr} is written from multiple coroutines "
-                f"({', '.join(methods)}) of {cls.name}; interleaved tasks "
-                "race on it — pass the value through BoundedWorkQueue or "
-                "give one task sole ownership",
-            )
-
-    @classmethod
-    def _unguarded_nodes(cls, root: ast.AST) -> Iterator[ast.AST]:
-        """Walk ``root`` skipping subtrees serialized by an instance lock."""
-        for child in ast.iter_child_nodes(root):
-            if isinstance(child, ast.AsyncWith) and any(
-                isinstance(item.context_expr, ast.Attribute)
-                and isinstance(item.context_expr.value, ast.Name)
-                and item.context_expr.value.id == "self"
-                for item in child.items
-            ):
-                continue
-            yield child
-            yield from cls._unguarded_nodes(child)
-
-    @staticmethod
-    def _written_self_attr(node: ast.AST) -> str | None:
-        """The first-level ``self.X`` attribute this statement writes."""
-
-        def self_attr(target: ast.expr) -> str | None:
-            # Walk to the attribute directly on ``self`` so that
-            # ``self.stats.events -= 1`` reports "stats", the shared object.
-            while isinstance(target, (ast.Attribute, ast.Subscript)):
-                inner = target.value
-                if (
-                    isinstance(target, ast.Attribute)
-                    and isinstance(inner, ast.Name)
-                    and inner.id == "self"
-                ):
-                    return target.attr
-                target = inner
-            return None
-
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                attr = self_attr(target)
-                if attr is not None:
-                    return attr
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            return self_attr(node.target)
-        return None
-
-
 #: ``numpy.random`` constructors that mint a fresh bit-generator stream.
 _RAW_RNG_FACTORIES = frozenset(
     {"default_rng", "Generator", "RandomState", "PCG64", "MT19937", "Philox",
@@ -1249,198 +747,3 @@ class LateRealizedRandomnessRule(Rule):
                         "__init__ from named streams so replay order cannot "
                         "shift other consumers' draws",
                     )
-
-
-@register
-class ShapeClaimRule(ProjectRule):
-    """RPL017 — documented array-shape claims contradicted by the code."""
-
-    code = "RPL017"
-    summary = (
-        "docstring/comment shape claim like (I, N) contradicted by actual "
-        "indexing, axis=, or .shape[...] use; fix the claim or the code"
-    )
-
-    def check(
-        self, context: FileContext, project: ProjectContext | None = None
-    ) -> Iterator[Finding]:
-        module = _module_for(context, project)
-        attr_claims = project.attribute_claims if project is not None else {}
-        # Merge in this module's own class-attribute claims so single-file
-        # runs still check self.<attr> uses.
-        local_attr_claims = dict(attr_claims)
-        for scope_name, scope in module.claims.items():
-            if scope_name in module.classes:
-                for claim_name, claim in scope.items():
-                    local_attr_claims.setdefault(claim_name, claim)
-
-        for qualname, fn in [
-            *module.functions.items(),
-            *module.methods.items(),
-        ]:
-            claims = module.claims.get(qualname, {})
-            yield from self._check_scope(
-                fn, claims, local_attr_claims, context, module, project
-            )
-        module_claims = module.claims.get("<module>", {})
-        if module_claims:
-            top_level = [
-                stmt
-                for stmt in context.tree.body
-                if not isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                )
-            ]
-            for stmt in top_level:
-                yield from self._check_scope(
-                    stmt, module_claims, local_attr_claims, context, module,
-                    project,
-                )
-
-    def _check_scope(
-        self,
-        root: ast.AST,
-        claims: dict,
-        attr_claims: dict,
-        context: FileContext,
-        module: ModuleInfo,
-        project: ProjectContext | None,
-    ) -> Iterator[Finding]:
-        def claim_for(expr: ast.expr):
-            if isinstance(expr, ast.Name):
-                return claims.get(expr.id)
-            if isinstance(expr, ast.Attribute):
-                return attr_claims.get(expr.attr)
-            return None
-
-        for node in ast.walk(root):
-            if isinstance(node, ast.Subscript):
-                base = node.value
-                if isinstance(base, ast.Attribute) and base.attr == "shape":
-                    claim = claim_for(base.value)
-                    if (
-                        claim is not None
-                        and isinstance(node.slice, ast.Constant)
-                        and isinstance(node.slice.value, int)
-                    ):
-                        k = node.slice.value
-                        if not (-claim.ndim <= k < claim.ndim):
-                            yield self.finding(
-                                context,
-                                node,
-                                f".shape[{k}] on an array documented as "
-                                f"{claim.text} ({claim.ndim} axes, claimed "
-                                f"at line {claim.line}); the claim and the "
-                                "code disagree",
-                            )
-                    continue
-                claim = claim_for(base)
-                if claim is None:
-                    continue
-                arity = self._index_arity(node.slice)
-                if arity is not None and arity > claim.ndim:
-                    label = (
-                        base.id
-                        if isinstance(base, ast.Name)
-                        else f".{base.attr}"
-                    )
-                    yield self.finding(
-                        context,
-                        node,
-                        f"{label} is indexed with {arity} subscripts but "
-                        f"documented as {claim.text} ({claim.ndim} axes, "
-                        f"claimed at line {claim.line}); the claim and the "
-                        "code disagree",
-                    )
-            elif isinstance(node, ast.Call):
-                yield from self._check_call(
-                    node, claims, attr_claims, claim_for, context, module,
-                    project,
-                )
-
-    @staticmethod
-    def _index_arity(index: ast.expr) -> int | None:
-        """How many axes a subscript consumes, or None if indeterminate.
-
-        Only explicit tuple subscripts count; ``...``, ``None`` (newaxis)
-        and starred elements make the arity indeterminate.
-        """
-        if not isinstance(index, ast.Tuple):
-            return None
-        for elt in index.elts:
-            if isinstance(elt, ast.Starred):
-                return None
-            if isinstance(elt, ast.Constant) and (
-                elt.value is Ellipsis or elt.value is None
-            ):
-                return None
-        return len(index.elts)
-
-    def _check_call(
-        self,
-        node: ast.Call,
-        claims: dict,
-        attr_claims: dict,
-        claim_for,
-        context: FileContext,
-        module: ModuleInfo,
-        project: ProjectContext | None,
-    ) -> Iterator[Finding]:
-        claim = None
-        if isinstance(node.func, ast.Attribute):
-            claim = claim_for(node.func.value)
-        if claim is None and node.args:
-            fname = dotted_name(node.func) or ""
-            if fname.split(".")[0] in {"np", "numpy"}:
-                claim = claim_for(node.args[0])
-        if claim is not None:
-            for kw in node.keywords:
-                if (
-                    kw.arg == "axis"
-                    and isinstance(kw.value, ast.Constant)
-                    and isinstance(kw.value.value, int)
-                ):
-                    axis = kw.value.value
-                    if not (-claim.ndim <= axis < claim.ndim):
-                        yield self.finding(
-                            context,
-                            kw.value,
-                            f"axis={axis} on an array documented as "
-                            f"{claim.text} ({claim.ndim} axes, claimed at "
-                            f"line {claim.line}); the claim and the code "
-                            "disagree",
-                        )
-        # Cross-module forwarding: a locally-claimed array passed where the
-        # callee's docstring claims a different rank.
-        if project is None:
-            return
-        name = _call_name(node)
-        if name is None or name.startswith("self."):
-            return
-        resolved = project.resolve_function(module, name)
-        if resolved is None or "." in resolved.qualname:
-            return
-        callee_claims = resolved.module.claims.get(resolved.qualname, {})
-        if not callee_claims:
-            return
-        args = resolved.node.args
-        params = [
-            a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
-        ]
-        for pos, arg in enumerate(node.args):
-            if not isinstance(arg, ast.Name) or pos >= len(params):
-                continue
-            local = claims.get(arg.id)
-            remote = callee_claims.get(params[pos])
-            if local is None or remote is None:
-                continue
-            if local.ndim != remote.ndim:
-                yield self.finding(
-                    context,
-                    arg,
-                    f"{arg.id} is documented as {local.text} here but "
-                    f"{resolved.qualname}() documents parameter "
-                    f"{params[pos]!r} as {remote.text} "
-                    f"({resolved.module.path}:{remote.line}); the claims "
-                    "disagree",
-                )

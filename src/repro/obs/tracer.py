@@ -8,8 +8,8 @@ Instrumented code holds a tracer and guards event construction on
 
 The default is :data:`NULL_TRACER`, whose ``enabled`` is ``False`` — with
 it the instrumentation reduces to one attribute read per site, keeping the
-simulator hot path within its overhead budget (``benchmarks/
-bench_obs_overhead.py`` measures this).  Tracers also hand out named
+simulator hot path within its overhead budget (the ``trace.overhead``
+metric of ``perf/run.py`` measures this).  Tracers also hand out named
 :class:`~repro.obs.metrics.Counter`/:class:`~repro.obs.metrics.Timer`
 instances so ad-hoc profiling shares the same object.
 """

@@ -49,7 +49,7 @@ class StatusServer:
 
     async def start(self) -> None:
         """Bind and start accepting connections."""
-        self._server = await asyncio.start_server(  # noqa: RPL014 -- start/stop are serialized lifecycle transitions driven by the runtime, never concurrent
+        self._server = await asyncio.start_server(
             self._handle, self.host, self._requested_port
         )
         self.port = self._server.sockets[0].getsockname()[1]

@@ -160,20 +160,35 @@ def test_simulator_from_names_warns_and_matches_from_spec():
 
 
 def test_no_deprecated_keyword_tails_left_in_shipping_code():
-    """No caller in src/ or benchmarks/ may use the deprecated tails."""
+    """No caller in src/ or examples/ may use the deprecated tails.
+
+    That is ``.from_names(...)``, ``.run_many(...)``, and a
+    ``repro.run(...)`` call that passes ``selection=`` or ``trading=``.
+    """
+    import ast
     import pathlib
-    import re
 
     root = pathlib.Path(repro.__file__).resolve().parents[2]
-    pattern = re.compile(r"\.from_names\(|\.run_many\(")
     offenders = []
-    for base in ("src", "benchmarks"):
+    for base in ("src", "examples"):
         for path in sorted((root / base).rglob("*.py")):
-            text = path.read_text(encoding="utf-8")
-            for match in pattern.finditer(text):
-                line = text[: match.start()].count("\n") + 1
-                snippet = text.splitlines()[line - 1].strip()
-                offenders.append(f"{path.relative_to(root)}:{line}: {snippet}")
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                if not isinstance(func, ast.Attribute):
+                    continue
+                keyword_tail = (
+                    func.attr == "run"
+                    and isinstance(func.value, ast.Name)
+                    and func.value.id == "repro"
+                    and any(kw.arg in ("selection", "trading") for kw in node.keywords)
+                )
+                if keyword_tail or func.attr in ("from_names", "run_many"):
+                    offenders.append(
+                        f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(func)}(...)"
+                    )
     assert not offenders, "deprecated keyword-tail calls remain:\n" + "\n".join(
         offenders
     )

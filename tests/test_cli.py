@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.lint.cli import main as lint_main
 
 
 class TestParser:
@@ -175,7 +176,7 @@ class TestExperimentCommand:
 
 
 class TestLintCommand:
-    """Exit-code contract: 0 clean, 1 findings, 2 usage/IO errors."""
+    """``repro-lint`` exit-code contract: 0 clean, 1 findings, 2 usage/IO errors."""
 
     CLEAN = "def double(x):\n    return 2 * x\n"
     DIRTY = "import time\nstamp = time.time()\n"
@@ -183,84 +184,27 @@ class TestLintCommand:
     def test_clean_file_exits_zero(self, capsys, tmp_path):
         target = tmp_path / "clean.py"
         target.write_text(self.CLEAN)
-        assert main(["lint", str(target)]) == 0
+        assert lint_main([str(target)]) == 0
         assert "0 findings" in capsys.readouterr().out
 
     def test_findings_exit_one(self, capsys, tmp_path):
         target = tmp_path / "dirty.py"
         target.write_text(self.DIRTY)
-        assert main(["lint", str(target)]) == 1
+        assert lint_main([str(target)]) == 1
         assert "RPL008" in capsys.readouterr().out
 
     def test_missing_path_exits_two(self, capsys, tmp_path):
-        assert main(["lint", str(tmp_path / "absent.py")]) == 2
+        assert lint_main([str(tmp_path / "absent.py")]) == 2
 
     def test_unknown_select_exits_two(self, capsys, tmp_path):
         target = tmp_path / "clean.py"
         target.write_text(self.CLEAN)
-        assert main(["lint", "--select", "RPL999", str(target)]) == 2
-
-    def test_json_format(self, capsys, tmp_path):
-        import json
-
-        target = tmp_path / "dirty.py"
-        target.write_text(self.DIRTY)
-        assert main(["lint", "--format", "json", str(target)]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["total_findings"] == 1
+        assert lint_main(["--select", "RPL999", str(target)]) == 2
 
     def test_list_rules(self, capsys):
-        assert main(["lint", "--list-rules"]) == 0
+        assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         assert "RPL001" in out and "RPL008" in out
-
-    def test_sarif_format(self, capsys, tmp_path):
-        import json
-
-        target = tmp_path / "dirty.py"
-        target.write_text(self.DIRTY)
-        assert main(["lint", "--format", "sarif", str(target)]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "2.1.0"
-        run = payload["runs"][0]
-        assert run["tool"]["driver"]["name"] == "reprolint"
-        results = run["results"]
-        assert [r["ruleId"] for r in results] == ["RPL008"]
-        rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-        assert results[0]["ruleIndex"] == rule_ids.index("RPL008")
-
-    def test_baseline_workflow(self, capsys, tmp_path):
-        # Write a baseline over the dirty file, then lint against it: the
-        # known finding is absorbed and the exit code drops 1 -> 0.  A new
-        # finding on top of the baseline gates again.
-        target = tmp_path / "dirty.py"
-        target.write_text(self.DIRTY)
-        baseline = tmp_path / "lint-baseline.json"
-
-        assert main(
-            ["lint", "--write-baseline", str(baseline), str(target)]
-        ) == 0
-        assert baseline.exists()
-        capsys.readouterr()
-
-        assert main(["lint", str(target)]) == 1
-        capsys.readouterr()
-        assert main(["lint", "--baseline", str(baseline), str(target)]) == 0
-        assert "matched the baseline" in capsys.readouterr().out
-
-        target.write_text(self.DIRTY + "flag = (0.1 + 0.2) == 0.3\n")
-        assert main(["lint", "--baseline", str(baseline), str(target)]) == 1
-        out = capsys.readouterr().out
-        # Every finding is still reported; only the new one gates.
-        assert "RPL003" in out
-        assert "gating on 1 new" in out
-
-    def test_corrupt_baseline_exits_two(self, capsys, tmp_path):
-        target = tmp_path / "clean.py"
-        target.write_text(self.CLEAN)
-        baseline = tmp_path / "bad.json"
-        baseline.write_text("not json")
-        assert main(["lint", "--baseline", str(baseline), str(target)]) == 2
 
     def test_python_dash_m_contract(self, tmp_path):
         """``python -m repro.lint`` exits nonzero on findings, zero when clean."""

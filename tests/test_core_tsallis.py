@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.tsallis import tsallis_inf_probabilities
+from repro.core.tsallis import (
+    tsallis_inf_probabilities,
+    tsallis_inf_probabilities_batch,
+)
 
 loss_vectors = arrays(
     dtype=float,
@@ -31,6 +34,11 @@ class TestTsallisInfProbabilities:
         p = tsallis_inf_probabilities(np.array([3.0, 1.0, 7.0, 2.0]), eta=0.5)
         assert p.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(p > 0)
+
+    def test_many_arms_valid(self):
+        losses = np.random.default_rng(1).uniform(0, 100, size=256)
+        p = tsallis_inf_probabilities(losses, 0.1)
+        assert abs(p.sum() - 1.0) < 1e-6
 
     def test_shift_invariance(self):
         """Adding a constant to all losses must not change the solution."""
@@ -88,3 +96,12 @@ class TestTsallisInfProbabilities:
             tsallis_inf_probabilities(np.array([1.0, np.nan]), 1.0)
         with pytest.raises(ValueError):
             tsallis_inf_probabilities(np.array([1.0, 2.0]), 0.0)
+
+
+def test_batch_rows_are_distributions():
+    """64 independent solves in one call, the vectorized engine's form."""
+    rng = np.random.default_rng(2)
+    losses = rng.uniform(0, 100, size=(64, 6))
+    etas = rng.uniform(0.1, 2.5, size=64)
+    p = tsallis_inf_probabilities_batch(losses, etas)
+    assert np.allclose(p.sum(axis=1), 1.0, atol=1e-6)

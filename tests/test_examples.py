@@ -1,8 +1,7 @@
 """Smoke tests: the shipped examples must run end to end.
 
 Only the fast examples execute here (the fleet-scaling and quantization
-studies train zoos / run sweeps and are exercised manually or by the
-benchmark suite).
+studies train zoos / run sweeps and are exercised manually).
 """
 
 import runpy

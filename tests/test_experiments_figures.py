@@ -2,6 +2,8 @@
 
 Each experiment runs at a reduced size (tiny sweeps, one or two seeds) and
 is checked for the structural properties the paper's figure demonstrates.
+The ``*Headline`` classes run a wider sweep (more baselines, seeds or
+horizons) and check each figure's headline claim against all of them.
 """
 
 import numpy as np
@@ -57,6 +59,25 @@ class TestFig03:
         assert "Ours" in text
 
 
+class TestFig03Headline:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig03_cumulative_cost.run(
+            fast=True,
+            seeds=SEEDS,
+            combos=(("Ran", "Ran"), ("Greedy", "LY"), ("UCB", "LY")),
+        )
+
+    def test_ours_lowest_online(self, result):
+        finals = result.final_costs()
+        online = {k: v for k, v in finals.items() if k != "Offline"}
+        assert finals["Ours"] == min(online.values())
+
+    def test_offline_at_most_ours(self, result):
+        finals = result.final_costs()
+        assert finals["Offline"] <= finals["Ours"]
+
+
 class TestFig04:
     @pytest.fixture(scope="class")
     def result(self):
@@ -80,6 +101,29 @@ class TestFig04:
         assert "Fig. 4" in fig04_total_cost_vs_edges.format_result(result)
 
 
+class TestFig04Headline:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig04_total_cost_vs_edges.run(
+            fast=True,
+            seeds=SEEDS,
+            edge_counts=(5, 10),
+            combos=(("Ran", "Ran"), ("Greedy", "LY"), ("TINF", "LY"), ("UCB", "LY")),
+        )
+
+    def test_ours_lowest_online_at_every_scale(self, result):
+        for i in range(len(result.edge_counts)):
+            online = {
+                label: costs[i]
+                for label, costs in result.costs.items()
+                if label != "Offline"
+            }
+            assert online["Ours"] == min(online.values())
+
+    def test_reductions_positive(self, result):
+        assert all(r > 0 for r in result.reductions_vs().values())
+
+
 class TestFig05:
     @pytest.fixture(scope="class")
     def result(self):
@@ -92,6 +136,18 @@ class TestFig05:
         ours = result.costs["Ours"][-1]
         assert ours < result.costs["Ran-LY"][-1]
         assert ours < result.costs["TINF-LY"][-1]
+
+    def test_ours_flatter_than_slotwise_tsallis(self, result):
+        assert result.relative_growth("Ours") < result.relative_growth("TINF-LY")
+
+    def test_ours_lowest_online_at_high_weight_but_greedy(self, result):
+        # Greedy never switches, so a growing switching weight cannot hurt it.
+        top = {
+            k: v[-1]
+            for k, v in result.costs.items()
+            if k not in ("Offline", "Greedy-LY")
+        }
+        assert top["Ours"] == min(top.values())
 
     def test_format(self, result):
         assert "Fig. 5" in fig05_switching_weight.format_result(result)
@@ -108,6 +164,14 @@ class TestFig06:
     def test_ours_below_lyapunov_combos(self, result):
         for i in range(2):
             assert result.costs["Ours"][i] < result.costs["UCB-LY"][i]
+
+    def test_offline_cost_grows_with_rate(self, result):
+        assert result.costs["Offline"][-1] > result.costs["Offline"][0]
+
+    def test_ours_below_every_lyapunov_combo(self, result):
+        for i in range(2):
+            for label in ("Greedy-LY", "TINF-LY", "UCB-LY"):
+                assert result.costs["Ours"][i] < result.costs[label][i], label
 
     def test_format(self, result):
         assert "Fig. 6" in fig06_emission_rate.format_result(result)
@@ -128,6 +192,20 @@ class TestFig07:
 
     def test_format(self, result):
         assert "Fig. 7" in fig07_carbon_cap.format_result(result)
+
+
+class TestFig07Headline:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig07_carbon_cap.run(fast=True, seeds=SEEDS, caps=(0.0, 500.0, 1000.0))
+
+    def test_cap_aware_methods_decrease(self, result):
+        for label in ("Ours", "Offline", "UCB-LY"):
+            assert result.slope(label) < 0, label
+
+    def test_cap_oblivious_methods_flat(self, result):
+        assert abs(result.slope("UCB-Ran")) < 1e-6
+        assert abs(result.slope("UCB-TH")) < 1e-6
 
 
 class TestFig08:
@@ -153,6 +231,23 @@ class TestFig08:
         assert "Fig. 8" in fig08_selection_histogram.format_result(result)
 
 
+class TestFig08Headline:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig08_selection_histogram.run(fast=True, seeds=[0, 1, 2])
+
+    def test_negative_loss_count_correlation(self, result):
+        assert result.loss_count_correlation() < -0.4
+
+    def test_best_model_selected_most(self, result):
+        best = int(np.argmin(result.expected_losses))
+        assert result.ours_counts[best] == result.ours_counts.max()
+
+    def test_offline_picks_a_low_loss_model(self, result):
+        chosen = result.expected_losses[result.offline_choice]
+        assert chosen <= np.median(result.expected_losses)
+
+
 class TestFig09:
     @pytest.fixture(scope="class")
     def result(self):
@@ -163,6 +258,9 @@ class TestFig09:
 
     def test_baselines_do_not_track(self, result):
         assert result.workload_correlation("UCB-Ran") < 0.3
+
+    def test_threshold_trader_does_not_track(self, result):
+        assert result.workload_correlation("UCB-TH") < 0.3
 
     def test_ours_cheapest_unit_cost(self, result):
         ours = result.unit_costs["Ours"]
@@ -190,6 +288,24 @@ class TestFig10:
         assert "Fig. 10" in fig10_regret.format_result(result)
 
 
+class TestFig10Headline:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig10_regret.run(
+            fast=True,
+            seeds=SEEDS,
+            horizons=(40, 80, 160),
+            combos=(("Ran", "LY"), ("UCB", "LY")),
+        )
+
+    def test_ours_lowest_regret(self, result):
+        final = {label: values[-1] for label, values in result.regrets.items()}
+        assert final["Ours"] == min(final.values())
+
+    def test_ours_sublinear(self, result):
+        assert result.is_sublinear("Ours")
+
+
 class TestFig11:
     @pytest.fixture(scope="class")
     def result(self):
@@ -205,6 +321,31 @@ class TestFig11:
 
     def test_format(self, result):
         assert "Fig. 11" in fig11_fit.format_result(result)
+
+
+class TestFig11Headline:
+    @pytest.fixture(scope="class")
+    def result(self):
+        # The sub-linear bend in the fit only shows past the default
+        # horizon, so this sweep reaches T=640 (cf. the paper's x-axis).
+        return fig11_fit.run(
+            fast=True,
+            seeds=SEEDS,
+            horizons=(40, 160, 640),
+            combos=(("UCB", "Ran"), ("UCB", "TH"), ("UCB", "LY")),
+        )
+
+    def test_ours_lowest_fit(self, result):
+        final = {label: values[-1] for label, values in result.fits.items()}
+        assert final["Ours"] == min(final.values())
+
+    def test_ours_sublinear(self, result):
+        assert result.is_sublinear("Ours")
+
+    def test_cap_oblivious_traders_violate_tenfold(self, result):
+        ours = result.fits["Ours"][-1]
+        assert result.fits["UCB-Ran"][-1] > 10 * ours
+        assert result.fits["UCB-TH"][-1] > 10 * ours
 
 
 class TestFig12And13:
@@ -228,6 +369,10 @@ class TestFig12And13:
         greedy_q4 = windows["Greedy-Ran"][-1]
         assert windows["Ours"][-1] > greedy_q4
 
+    def test_greedy_worst_of_all(self, result):
+        windows = result.windowed()
+        assert windows["Greedy-Ran"][-1] == min(v[-1] for v in windows.values())
+
     def test_ours_improves_over_time(self, result):
         windows = result.windowed()["Ours"]
         assert windows[-1] > windows[0]
@@ -238,6 +383,24 @@ class TestFig12And13:
 
     def test_format(self, result):
         assert "Fig. 12" in fig12_accuracy_mnist.format_result(result)
+
+
+class TestFig13:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig13_accuracy_cifar.run(fast=True, seeds=SEEDS)
+
+    def test_greedy_worst(self, result):
+        windows = result.windowed()
+        assert windows["Greedy-Ran"][-1] == min(v[-1] for v in windows.values())
+
+    def test_ours_improves_over_time(self, result):
+        windows = result.windowed()["Ours"]
+        assert windows[-1] > windows[0]
+
+    def test_offline_at_least_ours(self, result):
+        windows = result.windowed()
+        assert windows["Offline"][-1] >= windows["Ours"][-1] - 0.02
 
 
 class TestFig14:
@@ -276,3 +439,21 @@ class TestFig14:
             assert result.alg2_seconds_per_slot[i] == (
                 tracer.timer(f"alg2/I={edges}").mean_seconds
             )
+
+
+class TestFig14Headline:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return fig14_runtime.run(fast=True, edge_counts=(5, 10, 20), horizon=60)
+
+    def test_alg1_scales_with_edges(self, result):
+        assert result.alg1_scales_with_edges()
+
+    def test_both_far_below_slot_length(self, result):
+        assert max(result.alg1_seconds_per_slot) < 90.0
+        assert max(result.alg2_seconds_per_slot) < 1.0
+
+    def test_alg2_cheaper_than_alg1(self, result):
+        # Algorithm 2 is one primal-dual step per slot whatever the fleet
+        # size; Algorithm 1 runs once per edge.
+        assert max(result.alg2_seconds_per_slot) < max(result.alg1_seconds_per_slot)

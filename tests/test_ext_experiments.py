@@ -41,6 +41,24 @@ class TestExtForecast:
         assert "price forecasting" in ext_forecast.format_result(result)
 
 
+class TestExtForecastHeadline:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return ext_forecast.run(fast=True, seeds=[0, 1])
+
+    def test_predictable_market_fit_collapse(self, result):
+        mr = result.regimes.index("mean-reverting")
+        assert result.fit_forecast[mr] < 0.5 * result.fit_plain[mr]
+
+    def test_predictable_market_unit_cost_premium_small(self, result):
+        mr = result.regimes.index("mean-reverting")
+        assert result.unit_cost_forecast[mr] < 1.10 * result.unit_cost_plain[mr]
+
+    def test_forecaster_never_much_worse_fit(self, result):
+        for j in range(len(result.regimes)):
+            assert result.fit_forecast[j] < result.fit_plain[j] + 5.0
+
+
 class TestExtDelay:
     @pytest.fixture(scope="class")
     def result(self):
@@ -61,7 +79,7 @@ class TestExtHeterogeneity:
     @pytest.fixture(scope="class")
     def result(self):
         # Small horizons keep the test fast; the crossover itself is asserted
-        # in the benchmark suite with the full horizon sweep.
+        # by TestExtHeterogeneityCrossover with the full horizon sweep.
         return ext_heterogeneity.run(fast=True, seeds=[0], horizons=(80, 240))
 
     def test_specialists_make_best_models_differ(self, result):
@@ -82,3 +100,26 @@ class TestExtHeterogeneity:
 
     def test_format(self, result):
         assert "heterogeneity" in ext_heterogeneity.format_result(result)
+
+
+class TestExtHeterogeneityCrossover:
+    """With a specialist zoo and biased edges, the per-edge bandit's
+    sub-linear exploration cost eventually undercuts the linear
+    heterogeneity penalty of hosting one global model everywhere."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return ext_heterogeneity.run(fast=True, seeds=[0, 1], horizons=(160, 2560))
+
+    def test_specialists_make_best_models_differ(self, result):
+        assert result.distinct_best_models >= 2
+
+    def test_exploration_dominates_at_short_horizon(self, result):
+        assert result.ours[0] > result.global_fixed[0]
+
+    def test_crossover_reached(self, result):
+        assert result.crossover_reached()
+
+    def test_oracle_lower_bounds_everyone(self, result):
+        for j in range(len(result.horizons)):
+            assert result.oracle_fixed[j] <= min(result.ours[j], result.global_fixed[j])

@@ -1,24 +1,19 @@
 """The reprolint self-gate: the whole package must lint clean.
 
 This is the tier-1 enforcement layer of the static-analysis subsystem — any
-new global-RNG call, float-equality comparison, ``__all__`` drift, or
-unguarded hot-path numeric introduced anywhere in ``src/repro`` fails this
-test immediately, keeping the tree green by construction.
+new global-RNG call, float-equality comparison, wall-clock read, swallowed
+exception, or blocking call in a coroutine introduced anywhere in
+``src/repro`` fails this test immediately, keeping the tree green by
+construction.
 """
 
 from pathlib import Path
 
 import repro
-from repro.lint import (
-    DEFAULT_PATH_RULES,
-    DEFAULT_PATH_SEVERITY,
-    lint_paths,
-    registered_codes,
-)
+from repro.lint import DEFAULT_PATH_RULES, lint_paths, registered_codes
 
 PACKAGE_DIR = Path(repro.__file__).parent
 EXAMPLES_DIR = PACKAGE_DIR.parent.parent / "examples"
-BENCHMARKS_DIR = PACKAGE_DIR.parent.parent / "benchmarks"
 
 
 def test_package_lints_clean():
@@ -28,46 +23,20 @@ def test_package_lints_clean():
 
 
 def test_examples_have_no_errors_under_default_severity():
-    # Examples are user-facing scripts: their prints (RPL010) are downgraded
-    # to warnings by the default severity configuration — still reported,
-    # never fatal.  Anything at error severity is a real defect.
-    findings = lint_paths(
-        [EXAMPLES_DIR],
-        path_rules=DEFAULT_PATH_RULES,
-        path_severity=DEFAULT_PATH_SEVERITY,
-    )
-    errors = [f for f in findings if f.is_error]
-    rendered = "\n".join(f.render() for f in errors)
-    assert errors == [], f"reprolint errors in examples/:\n{rendered}"
-    assert findings, "examples print, so RPL010 warnings must surface"
-    assert {(f.code, f.severity) for f in findings} == {("RPL010", "warning")}
+    # Examples are user-facing scripts linted under the default per-path
+    # configuration.  There are no severity levels: every finding gates, so
+    # the examples must lint to zero findings.
+    findings = lint_paths([EXAMPLES_DIR], path_rules=DEFAULT_PATH_RULES)
+    rendered = "\n".join(f.render() for f in findings)
+    assert findings == [], f"reprolint findings in examples/:\n{rendered}"
 
 
 def test_examples_downgrade_is_print_only():
-    # The downgrade must stay narrow: without the severity configuration the
-    # examples may only trip the print rule — any other finding is a real
-    # defect, and everything is back at error severity.
-    findings = lint_paths([EXAMPLES_DIR], path_rules={}, path_severity={})
-    assert findings, "examples print, so the raw run must find RPL010"
-    assert {f.code for f in findings} == {"RPL010"}
-    assert all(f.is_error for f in findings)
-
-
-def test_benchmarks_lint_clean_under_path_rules():
-    # Benchmarks are user-facing measurement harnesses: their prints (RPL010)
-    # are waived by the default per-path configuration, nothing else is.
-    findings = lint_paths([BENCHMARKS_DIR], path_rules=DEFAULT_PATH_RULES)
+    # No downgrade or waiver stands behind the examples: without any
+    # per-path configuration they still lint to zero findings.
+    findings = lint_paths([EXAMPLES_DIR], path_rules={})
     rendered = "\n".join(f.render() for f in findings)
-    assert findings == [], f"reprolint findings in benchmarks/:\n{rendered}"
-
-
-def test_benchmarks_waiver_is_print_only():
-    # Without the waivers, benchmarks trip exactly the two codes the default
-    # configuration forgives there: harness prints (RPL010) and ad-hoc
-    # generators for throwaway timing data (RPL015) — nothing else.
-    findings = lint_paths([BENCHMARKS_DIR], path_rules={})
-    assert findings, "benchmarks print, so the un-waived run must find RPL010"
-    assert {f.code for f in findings} == {"RPL010", "RPL015"}
+    assert findings == [], f"reprolint findings in examples/:\n{rendered}"
 
 
 def test_tests_lint_clean_under_path_rules():
@@ -88,8 +57,14 @@ def test_at_least_eight_rules_registered():
 
 
 def test_required_rule_codes_present():
-    required = {f"RPL{i:03d}" for i in range(1, 18)}
-    assert required <= set(registered_codes())
+    # Exactly the contract rules are registered.  Each guards a contract of
+    # this system: seed-exact RNG streams (RPL001/002/015/016), float
+    # equality (RPL003), the wall-clock ban (RPL008), loud failures (RPL009),
+    # and async safety in the serve tier (RPL012/013).
+    assert registered_codes() == [
+        "RPL001", "RPL002", "RPL003", "RPL008", "RPL009",
+        "RPL012", "RPL013", "RPL015", "RPL016",
+    ]
 
 
 def test_ingress_tier_is_gated_and_lints_clean():

@@ -91,3 +91,20 @@ class TestSpecs:
         assert len(nets) == 6
         sizes = [n.size_bytes() for n in nets]
         assert len(set(sizes)) > 1  # genuinely different models
+
+
+def test_batched_forward_matches_per_sample():
+    """One batched forward agrees with stacked per-sample forwards.
+
+    Agreement is numerical, not bitwise: BLAS blocks a (64, d) matmul
+    differently from 64 (1, d) matvecs.  This is why the vectorized
+    simulator keeps its forward-pass shapes identical to the scalar
+    kernel's (per-slot batches) instead of fusing whole blocks: the golden
+    digests require bit equality, which batching across the existing call
+    boundaries would break.
+    """
+    batch = np.random.default_rng(0).random((64, 1, 8, 8))
+    net = build_mlp(np.random.default_rng(5), hidden=64)
+    together = net.predict_proba(batch)
+    apart = np.vstack([net.predict_proba(batch[i : i + 1]) for i in range(64)])
+    np.testing.assert_allclose(together, apart, rtol=1e-12, atol=1e-15)

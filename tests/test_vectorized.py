@@ -154,6 +154,18 @@ def test_blockwise_path_solves_once_per_block_round(monkeypatch):
     assert result_digest(fast) == result_digest(scalar_result)
 
 
+def test_default_scenario_engines_agree():
+    """The paper's default fleet (10 edges, 160 slots) under Ours/Ours."""
+    spec = RunSpec(
+        scenario=ScenarioConfig(dataset="synthetic", num_edges=10, horizon=160),
+        selection="Ours",
+        trading="Ours",
+        seed=0,
+    )
+    scalar, fast = _digests(spec.build_scenario(), spec)
+    assert scalar == fast
+
+
 # ---------------------------------------------------------------------------
 # Dispatch rules of Simulator.run(vectorized=...).
 
