@@ -42,13 +42,14 @@ def learning_rate(k: int, switch_cost: float, num_models: int) -> float:
     return (2.0 / (d + 1.0)) * math.sqrt(2.0 / k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockSchedule:
     """A concrete partition of ``{0, ..., T-1}`` into blocks.
 
     ``lengths[k]`` is the number of slots in block ``k`` (0-indexed here,
     1-indexed in the paper); ``etas[k]`` is its learning rate; ``starts[k]``
-    its first slot.
+    its first slot.  Schedules compare by value; they hold arrays, so they
+    are unhashable.
     """
 
     horizon: int
@@ -69,6 +70,21 @@ class BlockSchedule:
         if np.any(self.etas <= 0):
             raise ValueError("learning rates must be positive")
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BlockSchedule):
+            return NotImplemented
+        return (
+            self.horizon == other.horizon
+            and np.array_equal(self.lengths, other.lengths)
+            and np.array_equal(self.etas, other.etas)
+        )
+
+    def __getstate__(self) -> dict[str, object]:
+        """Pickle without the slot table; :meth:`_slot_table` rebuilds it."""
+        state = dict(self.__dict__)
+        state.pop("_slot_to_block", None)
+        return state
+
     @property
     def num_blocks(self) -> int:
         """``K_i`` — the number of blocks covering the horizon."""
@@ -82,9 +98,9 @@ class BlockSchedule:
     def _slot_table(self) -> np.ndarray:
         """Memoized slot -> block lookup table.
 
-        Computed lazily (not in ``__post_init__``) so schedules restored
-        from older pickles — serve snapshots carry policies, which carry
-        schedules — rebuild it transparently on first use.
+        Computed lazily (not in ``__post_init__``) and left out of pickles,
+        so restored schedules — serve checkpoints and snapshots carry
+        policies, which carry schedules — rebuild it on first use.
         """
         table = self.__dict__.get("_slot_to_block")
         if table is None:

@@ -19,7 +19,7 @@ the paper's Algorithm 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +35,14 @@ __all__ = ["OnlineModelSelection"]
 
 @dataclass
 class _BlockRecord:
-    """State of one opened block awaiting (possibly delayed) observations."""
+    """Feedback tally of one open block awaiting (possibly delayed) losses."""
 
+    block: int
     model: int
-    probabilities: np.ndarray
     length: int
     loss_sum: float = 0.0
     observed: int = 0
     lost: int = 0
-    closed: bool = field(default=False)
 
 
 class OnlineModelSelection(SelectionPolicy):
@@ -82,9 +81,41 @@ class OnlineModelSelection(SelectionPolicy):
         self._rng = rng
         self._schedule = build_schedule(horizon, switch_cost, num_models)
         self._estimator = ImportanceWeightedEstimator(num_models)
-        self._blocks: dict[int, _BlockRecord] = {}
+        # Entry ``k`` holds block ``k``'s model and sampling distribution
+        # once it opens.  A block's feedback tally lives in ``_open`` only
+        # until it closes (lines 8-9 never read it again), so pickled state —
+        # the serve tier's restart checkpoints — does not grow with the run.
+        num_blocks = self._schedule.num_blocks
+        self._models = [0] * num_blocks
+        self._probabilities = np.zeros((num_blocks, num_models))
+        self._open: dict[int, _BlockRecord] = {}
         self._latest_block = -1
         self._selection_counts = np.zeros(num_models, dtype=int)
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        """Restore a pickled policy, including the one-record-per-block layout."""
+        state = dict(state)
+        if "_blocks" in state:
+            # Policies pickled before closed blocks moved into the arrays
+            # kept a record, with its own distribution, for every opened
+            # block; the copies into the arrays are exact.
+            records = state.pop("_blocks")
+            num_blocks = state["_schedule"].num_blocks
+            models = [0] * num_blocks
+            probabilities = np.zeros((num_blocks, state["num_models"]))
+            open_records = {}
+            for block, record in records.items():
+                models[block] = record.model
+                probabilities[block] = record.probabilities
+                if not record.closed:
+                    open_records[block] = _BlockRecord(
+                        block, record.model, record.length,
+                        record.loss_sum, record.observed, record.lost,
+                    )
+            state.update(
+                _models=models, _probabilities=probabilities, _open=open_records
+            )
+        self.__dict__.update(state)
 
     @property
     def schedule(self) -> BlockSchedule:
@@ -99,23 +130,21 @@ class OnlineModelSelection(SelectionPolicy):
     @property
     def probability_history(self) -> list[np.ndarray]:
         """Sampling distribution used at the start of each opened block."""
-        return [
-            self._blocks[b].probabilities.copy() for b in sorted(self._blocks)
-        ]
+        return [row.copy() for row in self._probabilities[: self._latest_block + 1]]
 
     @property
     def pending_blocks(self) -> int:
         """Opened blocks still waiting for (delayed) observations."""
-        return sum(1 for record in self._blocks.values() if not record.closed)
+        return len(self._open)
 
     def select(self, t: int) -> int:
         """Return the model for slot ``t``, resampling only at block starts."""
         if not 0 <= t < self.horizon:
             raise ValueError(f"slot {t} outside horizon [0, {self.horizon})")
         block = self._schedule.block_of_slot(t)
-        if block not in self._blocks:
+        if block > self._latest_block:
             self._open_block(block, t)
-        model = self._blocks[block].model
+        model = self._models[block]
         self._selection_counts[model] += 1
         return model
 
@@ -130,7 +159,7 @@ class OnlineModelSelection(SelectionPolicy):
         if not 0 <= t < self.horizon:
             raise ValueError(f"slot {t} outside horizon [0, {self.horizon})")
         block = self._schedule.block_of_slot(t)
-        return None if block in self._blocks else block
+        return None if block <= self._latest_block else block
 
     def cumulative_estimates(self) -> np.ndarray:
         """Read-only view of the current ``C_hat`` vector (no copy).
@@ -169,11 +198,9 @@ class OnlineModelSelection(SelectionPolicy):
             )
         model = int(self._rng.choice(self.num_models, p=probabilities))
         length = int(self._schedule.lengths[block])
-        self._blocks[block] = _BlockRecord(
-            model=model,
-            probabilities=probabilities,
-            length=length,
-        )
+        self._models[block] = model
+        self._probabilities[block] = probabilities
+        self._open[block] = _BlockRecord(block, model, length)
         self._latest_block = block
         tracer = self.tracer
         if tracer.enabled:
@@ -201,10 +228,10 @@ class OnlineModelSelection(SelectionPolicy):
         with :meth:`open_block_with`; a block that already received partial
         per-slot feedback must finish through :meth:`observe`.
         """
-        record = self._blocks.get(block)
-        if record is None:
+        if block > self._latest_block:
             raise RuntimeError(f"observed block {block} before it was opened")
-        if record.closed or record.observed or record.lost:
+        record = self._open.get(block)
+        if record is None or record.observed or record.lost:
             raise RuntimeError(
                 f"block {block} already has slot feedback; finish it through "
                 "observe()"
@@ -229,17 +256,7 @@ class OnlineModelSelection(SelectionPolicy):
         self._check_model(model)
         if not math.isfinite(loss):
             raise ValueError(f"loss must be finite, got {loss!r}")
-        block = self._schedule.block_of_slot(t)
-        record = self._blocks.get(block)
-        if record is None:
-            raise RuntimeError(f"observed slot {t} before its block was opened")
-        if model != record.model:
-            raise ValueError(
-                f"observed loss for model {model}, but block {block} hosts "
-                f"model {record.model}"
-            )
-        if record.closed:
-            raise RuntimeError(f"block {block} already received all its losses")
+        record = self._open_record(t, model, "observed loss")
         record.loss_sum += float(loss)
         record.observed += 1
         if record.observed + record.lost == record.length:
@@ -255,20 +272,29 @@ class OnlineModelSelection(SelectionPolicy):
         importance-weighted estimator unbiased over observed slots.
         """
         super().observe_lost(t, model)
-        block = self._schedule.block_of_slot(t)
-        record = self._blocks.get(block)
-        if record is None:
-            raise RuntimeError(f"lost slot {t} before its block was opened")
-        if model != record.model:
-            raise ValueError(
-                f"lost feedback for model {model}, but block {block} hosts "
-                f"model {record.model}"
-            )
-        if record.closed:
-            raise RuntimeError(f"block {block} already received all its losses")
+        record = self._open_record(t, model, "lost feedback")
         record.lost += 1
         if record.observed + record.lost == record.length:
             self._close_block(record)
+
+    def _open_record(self, t: int, model: int, what: str) -> _BlockRecord:
+        """The record of slot ``t``'s open block, checked to host ``model``.
+
+        ``what`` names the feedback in the error raised when the block is
+        not open yet, hosts another model, or has already closed.
+        """
+        block = self._schedule.block_of_slot(t)
+        record = self._open.get(block)
+        if record is not None and model == record.model:
+            return record
+        if block > self._latest_block:
+            raise RuntimeError(f"{what} for slot {t} before its block was opened")
+        hosted = self._models[block]
+        if model != hosted:
+            raise ValueError(
+                f"{what} for model {model}, but block {block} hosts model {hosted}"
+            )
+        raise RuntimeError(f"block {block} already received all its losses")
 
     def _open_block(self, block: int, t: int) -> None:
         """Lines 3-5: compute the OMD distribution and sample the block model.
@@ -292,6 +318,9 @@ class OnlineModelSelection(SelectionPolicy):
             # The block's distribution is our own Tsallis solve, already past
             # its simplex postcondition — skip the defensive re-validation.
             self._estimator.update(
-                record.model, record.loss_sum, record.probabilities, trusted=True
+                record.model,
+                record.loss_sum,
+                self._probabilities[record.block],
+                trusted=True,
             )
-        record.closed = True
+        del self._open[record.block]

@@ -1,6 +1,7 @@
 """Tests for the Theorem-1 block schedules."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -95,6 +96,28 @@ class TestBuildSchedule:
     def test_invalid_horizon(self):
         with pytest.raises(ValueError):
             build_schedule(0, 1.0, 6)
+
+    def test_value_equality_and_unhashable(self):
+        schedule = build_schedule(10, 1.0, 3)
+        assert schedule == build_schedule(10, 1.0, 3)
+        assert schedule != build_schedule(10, 2.0, 3)  # other lengths
+        assert schedule != build_schedule(11, 1.0, 3)  # other horizon
+        same_lengths = BlockSchedule(
+            horizon=10, lengths=schedule.lengths, etas=schedule.etas * 2
+        )
+        assert schedule != same_lengths
+        assert schedule != "schedule"
+        with pytest.raises(TypeError):
+            hash(schedule)
+
+    def test_pickle_leaves_the_slot_table_behind(self):
+        schedule = build_schedule(500, 4.0, 6)
+        schedule.block_of_slot(499)  # builds the memoized table
+        assert "_slot_to_block" not in schedule.__getstate__()
+        restored = pickle.loads(pickle.dumps(schedule))
+        assert restored == schedule
+        for t in (0, 17, 250, 499):
+            assert restored.block_of_slot(t) == schedule.block_of_slot(t)
 
 
 class TestBlockScheduleValidation:

@@ -1,9 +1,16 @@
 """Tests for Algorithm 1 (online model selection)."""
 
+import pickle
+import pickletools
+
 import numpy as np
 import pytest
 
-from repro.core.model_selection import OnlineModelSelection
+from repro.core.blocks import BlockSchedule
+from repro.core.model_selection import OnlineModelSelection, _BlockRecord
+from repro.sim.config import ScenarioConfig
+from repro.sim.simulator import Simulator
+from repro.spec import RunSpec
 
 
 def drive(policy, loss_fn, horizon):
@@ -119,3 +126,170 @@ class TestOnlineModelSelection:
             return int(np.sum(selections[1:] != selections[:-1]))
 
         assert count_switches(10.0) < count_switches(0.5)
+
+
+def drive_delayed(policy, slots, delay, pending, log, *, flush=False):
+    """Select each slot and deliver its feedback ``delay`` slots later.
+
+    Every fifth slot's feedback is lost.  ``pending`` carries feedback still
+    in flight between calls; ``log`` records each delivery in order as
+    ``(t, loss or None)``.  ``flush`` delivers whatever is left at the end.
+    """
+
+    def deliver():
+        slot, model = pending.pop(0)
+        if slot % 5 == 4:
+            policy.observe_lost(slot, model)
+            log.append((slot, None))
+        else:
+            loss = 0.2 * model + 0.01 * (slot % 7)
+            policy.observe(slot, model, loss)
+            log.append((slot, loss))
+
+    selections = []
+    for t in slots:
+        model = policy.select(t)
+        selections.append(model)
+        pending.append((t, model))
+        while pending and pending[0][0] <= t - delay:
+            deliver()
+    while flush and pending:
+        deliver()
+    return selections
+
+
+class _Pickled:
+    """Pickles as an instance of ``cls`` carrying ``state`` verbatim."""
+
+    def __init__(self, cls, state):
+        self.cls, self.state = cls, state
+
+    def __reduce__(self):
+        return (object.__new__, (self.cls,), self.state)
+
+
+def every_block_layout(policy, log):
+    """``policy`` as the one-record-per-block layout pickled it.
+
+    That layout kept a record, with its own sampling distribution, for every
+    opened block, closed or not, and pickled the schedule with its memoized
+    slot table.
+    """
+    schedule = policy.schedule
+    tallies = {}
+    for t, loss in log:
+        tally = tallies.setdefault(schedule.block_of_slot(t), [0.0, 0, 0])
+        if loss is None:
+            tally[2] += 1
+        else:
+            tally[0] += loss
+            tally[1] += 1
+    records = {}
+    for block, probabilities in enumerate(policy.probability_history):
+        loss_sum, observed, lost = tallies.get(block, [0.0, 0, 0])
+        length = int(schedule.lengths[block])
+        records[block] = _Pickled(_BlockRecord, {
+            "model": policy._models[block],
+            "probabilities": probabilities,
+            "length": length,
+            "loss_sum": loss_sum,
+            "observed": observed,
+            "lost": lost,
+            "closed": observed + lost == length,
+        })
+    table = np.repeat(np.arange(schedule.num_blocks), schedule.lengths)
+    state = policy.__getstate__()
+    for key in ("_models", "_probabilities", "_open"):
+        del state[key]
+    state["_blocks"] = records
+    state["_schedule"] = _Pickled(
+        BlockSchedule, dict(vars(schedule), _slot_to_block=table)
+    )
+    return _Pickled(OnlineModelSelection, state)
+
+
+def pickled_objects(obj) -> int:
+    """Objects a pickle of ``obj`` builds (class instances and reductions)."""
+    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    return sum(
+        op.name in ("BUILD", "REDUCE", "NEWOBJ")
+        for op, _, _ in pickletools.genops(blob)
+    )
+
+
+class TestPickledState:
+    @pytest.mark.parametrize("layout", ["current", "every-block"])
+    @pytest.mark.parametrize("delay", [0, 12])
+    def test_restored_policy_continues_bit_identically(self, layout, delay):
+        horizon, cut = 150, 70
+        live = OnlineModelSelection(4, horizon, 2.0, np.random.default_rng(21))
+        pending, log = [], []
+        drive_delayed(live, range(cut), delay, pending, log)
+        frozen = live if layout == "current" else every_block_layout(live, log)
+        restored = pickle.loads(pickle.dumps(frozen))
+
+        assert isinstance(restored, OnlineModelSelection)
+        assert restored.schedule == live.schedule
+        # Delayed feedback leaves several blocks open at the cut.
+        assert restored.pending_blocks == live.pending_blocks
+        assert live.pending_blocks == (1 if delay == 0 else 3)
+        np.testing.assert_array_equal(restored.selection_counts, live.selection_counts)
+        history = live.probability_history
+        assert len(restored.probability_history) == len(history)
+        for got, want in zip(restored.probability_history, history):
+            np.testing.assert_array_equal(got, want)
+
+        tails = [
+            drive_delayed(p, range(cut, horizon), delay, list(pending), [], flush=True)
+            for p in (live, restored)
+        ]
+        assert tails[0] == tails[1]
+        np.testing.assert_array_equal(
+            restored.cumulative_estimates(), live.cumulative_estimates()
+        )
+        np.testing.assert_array_equal(restored.selection_counts, live.selection_counts)
+        assert restored.pending_blocks == live.pending_blocks == 0
+        for got, want in zip(restored.probability_history, live.probability_history):
+            np.testing.assert_array_equal(got, want)
+
+    def test_checkpoint_objects_do_not_grow_with_the_run(self):
+        # Closed blocks live in arrays sized at construction, so a kernel
+        # checkpoint late in the run builds as many objects as an early one.
+        horizon = 256
+        spec = RunSpec(
+            scenario=ScenarioConfig(
+                dataset="synthetic", num_edges=4, horizon=horizon, n_test=300, seed=0
+            ),
+            seed=0,
+        )
+        sim = Simulator.from_spec(spec.build_scenario(), spec)
+        arrivals, kernels, _ = sim.build_kernels()
+        objects = {}
+        for t in range(horizon - 8):
+            for kernel, process in zip(kernels, arrivals):
+                kernel.step(t, process.sample(t))
+            if t + 1 in (8, horizon - 8):
+                # One open block per edge at both cuts (label_delay=0), so
+                # open records cannot account for a difference.
+                assert [k.policy.pending_blocks for k in kernels] == [1] * 4
+                objects[t + 1] = pickled_objects([k.state_dict() for k in kernels])
+        assert objects[8] == objects[horizon - 8]
+
+    def test_feedback_errors_on_closed_blocks(self):
+        rng = np.random.default_rng(4)
+        policy = OnlineModelSelection(3, horizon=40, switch_cost=1.0, rng=rng)
+        model = policy.select(0)
+        policy.observe(0, model, 1.0)  # the first block spans one slot
+        assert policy.pending_blocks == 0
+        with pytest.raises(ValueError, match="hosts"):
+            policy.observe(0, (model + 1) % 3, 1.0)
+        with pytest.raises(ValueError, match="hosts"):
+            policy.observe_lost(0, (model + 1) % 3)
+        with pytest.raises(RuntimeError, match="already received"):
+            policy.observe_lost(0, model)
+        with pytest.raises(RuntimeError, match="already has slot feedback"):
+            policy.observe_block(0, [1.0])
+        with pytest.raises(RuntimeError, match="before it was opened"):
+            policy.observe_block(1, [1.0])
+        assert policy.pending_block(0) is None
+        assert policy.pending_block(1) == 1

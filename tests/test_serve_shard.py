@@ -23,6 +23,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.ingress import IngressConfig
 from repro.obs import JsonlSink, Tracer, summarize_trace, summarize_traces
 from repro.serve import (
     ChaosPlan,
@@ -555,6 +556,32 @@ class TestWorkerRestart:
             )
 
         assert digest() == digest()
+
+    def test_ingress_state_survives_a_restart(self):
+        # Each edge's ingress adapter state rides the restart checkpoints; a
+        # respawned worker must resume its request streams exactly.
+        ingress = IngressConfig(slot_capacity=4).to_dict()
+
+        def run(chaos=None, **overrides):
+            config = shard_config(
+                "A", 0, num_workers=2, ingress=ingress, **overrides
+            )
+            tracer = Tracer()
+            runtime = ShardRuntime(config, tracer=tracer, chaos=chaos, **FAST)
+            digest = result_digest(runtime.run())
+            return runtime.ingress, tracer.metrics_snapshot()["counters"], digest
+
+        stats, counters, digest = run(kill_plan(1, 10), **RESTART)
+        clean_stats, _, _ = run()
+
+        assert counters["serve/restarts"] == 1
+        served = counters["serve/events_served"]
+        shed = counters.get("serve/events_shed", 0)
+        offline = counters.get("serve/events_dropped_offline", 0)
+        assert counters["serve/events_in"] == served + shed + offline
+        assert stats.accounting_ok(served, shed, offline)
+        assert stats.requests_in == clean_stats.requests_in
+        assert run(kill_plan(1, 10), **RESTART)[2] == digest
 
     def test_simultaneous_deaths_restart_all_workers(self):
         config = shard_config("A", 0, num_workers=3, **RESTART)
