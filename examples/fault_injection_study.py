@@ -1,9 +1,9 @@
 """Fault-injection study: Fig. 6 under a mid-run carbon-market outage.
 
-Re-runs the paper's emission-rate sweep (Fig. 6) twice through the same
-``SweepEngine`` — once clean, once with a deterministic fault plan that
-takes the allowance market offline for the middle quarter of the horizon
-and rejects 5% of the remaining trades.  During the outage every trading
+Re-runs the paper's emission-rate sweep (Fig. 6) twice — once clean, once
+under a ``SweepEngine`` with a deterministic fault plan that takes the
+allowance market offline for the middle quarter of the horizon and rejects
+5% of the remaining trades.  During the outage every trading
 policy degrades the same way: intents are carried over (bounded by the
 per-slot trade bound) and reconcile when the market returns, while the
 dual ascent keeps updating on the *realized* zero trades.
@@ -22,7 +22,7 @@ Run:  python examples/fault_injection_study.py
 """
 
 from repro.experiments import fig06_emission_rate
-from repro.experiments.engine import SweepEngine
+from repro.experiments.engine import SweepEngine, use_engine
 from repro.experiments.reporting import format_table
 from repro.experiments.settings import default_config
 from repro.faults import FaultPlan, MarketOutage, TradeRejection
@@ -39,8 +39,9 @@ def outage_plan(horizon: int) -> FaultPlan:
 def main() -> None:
     horizon = default_config(fast=True).horizon
     plan = outage_plan(horizon)
-    clean = fig06_emission_rate.run(fast=True, engine=SweepEngine())
-    faulted = fig06_emission_rate.run(fast=True, engine=SweepEngine(faults=plan))
+    clean = fig06_emission_rate.run(fast=True)
+    with use_engine(SweepEngine(faults=plan)):
+        faulted = fig06_emission_rate.run(fast=True)
 
     rates = clean.rates
     rows = []

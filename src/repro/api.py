@@ -13,47 +13,31 @@ pipeline into a single call for scripts and notebooks::
     )
     result = repro.run(spec)
 
-The canonical argument is a :class:`~repro.spec.RunSpec` — the typed,
+The one argument is a :class:`~repro.spec.RunSpec` — the typed,
 JSON-round-trippable value identifying one run.  For common-random-number
 comparisons, build the scenario once and pass it alongside each spec::
 
     scenario = spec.build_scenario()
     ours = repro.run(spec, scenario=scenario)
     rand = repro.run(spec.with_overrides(selection="Ran"), scenario=scenario)
-
-The pre-1.2 forms — a :class:`~repro.sim.config.ScenarioConfig`, a built
-:class:`~repro.sim.scenario.Scenario`, or ``None`` as the first argument,
-with the run options as a keyword tail — still work; the keyword tail emits
-:class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
-
-from repro.faults.plan import FaultPlan
 from repro.obs.tracer import Tracer
-from repro.sim.config import ScenarioConfig
 from repro.sim.results import SimulationResult
-from repro.sim.scenario import Scenario, build_scenario
+from repro.sim.scenario import Scenario
 from repro.sim.simulator import Simulator
 from repro.spec import RunSpec
 
 __all__ = ["run"]
 
-_UNSET = object()
-
 
 def run(
-    spec_or_config: RunSpec | ScenarioConfig | Scenario | None = None,
+    spec: RunSpec,
     *,
     scenario: Scenario | None = None,
     tracer: Tracer | None = None,
-    selection: str = _UNSET,  # type: ignore[assignment]
-    trading: str = _UNSET,  # type: ignore[assignment]
-    seed: int = _UNSET,  # type: ignore[assignment]
-    label: str | None = _UNSET,  # type: ignore[assignment]
-    faults: FaultPlan | None = _UNSET,  # type: ignore[assignment]
 ) -> SimulationResult:
     """Simulate one run in a single call.
 
@@ -63,63 +47,9 @@ def run(
     registry and the seed drives policies and workload/data streams alike,
     so two calls with the same spec are bit-identical.  A programmatic
     :class:`~repro.obs.tracer.Tracer` overrides the spec's file-based trace
-    options.
-
-    .. deprecated:: 1.2
-        Calling with the ``selection``/``trading``/``seed``/``label``/
-        ``faults`` keyword tail (on a config, scenario, or nothing) still
-        works but emits :class:`DeprecationWarning` — put those fields in
-        the :class:`RunSpec` instead.
+    options.  Anything but a :class:`RunSpec` raises :class:`TypeError`.
     """
-    legacy = {
-        name: value
-        for name, value in (
-            ("selection", selection),
-            ("trading", trading),
-            ("seed", seed),
-            ("label", label),
-            ("faults", faults),
-        )
-        if value is not _UNSET
-    }
-
-    if isinstance(spec_or_config, RunSpec):
-        if legacy:
-            raise TypeError(
-                "pass run options inside the RunSpec, not as keywords: "
-                + ", ".join(sorted(legacy))
-            )
-        spec = spec_or_config
-        built = scenario if scenario is not None else spec.build_scenario()
-        return Simulator.from_spec(built, spec, tracer=tracer).run()
-
-    if scenario is not None:
-        raise TypeError(
-            "the scenario keyword accompanies a RunSpec; pass the scenario "
-            "positionally with the legacy keyword tail"
-        )
-    if legacy:
-        warnings.warn(
-            "the repro.run keyword tail is deprecated; build a repro.RunSpec "
-            "and call repro.run(spec) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    legacy_faults = legacy.pop("faults", None)
-    spec = RunSpec(
-        faults=legacy_faults if legacy_faults is not None else FaultPlan(),
-        **legacy,
-    )
-
-    if spec_or_config is None:
-        built = build_scenario(ScenarioConfig(dataset="synthetic"))
-    elif isinstance(spec_or_config, Scenario):
-        built = spec_or_config
-    elif isinstance(spec_or_config, ScenarioConfig):
-        built = build_scenario(spec_or_config)
-    else:
-        raise TypeError(
-            "expected a RunSpec, a ScenarioConfig, a Scenario, or None, got "
-            f"{type(spec_or_config).__name__}"
-        )
+    if not isinstance(spec, RunSpec):
+        raise TypeError(f"expected a RunSpec, got {type(spec).__name__}")
+    built = scenario if scenario is not None else spec.build_scenario()
     return Simulator.from_spec(built, spec, tracer=tracer).run()

@@ -23,7 +23,7 @@ Examples::
     python -m repro.cli zoo --dataset mnist
     python -m repro.cli experiment fig10 fig11 --full
     python -m repro.cli experiment fig03 fig04 --workers 4 --cache .repro_cache
-    python -m repro.cli experiment fig06 --faults plan.json --checkpoint sweep.jsonl
+    python -m repro.cli experiment fig06 --faults plan.json
     python -m repro.cli faults template > plan.json
     python -m repro.cli faults validate plan.json
     python -m repro.cli faults run plan.json --selection Ours --trading Ours
@@ -250,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("figures", nargs="*", help="e.g. fig10 fig11 (default: all)")
     exp.add_argument("--full", action="store_true", help="paper-scale settings")
     _add_shared_run_options(exp, "workers", "cache", "no-cache", "faults")
-    exp.add_argument("--checkpoint", metavar="PATH", default=None,
-                     help="sweep-checkpoint journal for crash-safe resume")
 
     bench = sub.add_parser(
         "bench",
@@ -608,8 +606,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         argv.append("--no-cache")
     if args.faults is not None:
         argv += ["--faults", args.faults]
-    if args.checkpoint is not None:
-        argv += ["--checkpoint", args.checkpoint]
     run_all_main(argv)
     return 0
 

@@ -7,26 +7,15 @@ runs a reduced-size configuration (synthetic profiles, fewer seeds) suitable
 for CI and benchmarks; ``fast=False`` reproduces the paper-scale settings
 with the trained model zoos.
 
-Seed sweeps route through the :class:`~repro.experiments.engine.SweepEngine`
-(``--workers N`` parallelism plus an on-disk
-:class:`~repro.experiments.cache.ResultCache`), with results bit-identical
+Seed sweeps run through the :class:`~repro.experiments.engine.SweepEngine`
+chosen with :func:`~repro.experiments.engine.use_engine`: a serial loop or
+a ``--workers N`` process pool, plus an optional on-disk
+:class:`~repro.experiments.cache.ResultCache`, with results bit-identical
 to serial uncached runs.
 """
 
 from repro.experiments.cache import ResultCache, cell_key, scenario_fingerprint
-from repro.experiments.engine import (
-    SweepCell,
-    SweepEngine,
-    SweepStats,
-    get_default_engine,
-    set_default_engine,
-    use_engine,
-)
-from repro.experiments.scenario_pool import (
-    ScenarioPool,
-    ScenarioRef,
-    scenario_digest,
-)
+from repro.experiments.engine import SweepCell, SweepEngine, SweepStats, use_engine
 from repro.experiments.settings import (
     PAPER_COMBOS,
     PLOT_COMBOS,
@@ -45,22 +34,17 @@ __all__ = [
     "PAPER_COMBOS",
     "PLOT_COMBOS",
     "ResultCache",
-    "ScenarioPool",
-    "ScenarioRef",
     "SweepCell",
     "SweepEngine",
     "SweepStats",
     "cell_key",
     "default_config",
     "default_seeds",
-    "get_default_engine",
     "make_selection_policies",
     "make_trading_policy",
     "run_combo",
     "run_many",
     "run_offline",
-    "scenario_digest",
     "scenario_fingerprint",
-    "set_default_engine",
     "use_engine",
 ]

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.engine import SweepEngine
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_many, run_offline_many
 from repro.experiments.settings import PLOT_COMBOS, default_config, default_seeds
@@ -45,7 +44,6 @@ def run(
     fast: bool = True,
     seeds: list[int] | None = None,
     combos: tuple[tuple[str, str], ...] | None = None,
-    engine: SweepEngine | None = None,
 ) -> Fig03Result:
     """Execute the Fig. 3 experiment."""
     config = default_config(fast)
@@ -55,14 +53,14 @@ def run(
     weights = config.weights
 
     series: dict[str, np.ndarray] = {}
-    ours = run_many(scenario, "Ours", "Ours", seeds, label="Ours", engine=engine)
+    ours = run_many(scenario, "Ours", "Ours", seeds, label="Ours")
     series["Ours"] = np.mean([r.cumulative_cost(weights) for r in ours], axis=0)
     for sel, trade in combos:
-        results = run_many(scenario, sel, trade, seeds, engine=engine)
+        results = run_many(scenario, sel, trade, seeds)
         series[f"{sel}-{trade}"] = np.mean(
             [r.cumulative_cost(weights) for r in results], axis=0
         )
-    offline = run_offline_many(scenario, seeds, engine=engine)
+    offline = run_offline_many(scenario, seeds)
     series["Offline"] = np.mean([r.cumulative_cost(weights) for r in offline], axis=0)
     return Fig03Result(horizon=config.horizon, series=series)
 

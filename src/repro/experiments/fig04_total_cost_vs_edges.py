@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.engine import SweepEngine
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_many, run_offline_many
 from repro.experiments.settings import PLOT_COMBOS, default_config, default_seeds
@@ -48,7 +47,6 @@ def run(
     seeds: list[int] | None = None,
     edge_counts: tuple[int, ...] | None = None,
     combos: tuple[tuple[str, str], ...] | None = None,
-    engine: SweepEngine | None = None,
 ) -> Fig04Result:
     """Execute the Fig. 4 sweep."""
     seeds = default_seeds(fast) if seeds is None else seeds
@@ -61,13 +59,13 @@ def run(
         config = default_config(fast, num_edges=num_edges)
         scenario = build_scenario(config)
         weights = config.weights
-        results = run_many(scenario, "Ours", "Ours", seeds, label="Ours", engine=engine)
+        results = run_many(scenario, "Ours", "Ours", seeds, label="Ours")
         costs["Ours"].append(summarize_many(results, weights).total_cost)
         for sel, trade in combos:
             label = f"{sel}-{trade}"
-            results = run_many(scenario, sel, trade, seeds, label=label, engine=engine)
+            results = run_many(scenario, sel, trade, seeds, label=label)
             costs[label].append(summarize_many(results, weights).total_cost)
-        offline = run_offline_many(scenario, seeds, engine=engine)
+        offline = run_offline_many(scenario, seeds)
         costs["Offline"].append(summarize_many(offline, weights, label="Offline").total_cost)
     return Fig04Result(edge_counts=tuple(edge_counts), costs=costs)
 

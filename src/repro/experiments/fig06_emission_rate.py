@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.engine import SweepEngine
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_many, run_offline_many
 from repro.experiments.settings import default_config, default_seeds
@@ -42,7 +41,6 @@ def run(
     fast: bool = True,
     seeds: list[int] | None = None,
     rates: tuple[float, ...] | None = None,
-    engine: SweepEngine | None = None,
 ) -> Fig06Result:
     """Execute the Fig. 6 sweep."""
     seeds = default_seeds(fast) if seeds is None else seeds
@@ -54,13 +52,13 @@ def run(
         config = default_config(fast, rho_kg_per_kwh=rate)
         scenario = build_scenario(config)
         weights = config.weights
-        results = run_many(scenario, "Ours", "Ours", seeds, label="Ours", engine=engine)
+        results = run_many(scenario, "Ours", "Ours", seeds, label="Ours")
         costs["Ours"].append(summarize_many(results, weights).total_cost)
         for sel, trade in SWEEP_COMBOS:
             label = f"{sel}-{trade}"
-            results = run_many(scenario, sel, trade, seeds, label=label, engine=engine)
+            results = run_many(scenario, sel, trade, seeds, label=label)
             costs[label].append(summarize_many(results, weights).total_cost)
-        offline = run_offline_many(scenario, seeds, engine=engine)
+        offline = run_offline_many(scenario, seeds)
         costs["Offline"].append(summarize_many(offline, weights, label="Offline").total_cost)
     return Fig06Result(rates=tuple(rates), costs=costs)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.engine import SweepEngine
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_many, run_offline_many
 from repro.experiments.settings import default_config, default_seeds
@@ -48,7 +47,6 @@ def run(
     fast: bool = True,
     seeds: list[int] | None = None,
     caps: tuple[float, ...] | None = None,
-    engine: SweepEngine | None = None,
 ) -> Fig07Result:
     """Execute the Fig. 7 sweep."""
     seeds = default_seeds(fast) if seeds is None else seeds
@@ -60,13 +58,13 @@ def run(
         config = default_config(fast, carbon_cap_kg=cap)
         scenario = build_scenario(config)
         weights = config.weights
-        results = run_many(scenario, "Ours", "Ours", seeds, label="Ours", engine=engine)
+        results = run_many(scenario, "Ours", "Ours", seeds, label="Ours")
         costs["Ours"].append(summarize_many(results, weights).total_cost)
         for sel, trade in SWEEP_COMBOS:
             label = f"{sel}-{trade}"
-            results = run_many(scenario, sel, trade, seeds, label=label, engine=engine)
+            results = run_many(scenario, sel, trade, seeds, label=label)
             costs[label].append(summarize_many(results, weights).total_cost)
-        offline = run_offline_many(scenario, seeds, engine=engine)
+        offline = run_offline_many(scenario, seeds)
         costs["Offline"].append(summarize_many(offline, weights, label="Offline").total_cost)
     return Fig07Result(caps=tuple(caps), costs=costs)
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.engine import SweepEngine
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_many
 from repro.experiments.settings import default_config, default_seeds
@@ -45,7 +44,6 @@ def run(
     fast: bool = True,
     seeds: list[int] | None = None,
     edge: int = 0,
-    engine: SweepEngine | None = None,
 ) -> Fig08Result:
     """Execute the Fig. 8 experiment."""
     config = default_config(fast)
@@ -54,7 +52,7 @@ def run(
     if not 0 <= edge < scenario.num_edges:
         raise ValueError(f"edge {edge} outside [0, {scenario.num_edges})")
 
-    results = run_many(scenario, "Ours", "Ours", seeds, label="Ours", engine=engine)
+    results = run_many(scenario, "Ours", "Ours", seeds, label="Ours")
     counts = np.zeros(scenario.num_models)
     for result in results:
         values, freqs = np.unique(result.selections[:, edge], return_counts=True)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.engine import SweepEngine
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_many
 from repro.experiments.settings import default_config, default_seeds
@@ -42,7 +41,6 @@ class Fig09Result:
 def run(
     fast: bool = True,
     seeds: list[int] | None = None,
-    engine: SweepEngine | None = None,
 ) -> Fig09Result:
     """Execute the Fig. 9 experiment."""
     config = default_config(fast)
@@ -54,7 +52,7 @@ def run(
     unit_costs: dict[str, float] = {}
     for sel, trade in ALGORITHMS:
         label = "Ours" if sel == trade == "Ours" else f"{sel}-{trade}"
-        results = run_many(scenario, sel, trade, seeds, label=label, engine=engine)
+        results = run_many(scenario, sel, trade, seeds, label=label)
         net_purchases[label] = np.mean(
             [r.net_purchase_series() for r in results], axis=0
         )

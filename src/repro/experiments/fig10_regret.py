@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.engine import SweepEngine
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_many, run_offline_many
 from repro.experiments.settings import default_config, default_seeds
@@ -58,7 +57,6 @@ def run(
     seeds: list[int] | None = None,
     horizons: tuple[int, ...] | None = None,
     combos: tuple[tuple[str, str], ...] | None = None,
-    engine: SweepEngine | None = None,
 ) -> Fig10Result:
     """Execute the Fig. 10 sweep."""
     seeds = default_seeds(fast) if seeds is None else seeds
@@ -75,10 +73,10 @@ def run(
         weights = config.weights
         offline_costs = [
             result.total_cost(weights)
-            for result in run_offline_many(scenario, seeds, engine=engine)
+            for result in run_offline_many(scenario, seeds)
         ]
         for label, (sel, trade) in all_combos:
-            results = run_many(scenario, sel, trade, seeds, label=label, engine=engine)
+            results = run_many(scenario, sel, trade, seeds, label=label)
             gaps = [
                 result.total_cost(weights) - offline
                 for result, offline in zip(results, offline_costs)

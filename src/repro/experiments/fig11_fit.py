@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.engine import SweepEngine
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_many
 from repro.experiments.settings import default_config, default_seeds
@@ -55,7 +54,6 @@ def run(
     seeds: list[int] | None = None,
     horizons: tuple[int, ...] | None = None,
     combos: tuple[tuple[str, str], ...] | None = None,
-    engine: SweepEngine | None = None,
 ) -> Fig11Result:
     """Execute the Fig. 11 sweep."""
     seeds = default_seeds(fast) if seeds is None else seeds
@@ -70,7 +68,7 @@ def run(
         config = default_config(fast, horizon=horizon)
         scenario = build_scenario(config)
         for label, (sel, trade) in all_combos:
-            results = run_many(scenario, sel, trade, seeds, label=label, engine=engine)
+            results = run_many(scenario, sel, trade, seeds, label=label)
             fits[label].append(float(np.mean([r.final_fit() for r in results])))
     return Fig11Result(horizons=tuple(horizons), fits=fits)
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.experiments.engine import SweepEngine
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import run_many, run_offline_many
 from repro.experiments.settings import default_config, default_seeds
@@ -55,7 +54,6 @@ def run(
     fast: bool = True,
     seeds: list[int] | None = None,
     dataset: str | None = None,
-    engine: SweepEngine | None = None,
 ) -> Fig12Result:
     """Execute the accuracy experiment."""
     config = default_config(fast, dataset=dataset if dataset else ("synthetic" if fast else DATASET))
@@ -63,13 +61,13 @@ def run(
     seeds = default_seeds(fast) if seeds is None else seeds
 
     accuracy: dict[str, np.ndarray] = {}
-    ours = run_many(scenario, "Ours", "Ours", seeds, label="Ours", engine=engine)
+    ours = run_many(scenario, "Ours", "Ours", seeds, label="Ours")
     accuracy["Ours"] = np.mean([r.accuracy for r in ours], axis=0)
     for sel, trade in ACCURACY_ALGOS:
         label = f"{sel}-{trade}"
-        results = run_many(scenario, sel, trade, seeds, label=label, engine=engine)
+        results = run_many(scenario, sel, trade, seeds, label=label)
         accuracy[label] = np.mean([r.accuracy for r in results], axis=0)
-    offline = run_offline_many(scenario, seeds, engine=engine)
+    offline = run_offline_many(scenario, seeds)
     accuracy["Offline"] = np.mean([r.accuracy for r in offline], axis=0)
     return Fig12Result(horizon=config.horizon, accuracy=accuracy)
 

@@ -7,12 +7,7 @@ lower, with the same ordering of algorithms.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.experiments import fig12_accuracy_mnist as _fig12
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.engine import SweepEngine
 
 __all__ = ["Fig13Result", "run", "format_result", "main"]
 
@@ -24,7 +19,6 @@ TITLE = "Fig. 13 — inference accuracy per slot (CIFAR-10-like)"
 def run(
     fast: bool = True,
     seeds: list[int] | None = None,
-    engine: "SweepEngine | None" = None,
 ) -> Fig13Result:
     """Execute the CIFAR accuracy experiment.
 
@@ -43,16 +37,16 @@ def run(
         scenario = build_scenario(config)
         seeds = default_seeds(True) if seeds is None else seeds
         accuracy = {}
-        ours = run_many(scenario, "Ours", "Ours", seeds, label="Ours", engine=engine)
+        ours = run_many(scenario, "Ours", "Ours", seeds, label="Ours")
         accuracy["Ours"] = np.mean([r.accuracy for r in ours], axis=0)
         for sel, trade in _fig12.ACCURACY_ALGOS:
             label = f"{sel}-{trade}"
-            results = run_many(scenario, sel, trade, seeds, label=label, engine=engine)
+            results = run_many(scenario, sel, trade, seeds, label=label)
             accuracy[label] = np.mean([r.accuracy for r in results], axis=0)
-        offline = run_offline_many(scenario, seeds, engine=engine)
+        offline = run_offline_many(scenario, seeds)
         accuracy["Offline"] = np.mean([r.accuracy for r in offline], axis=0)
         return Fig13Result(horizon=config.horizon, accuracy=accuracy)
-    return _fig12.run(fast=False, seeds=seeds, dataset="cifar10", engine=engine)
+    return _fig12.run(fast=False, seeds=seeds, dataset="cifar10")
 
 
 def format_result(result: Fig13Result) -> str:

@@ -8,19 +8,20 @@ Usage::
     python -m repro.experiments.run_all --ext    # also the extension studies
     python -m repro.experiments.run_all --workers 4   # parallel seed sweeps
 
-Seed sweeps route through a :class:`~repro.experiments.engine.SweepEngine`:
+Seed sweeps run through one :class:`~repro.experiments.engine.SweepEngine`:
 ``--workers N`` fans cells over a process pool, and completed cells land in
 an on-disk result cache (default ``.repro_cache/``; relocate with
 ``--cache DIR`` or disable with ``--no-cache``) so repeated runs skip
-simulation entirely.  Parallel and cached runs are bit-identical to serial
-ones — every cell derives all randomness from its own seed.
+simulation entirely.  A run that stops part-way resumes on the next cached
+run: the finished cells load from the cache and only the rest execute.
+Parallel and cached runs are bit-identical to serial ones — every cell
+derives all randomness from its own seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 import time
 
 from repro.experiments import (
@@ -41,9 +42,7 @@ from repro.experiments import (
     fig14_runtime,
 )
 from repro.experiments.cache import ResultCache
-from repro.experiments.checkpoint import SweepCheckpoint
 from repro.experiments.engine import SweepEngine, use_engine
-from repro.experiments.scenario_pool import ScenarioPool
 from repro.faults import load_plan
 
 __all__ = [
@@ -103,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--faults", metavar="PLAN.json", default=None,
                         help="fault plan applied to every sweep cell "
                              "(JSON, see repro.faults)")
-    parser.add_argument("--checkpoint", metavar="PATH", default=None,
-                        help="sweep-checkpoint journal; completed cells are "
-                             "journaled there and skipped on resume")
     return parser
 
 
@@ -114,15 +110,8 @@ def make_engine(args: argparse.Namespace) -> SweepEngine:
     if args.workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {args.workers}")
     cache = None if args.no_cache else ResultCache(args.cache)
-    faults = None
-    if getattr(args, "faults", None):
-        faults = load_plan(args.faults)
-    checkpoint = None
-    if getattr(args, "checkpoint", None):
-        checkpoint = SweepCheckpoint(args.checkpoint)
-    return SweepEngine(
-        workers=args.workers, cache=cache, faults=faults, checkpoint=checkpoint
-    )
+    faults = load_plan(args.faults) if args.faults else None
+    return SweepEngine(workers=args.workers, cache=cache, faults=faults)
 
 
 def main(argv: list[str] | None = None) -> None:
@@ -143,19 +132,11 @@ def main(argv: list[str] | None = None) -> None:
     print(f"Running {len(selected)} experiments ({mode} mode, "
           f"workers={engine.workers}, "
           f"cache={'off' if engine.cache is None else engine.cache.directory})\n")
-    with tempfile.TemporaryDirectory(prefix="repro-scenarios-") as pool_dir:
-        if engine.workers > 1 and engine.scenario_pool is None:
-            # One content-addressed pool for the whole invocation: figures
-            # that build equal scenarios share a single materialization,
-            # and pool workers resolve each one once per process.
-            engine.scenario_pool = ScenarioPool(pool_dir)
-        with use_engine(engine):
-            for name in selected:
-                module = registry[name]
-                start = time.perf_counter()
-                module.main(fast=fast)
-                print(f"[{name} finished in "
-                      f"{time.perf_counter() - start:.1f}s]\n")
+    with use_engine(engine):
+        for name in selected:
+            start = time.perf_counter()
+            registry[name].main(fast=fast)
+            print(f"[{name} finished in {time.perf_counter() - start:.1f}s]\n")
     stats = engine.stats
     if stats.cells:
         print(f"sweep cells: {stats.cells} total, {stats.executed} executed, "

@@ -7,17 +7,15 @@ for backward compatibility, as are the ``SELECTION_NAMES`` /
 one combination (:func:`run_combo`), seed sweeps (:func:`run_many`), and the
 paper's two-pass offline reference (:func:`run_offline`).
 
-Seed sweeps route through :class:`~repro.experiments.engine.SweepEngine`:
-pass one explicitly, or configure the process-wide default (see
-:func:`repro.experiments.engine.use_engine`) to parallelize and cache every
-figure experiment at once.  The default engine is serial and uncached, so
-``run_many`` without an engine behaves exactly as it always has.
+Seed sweeps run through the :class:`~repro.experiments.engine.SweepEngine`
+of the innermost :func:`~repro.experiments.engine.use_engine` block, which
+parallelizes and caches every figure experiment at once.  Outside such a
+block they run serially and uncached.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from repro.experiments.engine import active_engine
 from repro.faults.plan import FaultPlan
 from repro.obs.tracer import Tracer
 from repro.offline import (
@@ -37,9 +35,6 @@ from repro.sim.results import SimulationResult
 from repro.sim.scenario import Scenario
 from repro.sim.simulator import Simulator
 from repro.spec import RunSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
-    from repro.experiments.engine import SweepEngine
 
 __all__ = [
     "SELECTION_NAMES",
@@ -79,27 +74,21 @@ def run_many(
     trading: str,
     seeds: list[int],
     label: str | None = None,
-    engine: "SweepEngine | None" = None,
 ) -> list[SimulationResult]:
     """Run a combination once per seed (common random numbers per seed).
 
-    Execution goes through ``engine`` (default: the process-wide default
-    engine — serial and uncached unless reconfigured), so callers get
-    parallelism and result caching without changing this call site.  The
-    returned list aligns with ``seeds`` and is bit-identical across worker
-    counts and cache hits.
+    Execution goes through the engine of the innermost ``use_engine``
+    block, so callers get parallelism and result caching without changing
+    this call site.  The returned list aligns with ``seeds`` and is
+    bit-identical across worker counts and cache hits.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    from repro.experiments.engine import get_default_engine
-
-    if engine is None:
-        engine = get_default_engine()
     specs = [
         RunSpec(selection=selection, trading=trading, seed=int(s), label=label)
         for s in seeds
     ]
-    return engine.run_specs(scenario, specs)
+    return active_engine().run_specs(scenario, specs)
 
 
 def run_offline(
@@ -143,20 +132,14 @@ def run_offline(
 
 
 def run_offline_many(
-    scenario: Scenario,
-    seeds: list[int],
-    engine: "SweepEngine | None" = None,
+    scenario: Scenario, seeds: list[int]
 ) -> list[SimulationResult]:
     """Run the "Offline" reference once per seed, through the sweep engine.
 
     The engine treats each seed as an ``offline`` cell, so offline reference
-    runs get the same parallelism, result caching, and checkpointing as the
-    online combinations (they used to be the serial tail of every figure).
+    runs get the same parallelism and result caching as the online
+    combinations.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    from repro.experiments.engine import get_default_engine
-
-    if engine is None:
-        engine = get_default_engine()
-    return engine.run_offline_many(scenario, seeds)
+    return active_engine().run_offline_many(scenario, seeds)

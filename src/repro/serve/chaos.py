@@ -196,7 +196,9 @@ class ChaosPlan:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ChaosPlan":
-        entries = payload.get("chaos", [])
+        entries = payload.get("chaos")
+        if not isinstance(entries, list):
+            raise ValueError('chaos plan JSON must carry a "chaos" list')
         specs = []
         for entry in entries:
             fields = dict(entry)

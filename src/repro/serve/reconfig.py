@@ -172,7 +172,9 @@ class ReconfigPlan:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ReconfigPlan":
-        entries = payload.get("reconfig", [])
+        entries = payload.get("reconfig")
+        if not isinstance(entries, list):
+            raise ValueError('reconfig plan JSON must carry a "reconfig" list')
         ops = []
         for entry in entries:
             fields = dict(entry)

@@ -29,8 +29,6 @@ the simulator is the lockstep driver of those kernels.
 
 from __future__ import annotations
 
-import warnings
-
 from repro.data.streams import ArrivalProcess
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
@@ -64,7 +62,7 @@ class Simulator:
     Everything after the three structural arguments is keyword-only; pass a
     :class:`~repro.obs.tracer.Tracer` to stream structured per-slot events
     (the default no-op tracer keeps the hot path uninstrumented in effect).
-    For name-based construction see :meth:`from_names`.
+    For name-based construction see :meth:`from_spec`.
     """
 
     def __init__(
@@ -146,47 +144,6 @@ class Simulator:
             tracer=tracer,
             faults=spec.faults if not spec.faults.is_empty else None,
         )
-
-    @classmethod
-    def from_names(
-        cls,
-        scenario: Scenario,
-        selection: str = "Ours",
-        trading: str = "Ours",
-        *,
-        seed: int = 0,
-        label: str | None = None,
-        live_inference: bool = False,
-        label_delay: int = 0,
-        tracer: Tracer | None = None,
-        faults: FaultPlan | None = None,
-    ) -> "Simulator":
-        """Deprecated: build from a keyword tail instead of a :class:`RunSpec`.
-
-        .. deprecated:: 1.2
-            Use :meth:`from_spec` with a :class:`repro.spec.RunSpec`; this
-            keyword tail is frozen and will eventually go away.  Behavior is
-            unchanged: a given ``(selection, trading, seed)`` triple is
-            bit-identical through either constructor.
-        """
-        warnings.warn(
-            "Simulator.from_names is deprecated; build a repro.RunSpec and "
-            "call Simulator.from_spec(scenario, spec) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.spec import RunSpec
-
-        spec = RunSpec(
-            selection=selection,
-            trading=trading,
-            seed=seed,
-            label=label,
-            live_inference=live_inference,
-            label_delay=label_delay,
-            faults=faults if faults is not None else FaultPlan(),
-        )
-        return cls.from_spec(scenario, spec, tracer=tracer)
 
     def build_kernels(
         self,

@@ -2,10 +2,9 @@
 
 A :class:`RunSpec` names *which* simulation run is meant: a frozen, typed,
 JSON-round-trippable value holding the scenario recipe, the policy names,
-the seed, the fault plan, and the trace options.  Every runner accepts one
-(``Simulator.from_spec``, ``repro.run(spec)``, ``SweepEngine.run_spec``);
-the older keyword-tail forms, ``Simulator.from_names`` and ``repro.run``
-with keywords, still work but emit :class:`DeprecationWarning`.
+the seed, the fault plan, and the trace options.  It is the one way to
+name a run: ``Simulator.from_spec``, ``repro.run(spec)`` and
+``SweepEngine.run_specs`` all take one.
 
     >>> spec = RunSpec(selection="UCB", trading="Ours", seed=3)
     >>> RunSpec.from_json(spec.to_json()) == spec
@@ -99,7 +98,7 @@ class RunSpec:
         """Materialize the scenario this spec describes.
 
         Uses the paper's default synthetic setup when ``scenario`` is
-        ``None`` (matching ``repro.run()`` with no arguments).
+        ``None``.
         """
         from repro.sim.scenario import build_scenario
 

@@ -1,10 +1,11 @@
-"""Shared fixtures: RNGs and small reusable scenarios."""
+"""Shared fixtures: RNGs, small reusable scenarios, a scoped policy registry."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.policies.registry import _SELECTION, _TRADING
 from repro.sim.config import ScenarioConfig
 from repro.sim.scenario import Scenario, build_scenario
 
@@ -48,3 +49,15 @@ def mnist_scenario() -> Scenario:
         zoo_seed=77,
     )
     return build_scenario(config)
+
+
+@pytest.fixture
+def clean_registry():
+    """Snapshot both policy registries and restore them afterwards."""
+    selection_before = dict(_SELECTION)
+    trading_before = dict(_TRADING)
+    yield
+    _SELECTION.clear()
+    _SELECTION.update(selection_before)
+    _TRADING.clear()
+    _TRADING.update(trading_before)

@@ -130,65 +130,6 @@ def test_run_accepts_spec_without_warning():
     assert result.label == "Ours-Ours"
 
 
-def test_run_keyword_tail_warns_and_matches_spec_path():
-    from repro.sim.io import result_digest
-
-    config = repro.ScenarioConfig(num_edges=2, horizon=12)
-    spec = _spec(scenario=config)
-    via_spec = repro.run(spec)
-    with pytest.warns(DeprecationWarning, match="repro.run keyword tail"):
-        via_tail = repro.run(config, selection="Ours", trading="Ours", seed=3)
-    assert result_digest(via_spec) == result_digest(via_tail)
-
-
 def test_run_rejects_keywords_alongside_spec():
-    with pytest.raises(TypeError, match="inside the RunSpec"):
+    with pytest.raises(TypeError, match="seed"):
         repro.run(_spec(), seed=1)
-
-
-def test_simulator_from_names_warns_and_matches_from_spec():
-    from repro.sim.io import result_digest
-
-    spec = _spec(scenario=repro.ScenarioConfig(num_edges=2, horizon=12))
-    scenario = spec.build_scenario()
-    via_spec = repro.Simulator.from_spec(scenario, spec).run()
-    with pytest.warns(DeprecationWarning, match="from_names is deprecated"):
-        sim = repro.Simulator.from_names(
-            scenario, "Ours", "Ours", seed=3
-        )
-    assert result_digest(sim.run()) == result_digest(via_spec)
-
-
-def test_no_deprecated_keyword_tails_left_in_shipping_code():
-    """No caller in src/ or examples/ may use the deprecated tails.
-
-    That is ``.from_names(...)``, ``.run_many(...)``, and a
-    ``repro.run(...)`` call that passes ``selection=`` or ``trading=``.
-    """
-    import ast
-    import pathlib
-
-    root = pathlib.Path(repro.__file__).resolve().parents[2]
-    offenders = []
-    for base in ("src", "examples"):
-        for path in sorted((root / base).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                if not isinstance(func, ast.Attribute):
-                    continue
-                keyword_tail = (
-                    func.attr == "run"
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id == "repro"
-                    and any(kw.arg in ("selection", "trading") for kw in node.keywords)
-                )
-                if keyword_tail or func.attr in ("from_names", "run_many"):
-                    offenders.append(
-                        f"{path.relative_to(root)}:{node.lineno}: {ast.unparse(func)}(...)"
-                    )
-    assert not offenders, "deprecated keyword-tail calls remain:\n" + "\n".join(
-        offenders
-    )

@@ -337,12 +337,11 @@ class TestCacheCommand:
 
 
 class TestExperimentFaultsPassthrough:
-    def test_faults_and_checkpoint_reach_the_engine(self, tmp_path, monkeypatch):
+    def test_faults_reach_the_engine(self, tmp_path, monkeypatch):
         from repro.experiments import run_all
 
         plan_path = tmp_path / "plan.json"
         main(["faults", "template", "--output", str(plan_path)])
-        journal = tmp_path / "sweep.jsonl"
 
         captured = {}
 
@@ -352,11 +351,9 @@ class TestExperimentFaultsPassthrough:
 
         monkeypatch.setattr("repro.experiments.run_all.main", spy_main)
         code = main(
-            ["experiment", "fig03", "--no-cache",
-             "--faults", str(plan_path), "--checkpoint", str(journal)]
+            ["experiment", "fig03", "--no-cache", "--faults", str(plan_path)]
         )
         assert code == 0
         engine = captured["engine"]
         assert engine.faults is not None and len(engine.faults) == 6
-        assert engine.checkpoint is not None
         assert engine.cache is None

@@ -7,17 +7,17 @@ equal canonical serializations — across worker counts and cache hits.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
+
 import pytest
 
 from repro.experiments import engine as engine_module
 from repro.experiments.cache import ResultCache
-from repro.experiments.engine import (
-    SweepCell,
-    SweepEngine,
-    get_default_engine,
-    use_engine,
-)
+from repro.experiments.engine import SweepCell, SweepEngine, use_engine
 from repro.experiments.runner import run_combo, run_many
+from repro.policies import make_selection_policies, register_selection
 from repro.sim.io import canonical_result_json
 
 SWEEP_COMBOS = (("Ours", "Ours"), ("UCB", "LY"), ("Ran", "TH"), ("Greedy", "Ran"))
@@ -39,10 +39,8 @@ def canon(results) -> list[str]:
 
 class TestSerialEngine:
     def test_matches_run_combo_per_seed(self, small_scenario):
-        engine = SweepEngine(workers=1)
-        results = run_many(
-            small_scenario, "UCB", "LY", [0, 1, 2], label="UCB-LY", engine=engine
-        )
+        with use_engine(SweepEngine(workers=1)):
+            results = run_many(small_scenario, "UCB", "LY", [0, 1, 2], label="UCB-LY")
         direct = [
             run_combo(small_scenario, "UCB", "LY", seed, label="UCB-LY")
             for seed in (0, 1, 2)
@@ -54,20 +52,21 @@ class TestSerialEngine:
             raise AssertionError("workers=1 must not construct a process pool")
 
         monkeypatch.setattr(engine_module, "ProcessPoolExecutor", forbidden)
-        engine = SweepEngine(workers=1)
-        results = run_many(small_scenario, "Ours", "Ours", [0, 1], engine=engine)
+        with use_engine(SweepEngine(workers=1)):
+            results = run_many(small_scenario, "Ours", "Ours", [0, 1])
         assert len(results) == 2
 
     def test_empty_seeds_rejected(self, small_scenario):
-        with pytest.raises(ValueError, match="seed"):
-            run_many(small_scenario, "Ours", "Ours", [], engine=SweepEngine())
+        with use_engine(SweepEngine()), pytest.raises(ValueError, match="seed"):
+            run_many(small_scenario, "Ours", "Ours", [])
 
     def test_unknown_policy_rejected_before_any_run(self, small_scenario):
         engine = SweepEngine()
-        with pytest.raises(ValueError, match="selection"):
-            run_many(small_scenario, "Thompson", "Ours", [0], engine=engine)
-        with pytest.raises(ValueError, match="trading"):
-            run_many(small_scenario, "Ours", "Hedge", [0], engine=engine)
+        with use_engine(engine):
+            with pytest.raises(ValueError, match="selection"):
+                run_many(small_scenario, "Thompson", "Ours", [0])
+            with pytest.raises(ValueError, match="trading"):
+                run_many(small_scenario, "Ours", "Hedge", [0])
         assert engine.stats.cells == 0
 
     def test_invalid_worker_count_rejected(self):
@@ -80,22 +79,11 @@ class TestSerialEngine:
 
 class TestParallelEngine:
     def test_workers2_bit_identical_to_serial(self, small_scenario):
-        serial = run_many(
-            small_scenario,
-            "Ours",
-            "Ours",
-            [0, 1, 2, 3],
-            label="Ours",
-            engine=SweepEngine(workers=1),
-        )
-        parallel = run_many(
-            small_scenario,
-            "Ours",
-            "Ours",
-            [0, 1, 2, 3],
-            label="Ours",
-            engine=SweepEngine(workers=2),
-        )
+        serial = run_many(small_scenario, "Ours", "Ours", [0, 1, 2, 3], label="Ours")
+        with use_engine(SweepEngine(workers=2)):
+            parallel = run_many(
+                small_scenario, "Ours", "Ours", [0, 1, 2, 3], label="Ours"
+            )
         assert canon(parallel) == canon(serial)
 
     def test_acceptance_sweep_parallel_and_cached(self, small_scenario, tmp_path):
@@ -118,21 +106,24 @@ class TestParallelEngine:
 
 class TestCacheIntegration:
     def test_partial_hits_execute_only_misses(self, small_scenario, tmp_path):
-        cache = ResultCache(tmp_path)
-        warm = SweepEngine(cache=cache)
-        run_many(small_scenario, "Ours", "Ours", [0, 1], engine=warm)
+        # Also the resume path: a sweep that stopped after two cells picks
+        # up on a cached rerun, executing only the cell it never finished.
+        with use_engine(SweepEngine(cache=ResultCache(tmp_path))):
+            run_many(small_scenario, "Ours", "Ours", [0, 1])
         follow = SweepEngine(cache=ResultCache(tmp_path))
-        results = run_many(small_scenario, "Ours", "Ours", [0, 1, 2], engine=follow)
+        with use_engine(follow):
+            results = run_many(small_scenario, "Ours", "Ours", [0, 1, 2])
         assert follow.stats.cache_hits == 2
         assert follow.stats.executed == 1
         assert canon(results) == canon(
-            run_many(small_scenario, "Ours", "Ours", [0, 1, 2], engine=SweepEngine())
+            run_many(small_scenario, "Ours", "Ours", [0, 1, 2])
         )
 
     def test_stats_accumulate_across_calls(self, small_scenario, tmp_path):
         engine = SweepEngine(cache=ResultCache(tmp_path))
-        run_many(small_scenario, "Ours", "Ours", [0], engine=engine)
-        run_many(small_scenario, "Ours", "Ours", [0], engine=engine)
+        with use_engine(engine):
+            run_many(small_scenario, "Ours", "Ours", [0])
+            run_many(small_scenario, "Ours", "Ours", [0])
         assert engine.stats.cells == 2
         assert engine.stats.executed == 1
         assert engine.stats.cache_hits == 1
@@ -141,20 +132,40 @@ class TestCacheIntegration:
 class TestDefaultEngineRouting:
     def test_run_many_routes_through_scoped_engine(self, small_scenario):
         engine = SweepEngine()
-        with use_engine(engine):
-            assert get_default_engine() is engine
+        with use_engine(engine) as scoped:
+            assert scoped is engine
             run_many(small_scenario, "Ours", "Ours", [0, 1])
+        run_many(small_scenario, "Ours", "Ours", [0])
         assert engine.stats.cells == 2
-        assert get_default_engine() is not engine
 
-    def test_explicit_engine_wins_over_default(self, small_scenario):
-        scoped = SweepEngine()
-        explicit = SweepEngine()
-        with use_engine(scoped):
-            run_many(small_scenario, "Ours", "Ours", [0], engine=explicit)
-        assert scoped.stats.cells == 0
-        assert explicit.stats.cells == 1
+    def test_innermost_engine_wins(self, small_scenario):
+        outer = SweepEngine()
+        inner = SweepEngine()
+        with use_engine(outer):
+            with use_engine(inner):
+                run_many(small_scenario, "Ours", "Ours", [0])
+            run_many(small_scenario, "Ours", "Ours", [0, 1])
+        assert inner.stats.cells == 1
+        assert outer.stats.cells == 2
 
     def test_run_many_rejects_empty_seed_list(self, small_scenario):
         with pytest.raises(ValueError, match="seed"):
             run_many(small_scenario, "Ours", "Ours", [])
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers see the test's registration only when forked",
+)
+def test_dead_pool_worker_raises_broken_process_pool(small_scenario, clean_registry):
+    """A pool worker that dies surfaces as a typed error, not as results."""
+
+    @register_selection("DiesInWorker")
+    def build(scenario, rng_factory):
+        if multiprocessing.parent_process() is not None:
+            os._exit(1)
+        return make_selection_policies("Greedy", scenario, rng_factory)
+
+    with use_engine(SweepEngine(workers=2)):
+        with pytest.raises(BrokenProcessPool):
+            run_many(small_scenario, "DiesInWorker", "Ours", [0, 1, 2])

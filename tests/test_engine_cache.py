@@ -14,7 +14,7 @@ import json
 import pytest
 
 from repro.experiments.cache import ResultCache, cell_key, scenario_fingerprint
-from repro.experiments.engine import SweepEngine
+from repro.experiments.engine import SweepEngine, use_engine
 from repro.experiments.runner import run_combo, run_many
 from repro.sim.config import ScenarioConfig
 from repro.sim.io import canonical_result_json
@@ -179,15 +179,15 @@ class TestCorruptionHandling:
         path.write_text(path.read_text()[:-40], encoding="utf-8")
 
         engine = SweepEngine(cache=ResultCache(tmp_path))
-        results = run_many(
-            scenario, "Ours", "Ours", [0], label="Ours", engine=engine
-        )
+        with use_engine(engine):
+            results = run_many(scenario, "Ours", "Ours", [0], label="Ours")
         assert engine.stats.executed == 1, "corrupted cell must recompute"
         assert engine.stats.cache_hits == 0
         assert canonical_result_json(results[0]) == canonical_result_json(result)
         # The recompute healed the entry: the next engine hits it.
         healed = SweepEngine(cache=ResultCache(tmp_path))
-        run_many(scenario, "Ours", "Ours", [0], label="Ours", engine=healed)
+        with use_engine(healed):
+            run_many(scenario, "Ours", "Ours", [0], label="Ours")
         assert healed.stats.cache_hits == 1
 
     def test_len_counts_entries(self, tmp_path):

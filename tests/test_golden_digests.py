@@ -16,7 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.engine import SweepEngine
+from repro.experiments.engine import SweepEngine, use_engine
 from repro.experiments.runner import run_combo, run_many
 from repro.sim.config import ScenarioConfig
 from repro.sim.io import result_digest
@@ -74,9 +74,8 @@ class TestExecutionPathParity:
 
     def digests(self, engine, scenario_name):
         scenario = build_scenario(SCENARIO_CONFIGS[scenario_name])
-        results = run_many(
-            scenario, "Ours", "Ours", self.SEEDS, label="Ours-Ours", engine=engine
-        )
+        with use_engine(engine):
+            results = run_many(scenario, "Ours", "Ours", self.SEEDS, label="Ours-Ours")
         return [result_digest(r) for r in results]
 
     @pytest.mark.parametrize("scenario_name", sorted(SCENARIO_CONFIGS))

@@ -44,6 +44,7 @@ from repro.obs import (
     read_events,
 )
 from repro.sim import ScenarioConfig, Simulator, build_scenario
+from repro.spec import RunSpec
 
 ALL_EVENTS = [
     SlotStartEvent(t=0, horizon=160),
@@ -247,8 +248,8 @@ class TestInstrumentedSimulation:
             ScenarioConfig(dataset="synthetic", num_edges=4, horizon=48)
         )
         sink = InMemorySink()
-        simulator = Simulator.from_names(
-            scenario, "Ours", "Ours", seed=11, tracer=Tracer([sink])
+        simulator = Simulator.from_spec(
+            scenario, RunSpec(seed=11), tracer=Tracer([sink])
         )
         return simulator.run(), sink, scenario
 
@@ -292,9 +293,9 @@ class TestInstrumentedSimulation:
         scenario = build_scenario(
             ScenarioConfig(dataset="synthetic", num_edges=4, horizon=48)
         )
-        plain = Simulator.from_names(scenario, "Ours", "Ours", seed=11).run()
-        traced = Simulator.from_names(
-            scenario, "Ours", "Ours", seed=11, tracer=Tracer([InMemorySink()])
+        plain = Simulator.from_spec(scenario, RunSpec(seed=11)).run()
+        traced = Simulator.from_spec(
+            scenario, RunSpec(seed=11), tracer=Tracer([InMemorySink()])
         ).run()
         assert (plain.selections == traced.selections).all()
         assert (plain.trading_cost == traced.trading_cost).all()
@@ -379,7 +380,7 @@ class TestAsyncQueueSink:
         scenario = build_scenario(
             ScenarioConfig(dataset="synthetic", num_edges=2, horizon=16)
         )
-        Simulator.from_names(scenario, "Ours", "Ours", seed=5, tracer=tracer).run()
+        Simulator.from_spec(scenario, RunSpec(seed=5), tracer=tracer).run()
         tracer.close()
         assert sink.dropped == 0
         replayed = list(read_events(path))
@@ -398,9 +399,7 @@ class TestTraceSummaries:
                 dataset="synthetic", num_edges=num_edges, horizon=horizon
             )
         )
-        result = Simulator.from_names(
-            scenario, "Ours", "Ours", seed=9, tracer=tracer
-        ).run()
+        result = Simulator.from_spec(scenario, RunSpec(seed=9), tracer=tracer).run()
         tracer.close()
         return result, summarize_trace(path), tracer.event_counts()
 

@@ -3,7 +3,7 @@
 Covers the registration contract (duplicates raise, unknown names list the
 registered vocabulary), the live name views mirroring the historical
 tuples, and the construction surface built on the registry —
-``Simulator.from_names`` and ``repro.run``.
+``Simulator.from_spec`` and ``repro.run``.
 """
 
 import pytest
@@ -19,28 +19,16 @@ from repro.policies import (
     selection_names,
     trading_names,
 )
-from repro.policies.registry import _SELECTION, _TRADING
 from repro.policies.selection import SelectionPolicy
 from repro.policies.trading import TradeDecision, TradingPolicy
 from repro.sim import ScenarioConfig, Scenario, Simulator, build_scenario
+from repro.spec import RunSpec
 from repro.utils.rng import RngFactory
 
 
 @pytest.fixture(scope="module")
 def scenario() -> Scenario:
     return build_scenario(ScenarioConfig(dataset="synthetic", num_edges=3, horizon=24))
-
-
-@pytest.fixture
-def clean_registry():
-    """Snapshot both registries and restore them afterwards."""
-    selection_before = dict(_SELECTION)
-    trading_before = dict(_TRADING)
-    yield
-    _SELECTION.clear()
-    _SELECTION.update(selection_before)
-    _TRADING.clear()
-    _TRADING.update(trading_before)
 
 
 class _Fixed(SelectionPolicy):
@@ -128,38 +116,45 @@ class TestRegistration:
 
 
 class TestRunApis:
-    def test_from_names_runs(self, scenario):
-        result = Simulator.from_names(scenario, "Greedy", "Null", seed=3).run()
+    def test_from_spec_runs(self, scenario):
+        spec = RunSpec(selection="Greedy", trading="Null", seed=3)
+        result = Simulator.from_spec(scenario, spec).run()
         assert result.label == "Greedy-Null"
         assert result.selections.shape == (scenario.horizon, scenario.num_edges)
 
-    def test_from_names_unknown_name(self, scenario):
+    def test_from_spec_unknown_name(self, scenario):
         with pytest.raises(ValueError, match="unknown trading"):
-            Simulator.from_names(scenario, "Ours", "Nope")
+            Simulator.from_spec(scenario, RunSpec(selection="Ours", trading="Nope"))
 
     def test_repro_run_accepts_scenario(self, scenario):
-        result = repro.run(scenario, selection="Greedy", trading="Null", seed=3)
+        spec = RunSpec(selection="Greedy", trading="Null", seed=3)
+        result = repro.run(spec, scenario=scenario)
         assert result.label == "Greedy-Null"
 
     def test_repro_run_accepts_config(self):
         config = ScenarioConfig(dataset="synthetic", num_edges=3, horizon=24)
-        result = repro.run(config, selection="Greedy", trading="Null", seed=3)
+        spec = RunSpec(scenario=config, selection="Greedy", trading="Null", seed=3)
+        result = repro.run(spec)
         assert result.selections.shape == (24, 3)
 
-    def test_repro_run_matches_from_names(self, scenario):
-        via_run = repro.run(scenario, selection="Ours", trading="Ours", seed=5)
-        via_names = Simulator.from_names(scenario, "Ours", "Ours", seed=5).run()
-        assert (via_run.selections == via_names.selections).all()
-        assert (via_run.trading_cost == via_names.trading_cost).all()
+    def test_repro_run_matches_from_spec(self, scenario):
+        spec = RunSpec(selection="Ours", trading="Ours", seed=5)
+        via_run = repro.run(spec, scenario=scenario)
+        via_spec = Simulator.from_spec(scenario, spec).run()
+        assert (via_run.selections == via_spec.selections).all()
+        assert (via_run.trading_cost == via_spec.trading_cost).all()
 
-    def test_repro_run_rejects_other_types(self):
+    def test_repro_run_rejects_other_types(self, scenario):
         with pytest.raises(TypeError):
             repro.run(42)
+        with pytest.raises(TypeError, match="RunSpec"):
+            repro.run(scenario)
 
     def test_custom_registration_reaches_run(self, clean_registry, scenario):
         @register_trading("NoTrade")
         def build(scenario, rng_factory):
             return _NoTrade()
 
-        result = repro.run(scenario, selection="Greedy", trading="NoTrade", seed=3)
+        spec = RunSpec(selection="Greedy", trading="NoTrade", seed=3)
+        result = repro.run(spec, scenario=scenario)
         assert float(result.trading_cost.sum()) == 0.0

@@ -36,6 +36,7 @@ from repro.serve import (
 )
 from repro.sim.config import ScenarioConfig
 from repro.sim.io import result_digest
+from repro.spec import RunSpec
 from tests.test_golden_digests import GOLDEN_DIGESTS, SCENARIO_CONFIGS
 
 
@@ -212,9 +213,8 @@ class TestVirtualClockParity:
         from repro.sim.simulator import Simulator
 
         scenario = build_scenario(SCENARIO_CONFIGS["A"])
-        sim = Simulator.from_names(
-            scenario, "Ours", "Ours", seed=0, label="Ours-Ours", label_delay=3
-        ).run()
+        spec = RunSpec(seed=0, label="Ours-Ours", label_delay=3)
+        sim = Simulator.from_spec(scenario, spec).run()
         served = ShardRuntime(serve_config("A", 0, label_delay=3)).run()
         assert result_digest(served) == result_digest(sim)
         # and delayed feedback genuinely changes the trajectory

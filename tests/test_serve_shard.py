@@ -420,6 +420,19 @@ class TestChaosPlans:
         with pytest.raises(ValueError, match="gremlin"):
             ChaosPlan.from_dict({"chaos": [{"kind": "gremlin", "at": 1}]})
 
+    @pytest.mark.parametrize(
+        "payload",
+        [{}, {"chaos_": [{"kind": "worker_kill", "worker": 1, "at": 10}]},
+         {"chaos": {"kind": "worker_kill"}}, {"chaos": None}],
+    )
+    def test_missing_or_misspelled_list_rejected(self, payload):
+        # A typo in a plan file must not load as an empty plan that runs clean.
+        with pytest.raises(ValueError, match='"chaos" list'):
+            ChaosPlan.from_dict(payload)
+
+    def test_empty_list_is_an_empty_plan(self):
+        assert ChaosPlan.from_json('{"chaos": []}').is_empty
+
     def test_realize_is_deterministic_and_bounded(self):
         plan = self.plan()
         kwargs = dict(num_workers=3, horizon=40, seed=0)
@@ -701,6 +714,23 @@ class TestReconfig:
         path.write_text(plan.to_json())
         assert load_reconfig_plan(path) == plan
         assert plan.barriers() == (4, 12, 20)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{}, {"reconfig_": [{"kind": "remove_edge", "at": 4, "edge": 0}]},
+         {"reconfig": {"kind": "remove_edge"}}, {"reconfig": None}],
+    )
+    def test_missing_or_misspelled_list_rejected(self, payload):
+        from repro.serve import ReconfigPlan
+
+        # A typo in a plan file must not load as an empty plan that runs clean.
+        with pytest.raises(ValueError, match='"reconfig" list'):
+            ReconfigPlan.from_dict(payload)
+
+    def test_empty_list_is_an_empty_plan(self):
+        from repro.serve import ReconfigPlan
+
+        assert ReconfigPlan.from_json('{"reconfig": []}') == ReconfigPlan(())
 
     def test_pure_rebalance_is_bit_identical_to_golden(self):
         from repro.serve import Rebalance, ReconfigPlan
