@@ -8,9 +8,9 @@ linearly with the number of edges, Algorithm 2's stays flat (its decision
 space is two scalars regardless of system size).
 
 Timing goes through :meth:`repro.obs.Tracer.timer` — each slot is one entry
-of an accumulating :class:`~repro.obs.metrics.Timer`, so the reported
-per-slot seconds are the timer's ``mean_seconds`` and the raw totals stay
-inspectable via ``tracer.metrics_snapshot()``.
+of a :class:`~repro.obs.metrics.Timer`, so the reported per-slot seconds
+are the timer's ``mean_seconds`` and each timer's count, max and
+quantiles stay inspectable via ``tracer.metrics_snapshot()``.
 """
 
 from __future__ import annotations

@@ -54,7 +54,6 @@ from repro.obs.replay import (
 )
 from repro.obs.sinks import (
     AsyncQueueSink,
-    BufferedJsonlSink,
     EdgeFilterSink,
     InMemorySink,
     JsonlSink,
@@ -67,7 +66,6 @@ __all__ = [
     "ArrivalEvent",
     "AsyncQueueSink",
     "BlockBoundaryEvent",
-    "BufferedJsonlSink",
     "Counter",
     "DualUpdateEvent",
     "EVENT_TYPES",

@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "AsyncQueueSink",
-    "BufferedJsonlSink",
     "EdgeFilterSink",
     "InMemorySink",
     "JsonlSink",
@@ -99,52 +98,6 @@ class JsonlSink:
         self._handle.flush()
         if self._owns_handle:
             self._handle.close()
-
-
-class BufferedJsonlSink(JsonlSink):
-    """A :class:`JsonlSink` that batches serialized lines before writing.
-
-    High-frequency event streams (per-slot fault events, per-sample traces)
-    pay one stream ``write`` per ``buffer_size`` events instead of per
-    event.  Buffered lines are flushed when the buffer fills, on
-    :meth:`flush`, and on :meth:`close`; a crash between flushes loses at
-    most ``buffer_size - 1`` events, which is the usual JSONL trade-off.
-    """
-
-    def __init__(
-        self, target: str | Path | IO[str], *, buffer_size: int = 256
-    ) -> None:
-        if buffer_size < 1:
-            raise ValueError(f"buffer_size must be >= 1, got {buffer_size}")
-        super().__init__(target)
-        self.buffer_size = buffer_size
-        self.flushes = 0
-        self._buffer: list[str] = []
-
-    def write(self, event: Event) -> None:
-        """Serialize one event into the buffer, flushing when it fills."""
-        self._buffer.append(json.dumps(event.as_dict(), default=_json_default))
-        self.events_written += 1
-        if len(self._buffer) >= self.buffer_size:
-            self.flush()
-
-    def flush(self) -> None:
-        """Write all buffered lines to the underlying stream."""
-        if self._buffer:
-            self._handle.write("\n".join(self._buffer))
-            self._handle.write("\n")
-            self._buffer.clear()
-            self.flushes += 1
-
-    @property
-    def buffered(self) -> int:
-        """Events currently held in the buffer (not yet on the stream)."""
-        return len(self._buffer)
-
-    def close(self) -> None:
-        """Flush the buffer, then close as :class:`JsonlSink` does."""
-        self.flush()
-        super().close()
 
 
 class AsyncQueueSink:

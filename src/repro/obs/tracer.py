@@ -81,13 +81,11 @@ class Tracer:
         """Events emitted so far, per type tag (copy)."""
         return dict(self._event_counts)
 
-    def metrics_snapshot(self) -> dict[str, dict[str, float]]:
-        """Counters and timer totals in a JSON-ready mapping."""
+    def metrics_snapshot(self) -> dict[str, dict[str, object]]:
+        """Counter values and timer summaries in a JSON-ready mapping."""
         return {
             "counters": {name: c.value for name, c in sorted(self._counters.items())},
-            "timers": {
-                name: t.total_seconds for name, t in sorted(self._timers.items())
-            },
+            "timers": {name: t.summary() for name, t in sorted(self._timers.items())},
         }
 
     def close(self) -> None:

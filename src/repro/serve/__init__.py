@@ -47,7 +47,7 @@ from repro.serve.reconfig import (
 from repro.serve.runtime import build_serve_kernels
 from repro.serve.shard import ShardRuntime, shard_edges
 from repro.serve.snapshot import SNAPSHOT_VERSION, load_snapshot, save_snapshot
-from repro.serve.soak import SoakReport, run_soak, run_soak_suite
+from repro.serve.soak import SoakReport, run_soak
 
 __all__ = [
     "SHAPE_NAMES",
@@ -87,7 +87,6 @@ __all__ = [
     "realize_chaos",
     "release_target",
     "run_soak",
-    "run_soak_suite",
     "save_snapshot",
     "shape_profile",
     "shard_edges",

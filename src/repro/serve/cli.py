@@ -105,12 +105,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help="write the soak report JSON here (default: stdout)",
     )
-    parser.add_argument(
-        "--bench-output",
-        default=None,
-        metavar="DIR",
-        help="also write BENCH_soak_<shape>.json files for repro bench --check",
-    )
 
 
 def run(args: argparse.Namespace) -> int:
@@ -201,19 +195,13 @@ def run(args: argparse.Namespace) -> int:
         "format_version": SOAK_FORMAT_VERSION,
         "reports": [report.to_dict() for report in reports],
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         print(f"wrote {args.output}", file=sys.stderr)
     else:
         print(text)
-    if args.bench_output:
-        for report in reports:
-            bench = report.to_bench_report()
-            path = f"{args.bench_output.rstrip('/')}/BENCH_{bench.suite}.json"
-            bench.write(path)
-            print(f"wrote {path}", file=sys.stderr)
     if not all(report.accounting_ok for report in reports):
         print("soak FAILED: accounting equation violated", file=sys.stderr)
         return 1

@@ -63,6 +63,17 @@ Deterministic chaos: a :class:`~repro.serve.chaos.ChaosPlan` realizes —
 as a pure function of ``(plan, fleet, horizon, seed)`` — into per-worker
 kill/stall/transport-drop schedules that fire inside the workers at exact
 slot boundaries, which is what the soak harness gates recovery on.
+
+Telemetry: the runtime's tracer holds its counters and five stage-latency
+:class:`~repro.obs.metrics.Timer` histograms.  Workers ship each slot's
+per-edge ``queue_s`` (enqueue to dequeue) and ``serve_s`` (kernel step)
+lists in its SLOT frame, and the parent folds each list into
+``serve/stage/queue`` or ``serve/stage/serve`` in one numpy pass per
+frame.  The parent itself records ``serve/stage/trade`` (fold + trading
+step) and ``serve/stage/slot`` (release to fold) once per folded slot, and
+``serve/stage/recovery`` (worker death to its first live outcome after a
+supervised restart).  ``GET /metrics`` serves the same summaries that
+``repro soak`` reports.
 """
 
 from __future__ import annotations
@@ -76,7 +87,7 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.faults.plan import FaultPlan
 from repro.obs.events import (
@@ -88,7 +99,7 @@ from repro.obs.events import (
     WorkerSpawnEvent,
 )
 from repro.obs.sinks import JsonlSink
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
 from repro.serve.chaos import ChaosPlan, WorkerChaos, realize
 from repro.serve.clock import VirtualClock, WallClock, release_target
 from repro.serve.config import ServeConfig
@@ -645,13 +656,9 @@ class ShardRuntime:
     supervisor path, and virtual-clock runs are bit-identical to
     ``Simulator.run`` at every worker count.
 
-    ``on_stage_sample(stage, seconds)``, when given, receives every
-    per-stage latency sample — ``queue`` (enqueue to dequeue, measured in
-    the worker), ``serve`` (kernel step, worker), ``trade`` (parent fold +
-    trading step), ``slot`` (release to fold, end-to-end), and
-    ``recovery`` (worker death to its first live outcome after a
-    supervised restart) — which is how the soak harness feeds its quantile
-    sketches without this module depending on it.
+    Without a ``tracer`` the runtime counts into a
+    :class:`~repro.obs.tracer.NullTracer` of its own, so :meth:`metrics`
+    always describes this run alone.
 
     ``chaos`` takes a :class:`~repro.serve.chaos.ChaosPlan` realized
     deterministically against the fleet at construction; ``reconfig``
@@ -671,13 +678,12 @@ class ShardRuntime:
         heartbeat_interval: float = 0.5,
         stall_timeout: float = 120.0,
         start_timeout: float = 120.0,
-        on_stage_sample: Callable[[str, float], None] | None = None,
         chaos: ChaosPlan | None = None,
         reconfig: ReconfigPlan | None = None,
     ) -> None:
         self.config = config
         self.label = config.effective_label
-        self.tracer = tracer if tracer is not None else NULL_TRACER
+        self.tracer = tracer if tracer is not None else NullTracer()
         self._rebind_tracer = tracer is not None
         self._faults = faults
         # The parent builds the full kernel set too: it keeps the trading
@@ -745,7 +751,6 @@ class ShardRuntime:
         self._heartbeat_interval = heartbeat_interval
         self._stall_timeout = stall_timeout
         self._start_timeout = start_timeout
-        self._on_stage_sample = on_stage_sample
         self._chaos = realize(
             chaos,
             num_workers=len(self.shards),
@@ -794,6 +799,11 @@ class ShardRuntime:
         self._shard_deaths = tracer_obj.counter("serve/shard_deaths")
         self._restarts = tracer_obj.counter("serve/restarts")
         self._reconfigs = tracer_obj.counter("serve/reconfigs")
+        self._stage_queue = tracer_obj.timer("serve/stage/queue")
+        self._stage_serve = tracer_obj.timer("serve/stage/serve")
+        self._stage_trade = tracer_obj.timer("serve/stage/trade")
+        self._stage_slot = tracer_obj.timer("serve/stage/slot")
+        self._stage_recovery = tracer_obj.timer("serve/stage/recovery")
         ingress_config = config.ingress_config()
         self.ingress = None
         #: Resolved per-slot ingress payloads awaiting their slot's fold:
@@ -1226,15 +1236,10 @@ class ShardRuntime:
             ):
                 handle.recovered = True
                 died = self._death_ts.pop(handle.index, None)
-                observe = self._on_stage_sample
-                if died is not None and observe is not None:
-                    observe("recovery", time.monotonic() - died)
-            observe = self._on_stage_sample
-            if observe is not None:
-                for value in frame["queue_s"]:
-                    observe("queue", value)
-                for value in frame["serve_s"]:
-                    observe("serve", value)
+                if died is not None:
+                    self._stage_recovery.add(time.monotonic() - died)
+            self._stage_queue.observe(frame["queue_s"])
+            self._stage_serve.observe(frame["serve_s"])
         elif kind == READY:
             handle.ready = True
         elif kind == HEARTBEAT:
@@ -1577,7 +1582,6 @@ class ShardRuntime:
 
     def _fold_ready(self) -> None:
         """Fold every slot whose outcomes (or death synthesis) are complete."""
-        observe = self._on_stage_sample
         while self.completed_slot < self._stop_slot - 1:
             t = self.completed_slot + 1
             if not self._slot_complete(t):
@@ -1591,17 +1595,14 @@ class ShardRuntime:
                 self._count(outcome)
                 outcomes.append(outcome)
             if self.ingress is not None:
-                self._merge_ingress(t, observe)
+                self._merge_ingress(t)
             fold_start = time.monotonic()
             self.aggregator.fold(t, outcomes)
             folded = time.monotonic()
-            if observe is not None:
-                observe("trade", folded - fold_start)
-                released_at = self._release_ts.pop(t, None)
-                if released_at is not None:
-                    observe("slot", folded - released_at)
-            else:
-                self._release_ts.pop(t, None)
+            self._stage_trade.add(folded - fold_start)
+            released_at = self._release_ts.pop(t, None)
+            if released_at is not None:
+                self._stage_slot.add(folded - released_at)
             self.completed_slot = t
             self._slots_completed.increment()
             every = self.config.snapshot_every
@@ -1611,15 +1612,14 @@ class ShardRuntime:
                 self._apply_reconfig(self._barriers.pop(0))
             self._release_through(self._release_target_for(t))
 
-    def _merge_ingress(self, t: int, observe) -> None:
+    def _merge_ingress(self, t: int) -> None:
         """Fold slot ``t``'s resolved request stats into the run accounting.
 
         Runs exactly once per folded slot.  Parent-synthesized offline
         outcomes (degraded shards) carry no payload and need none: their
         requests were never generated, so ``requests_in`` never saw them
         and the accounting identity is waived while any worker is degraded
-        (mirrors the ``total_events`` leg of the soak gate).  Deferral wait
-        samples feed the ``on_stage_sample`` seam in units of *slots*.
+        (mirrors the ``total_events`` leg of the soak gate).
         """
         assert self.ingress is not None
         for _, payload in sorted(self._pending_ingress.pop(t, {}).items()):
@@ -1629,10 +1629,6 @@ class ShardRuntime:
             self._requests_deferred.increment(payload["deferred"])
             self._deadline_hits.increment(payload["hits"])
             self._deadline_misses.increment(payload["misses"])
-            if observe is not None:
-                for wait, count in sorted(payload["waits"].items()):
-                    for _ in range(count):
-                        observe("deferral", float(wait))
 
     def _take_snapshot(self, t: int) -> None:
         """Gather worker states at the quiescent boundary, persist one file.

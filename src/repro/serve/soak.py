@@ -4,10 +4,15 @@
 deterministic load shapes of :mod:`repro.serve.load` and reports, per
 shape:
 
-* per-stage latency quantiles (p50/p95/p99) from a streaming P² sketch —
-  ``queue`` (enqueue to dequeue inside a worker), ``serve`` (kernel step),
-  ``trade`` (parent fold + allowance-trading step), and ``slot``
-  (release to fold, end-to-end);
+* per-stage latency — count, mean, max and p50/p95/p99 of ``queue``
+  (enqueue to dequeue inside a worker), ``serve`` (kernel step),
+  ``trade`` (parent fold + allowance-trading step) and ``slot`` (release
+  to fold, end-to-end).  Each stage is the summary of the runtime's
+  ``serve/stage/<stage>`` tracer :class:`~repro.obs.metrics.Timer`, the
+  same numbers ``GET /metrics`` serves: count, mean and max are exact, and
+  a quantile is the upper edge of the log bucket that holds the exact
+  quantile, capped at the max, so a p99 gate never passes a run whose true
+  p99 breaches it;
 * throughput (served events per wall second);
 * the accounting equation ``in == served + shed + offline``, checked
   *exactly* — a soak that leaks or double-counts events fails its run;
@@ -15,37 +20,30 @@ shape:
   self-healing gate: injected worker kills must be healed by supervised
   restarts (``on_worker_death`` defaults to ``"restart"`` when chaos is
   given), every arrival must still be accounted for, and the
-  death-to-serving recovery latency is tracked as its own ``recovery``
-  stage (p50/p95/p99 in the report);
+  death-to-serving recovery latency is its own ``recovery`` stage;
 * under ``--ingress`` (an :class:`~repro.ingress.IngressConfig`), the
   request-level accounting gate ``requests_in == served + shed + offline
-  + dropped``, per-class deadline-hit rates, and deferral-latency
-  quantiles as the ``deferral`` stage.  Unlike every other stage, the
-  ``deferral`` sketch observes waits in units of *slots* (its ``_s`` keys
-  read as slots): deferral is a scheduling decision on the slot grid, not
-  a wall-clock measurement.
+  + dropped``, per-class deadline-hit rates, and the ``deferral`` stage,
+  computed exactly from the run's wait histogram
+  (:attr:`~repro.ingress.stats.IngressStats.waits`).  Unlike every other
+  stage its unit is *slots* (its ``_s`` keys read as slots): deferral is a
+  scheduling decision on the slot grid, not a wall-clock measurement.
 
-Reports are schema-versioned JSON (``SOAK_FORMAT_VERSION``) and project
-onto :class:`~repro.bench.report.BenchReport` via
-:meth:`SoakReport.to_bench_report`, so soak baselines ride the same
-``repro bench --check`` comparison gate as the microbenchmarks.
-
-The latency sketch is the P² algorithm (Jain & Chlamtac 1985): five
-markers per tracked quantile, O(1) memory and update time, no sample
-buffer — suitable for soaks of unbounded length.
+The harness only reads a finished run; it adds nothing to the runtime's
+hot path.  Reports are schema-versioned JSON (``SOAK_FORMAT_VERSION``)
+with no NaN anywhere: an empty stage reports ``null`` for its mean and
+quantiles.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.bench.report import BenchReport, BenchResult, machine_fingerprint
-from repro.obs.tracer import Tracer
+from repro.obs.metrics import histogram_summary
 from repro.serve.chaos import ChaosPlan
 from repro.serve.config import ServeConfig
-from repro.serve.load import SHAPE_NAMES
 from repro.serve.reconfig import ReconfigPlan
 from repro.serve.shard import ShardRuntime
 from repro.sim.config import ScenarioConfig
@@ -56,11 +54,8 @@ if TYPE_CHECKING:  # import cycle: repro.ingress imports repro.serve
 __all__ = [
     "DEFERRAL_STAGE",
     "SOAK_FORMAT_VERSION",
-    "P2Quantile",
     "SoakReport",
-    "StageStats",
     "run_soak",
-    "run_soak_suite",
 ]
 
 #: Format tag written into serialized soak reports; bump on breaking changes.
@@ -68,141 +63,31 @@ __all__ = [
 #: degraded_workers/recovery_ok) and the ``recovery`` latency stage.
 #: v3 added the ``ingress`` request-accounting summary and the ``deferral``
 #: wait stage (units: slots, not seconds).
-SOAK_FORMAT_VERSION = 3
+#: v4 took stage quantiles from bucketed tracer timers (``deferral``: exact)
+#: and reports an empty stage's mean and quantiles as ``null``, not NaN.
+SOAK_FORMAT_VERSION = 4
 
-#: Latency stages a soak run always tracks, in pipeline order.
+#: Latency stages a soak run always reports, in pipeline order.
 STAGES = ("queue", "serve", "trade", "slot")
 
-#: Extra stage tracked under a restart policy: worker death to its first
+#: Extra stage reported under a restart policy: worker death to its first
 #: live outcome after a supervised respawn.
 RECOVERY_STAGE = "recovery"
 
-#: Extra stage tracked under ingress: slots a released request waited past
+#: Extra stage reported under ingress: slots a released request waited past
 #: its arrival slot.  The only stage whose unit is slots, not seconds.
 DEFERRAL_STAGE = "deferral"
 
-#: Quantiles every stage sketch tracks.
-QUANTILES = (0.5, 0.95, 0.99)
 
-
-class P2Quantile:
-    """Streaming estimate of one quantile via the P² algorithm.
-
-    Five markers track the running minimum, maximum, the target quantile,
-    and its two flanking mid-quantiles; marker heights move by parabolic
-    (falling back to linear) interpolation as observations arrive.  Exact
-    while fewer than five observations have been seen.
-    """
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        self.count = 0
-        self._initial: list[float] = []
-        self._heights: list[float] = []
-        self._positions: list[float] = []
-        self._desired: list[float] = []
-        self._increments = (0.0, q / 2.0, q, (1.0 + q) / 2.0, 1.0)
-
-    def add(self, x: float) -> None:
-        """Fold one observation into the sketch."""
-        self.count += 1
-        if self.count <= 5:
-            self._initial.append(float(x))
-            if self.count == 5:
-                q = self.q
-                self._heights = sorted(self._initial)
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [
-                    1.0,
-                    1.0 + 2.0 * q,
-                    1.0 + 4.0 * q,
-                    3.0 + 2.0 * q,
-                    5.0,
-                ]
-            return
-        heights, positions = self._heights, self._positions
-        if x < heights[0]:
-            heights[0] = x
-            cell = 0
-        elif x >= heights[4]:
-            heights[4] = x
-            cell = 3
-        else:
-            cell = 0
-            while x >= heights[cell + 1]:
-                cell += 1
-        for i in range(cell + 1, 5):
-            positions[i] += 1.0
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # Nudge the three interior markers toward their desired positions.
-        for i in (1, 2, 3):
-            drift = self._desired[i] - positions[i]
-            room_up = positions[i + 1] - positions[i]
-            room_down = positions[i - 1] - positions[i]
-            if (drift >= 1.0 and room_up > 1.0) or (
-                drift <= -1.0 and room_down < -1.0
-            ):
-                step = 1.0 if drift > 0 else -1.0
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        return h[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step)
-            * (h[i + 1] - h[i])
-            / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step)
-            * (h[i] - h[i - 1])
-            / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: float) -> float:
-        h, n = self._heights, self._positions
-        j = i + int(step)
-        return h[i] + step * (h[j] - h[i]) / (n[j] - n[i])
-
-    def value(self) -> float:
-        """The current quantile estimate (``nan`` before any observation)."""
-        if self.count == 0:
-            return float("nan")
-        if self.count <= 5:
-            ordered = sorted(self._initial)
-            index = min(len(ordered) - 1, round(self.q * (len(ordered) - 1)))
-            return ordered[int(index)]
-        return self._heights[2]
-
-
-class StageStats:
-    """Count/mean/max plus P² quantile sketches for one pipeline stage."""
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.peak = 0.0
-        self._sketches = {q: P2Quantile(q) for q in QUANTILES}
-
-    def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total += seconds
-        if seconds > self.peak:
-            self.peak = seconds
-        for sketch in self._sketches.values():
-            sketch.add(seconds)
-
-    def summary(self) -> dict[str, float]:
-        mean = self.total / self.count if self.count else float("nan")
-        payload = {"count": self.count, "mean_s": mean, "max_s": self.peak}
-        for q, sketch in self._sketches.items():
-            payload[f"p{int(q * 100)}_s"] = sketch.value()
-        return payload
+def _deferral_stage(waits: dict[int, int]) -> dict[str, float | int | None]:
+    """The ``deferral`` stage, exact from a ``wait -> requests`` histogram."""
+    ordered = sorted(waits)
+    return histogram_summary(
+        ordered,
+        [waits[w] for w in ordered],
+        float(sum(w * count for w, count in waits.items())),
+        float(ordered[-1]) if ordered else 0.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -222,7 +107,7 @@ class SoakReport:
     events_dropped_offline: int
     accounting_ok: bool
     throughput_eps: float
-    stages: dict[str, dict[str, float]] = field(default_factory=dict)
+    stages: dict[str, dict[str, float | int | None]] = field(default_factory=dict)
     worker_deaths: int = 0
     restarts: int = 0
     reconfigs: int = 0
@@ -233,29 +118,7 @@ class SoakReport:
     ingress: dict | None = None
 
     def to_dict(self) -> dict[str, object]:
-        return {
-            "format_version": SOAK_FORMAT_VERSION,
-            "shape": self.shape,
-            "seed": self.seed,
-            "num_edges": self.num_edges,
-            "num_workers": self.num_workers,
-            "horizon": self.horizon,
-            "total_events": self.total_events,
-            "wall_seconds": self.wall_seconds,
-            "events_in": self.events_in,
-            "events_served": self.events_served,
-            "events_shed": self.events_shed,
-            "events_dropped_offline": self.events_dropped_offline,
-            "accounting_ok": self.accounting_ok,
-            "throughput_eps": self.throughput_eps,
-            "stages": {name: dict(stats) for name, stats in self.stages.items()},
-            "worker_deaths": self.worker_deaths,
-            "restarts": self.restarts,
-            "reconfigs": self.reconfigs,
-            "degraded_workers": self.degraded_workers,
-            "recovery_ok": self.recovery_ok,
-            "ingress": dict(self.ingress) if self.ingress is not None else None,
-        }
+        return {"format_version": SOAK_FORMAT_VERSION, **asdict(self)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SoakReport":
@@ -268,59 +131,6 @@ class SoakReport:
         fields = dict(payload)
         fields.pop("format_version")
         return cls(**fields)
-
-    def to_bench_report(self, *, mode: str = "smoke") -> BenchReport:
-        """Project onto the bench schema so soaks ride the compare gate.
-
-        Each stage quantile becomes a wall-time case (``<stage>/p95`` etc.),
-        throughput and the served fraction become derived ratios — ratios
-        always gate, machine-independently, so a soak baseline catches
-        "the shard pipeline got slower relative to itself" anywhere.
-        """
-        results = []
-        meta = {"shape": self.shape, "seed": self.seed}
-        for stage, stats in self.stages.items():
-            if stage == DEFERRAL_STAGE:
-                continue  # measured in slots, not seconds — wrong unit here
-            for key in ("p50_s", "p95_s", "p99_s"):
-                value = stats.get(key)
-                if value is None or value != value:  # missing or NaN
-                    continue
-                results.append(
-                    BenchResult(
-                        name=f"{stage}/{key.removesuffix('_s')}",
-                        wall_seconds=max(float(value), 1e-9),
-                        cpu_seconds=0.0,
-                        rounds=1,
-                        work=1.0,
-                        unit="slot",
-                        meta=meta,
-                    )
-                )
-        results.append(
-            BenchResult(
-                name="soak/run",
-                wall_seconds=max(self.wall_seconds, 1e-9),
-                cpu_seconds=0.0,
-                rounds=1,
-                work=float(self.horizon * self.num_edges),
-                unit="slot-edges",
-                meta=meta,
-            )
-        )
-        served_fraction = (
-            self.events_served / self.events_in if self.events_in else 0.0
-        )
-        return BenchReport(
-            suite=f"soak_{self.shape}",
-            machine=machine_fingerprint(),
-            results=tuple(results),
-            ratios={
-                "throughput_eps": self.throughput_eps,
-                "served_fraction": served_fraction,
-            },
-            mode=mode,
-        )
 
 
 def run_soak(
@@ -387,25 +197,11 @@ def run_soak(
         on_worker_death=policy,
         ingress=ingress.to_dict() if ingress is not None else None,
     )
-    tracked = STAGES + ((RECOVERY_STAGE,) if policy == "restart" else ())
-    if ingress is not None:
-        tracked = tracked + (DEFERRAL_STAGE,)
-    stats = {stage: StageStats() for stage in tracked}
-
-    def observe(stage: str, seconds: float) -> None:
-        stats.setdefault(stage, StageStats()).observe(seconds)
-
-    tracer = Tracer()  # fresh counters per run; no event sinks
-    runtime = ShardRuntime(
-        config,
-        tracer=tracer,
-        on_stage_sample=observe,
-        chaos=chaos,
-        reconfig=reconfig,
-    )
+    runtime = ShardRuntime(config, chaos=chaos, reconfig=reconfig)
     started = time.monotonic()
     runtime.run()
     wall_seconds = time.monotonic() - started
+    tracer = runtime.tracer
     events_in = tracer.counter("serve/events_in").value
     events_served = tracer.counter("serve/events_served").value
     events_shed = tracer.counter("serve/events_shed").value
@@ -414,10 +210,15 @@ def run_soak(
     restarts = tracer.counter("serve/restarts").value
     reconfigs = tracer.counter("serve/reconfigs").value
     degraded = sum(1 for s in runtime.health()["shards"] if s["failed"])
+    tracked = STAGES + ((RECOVERY_STAGE,) if policy == "restart" else ())
+    stages = {
+        stage: tracer.timer(f"serve/stage/{stage}").summary() for stage in tracked
+    }
     ingress_summary = None
     ingress_ok = True
     volume_in = events_in
     if runtime.ingress is not None:
+        stages[DEFERRAL_STAGE] = _deferral_stage(runtime.ingress.waits)
         ingress_summary = runtime.ingress.summary()
         ingress_ok = (
             runtime.ingress.accounting_ok(
@@ -448,7 +249,7 @@ def run_soak(
         throughput_eps=(
             events_served / wall_seconds if wall_seconds > 0 else 0.0
         ),
-        stages={stage: stat.summary() for stage, stat in stats.items()},
+        stages=stages,
         worker_deaths=worker_deaths,
         restarts=restarts,
         reconfigs=reconfigs,
@@ -456,8 +257,3 @@ def run_soak(
         recovery_ok=(worker_deaths == 0 or degraded == 0),
         ingress=ingress_summary,
     )
-
-
-def run_soak_suite(shapes: tuple[str, ...] = SHAPE_NAMES, **kwargs) -> list[SoakReport]:
-    """Run :func:`run_soak` for each shape with shared sizing kwargs."""
-    return [run_soak(shape, **kwargs) for shape in shapes]

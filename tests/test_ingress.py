@@ -385,7 +385,7 @@ class TestServeIntegration:
 
 class TestSoakDeterminism:
     #: SoakReport fields that are pure functions of the config (wall-clock
-    #: latency sketches and throughput are not).
+    #: latency stages and throughput are not).
     DETERMINISTIC_FIELDS = (
         "shape", "num_edges", "num_workers", "horizon", "events_in",
         "events_served", "events_shed", "events_dropped_offline",
@@ -406,8 +406,8 @@ class TestSoakDeterminism:
             assert json.dumps(first[name], sort_keys=True) == json.dumps(
                 second[name], sort_keys=True
             ), name
-        # The deferral stage observes slot-valued waits in deterministic
-        # order, so its sketch is reproducible too.
+        # The deferral stage is exact from slot-valued waits, so it is
+        # reproducible too.
         assert first["stages"]["deferral"] == second["stages"]["deferral"]
 
     def test_request_accounting_and_report_shape(self):
@@ -421,3 +421,16 @@ class TestSoakDeterminism:
         )
         assert set(ingress["per_class"]) == {c.name for c in DEFAULT_CLASSES}
         assert report.stages["deferral"]["count"] > 0
+
+    def test_deferral_stage_is_exact_from_the_wait_histogram(self):
+        report = self.soak()
+        # ``wait_histogram`` is IngressStats.waits: requests per slot waited.
+        waits = {int(w): c for w, c in report.ingress["wait_histogram"].items()}
+        sample = np.repeat(list(waits), list(waits.values()))
+        deferral = report.stages["deferral"]
+        assert deferral["count"] == sample.size > 0
+        assert deferral["mean_s"] == sample.sum() / sample.size
+        assert deferral["max_s"] == sample.max()
+        for q in (0.5, 0.95, 0.99):
+            exact = np.quantile(sample, q, method="inverted_cdf")
+            assert deferral[f"p{round(q * 100)}_s"] == exact, q

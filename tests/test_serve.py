@@ -595,7 +595,11 @@ class TestStatusEndpoint:
         assert {q["edge"] for q in health[1]["queues"]} <= {0, 1}
         assert metrics[0] == 200
         assert "counters" in metrics[1] and "events" in metrics[1]
+        assert set(metrics[1]["timers"]["serve/stage/slot"]) == {
+            "count", "mean_s", "max_s", "p50_s", "p95_s", "p99_s",
+        }
         assert results[0] is not None and results[0].horizon == 25
+        assert runtime.metrics()["timers"]["serve/stage/slot"]["count"] == 25
         final = runtime.health()
         assert final["status"] == "done"
         assert [q["edge"] for q in final["queues"]] == [0, 1]

@@ -45,6 +45,7 @@ from repro.serve.frames import (
     recv_frame,
     send_frame,
 )
+from repro.serve.soak import SOAK_FORMAT_VERSION
 from repro.sim.config import ScenarioConfig
 from repro.sim.io import result_digest
 from tests.test_golden_digests import GOLDEN_DIGESTS, SCENARIO_CONFIGS
@@ -488,13 +489,8 @@ class TestWorkerRestart:
     def test_restart_recovers_with_exact_accounting(self):
         config = shard_config("A", 0, num_workers=3, **RESTART)
         tracer = Tracer()
-        samples = []
         runtime = ShardRuntime(
-            config,
-            tracer=tracer,
-            chaos=kill_plan(1, 10),
-            on_stage_sample=lambda stage, s: samples.append(stage),
-            **FAST,
+            config, tracer=tracer, chaos=kill_plan(1, 10), **FAST
         )
         healed = runtime.run()
         clean_tracer = Tracer()
@@ -522,7 +518,9 @@ class TestWorkerRestart:
         assert counters["serve/events_in"] == accounted
         clean_counters = clean_tracer.metrics_snapshot()["counters"]
         assert counters["serve/events_in"] == clean_counters["serve/events_in"]
-        assert "recovery" in samples
+        recovery = tracer.metrics_snapshot()["timers"]["serve/stage/recovery"]
+        assert recovery["count"] == 1
+        assert recovery["p99_s"] == recovery["max_s"] > 0.0
 
         health = runtime.health()
         assert health["status"] == "done"
@@ -823,7 +821,7 @@ class TestSoakCli:
         ])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["format_version"] == 3
+        assert payload["format_version"] == SOAK_FORMAT_VERSION
         (report,) = payload["reports"]
         assert report["shape"] == "spike"
         assert report["accounting_ok"] is True
@@ -865,21 +863,47 @@ class TestSoakCli:
         assert report["events_in"] == 2000
         assert report["stages"]["recovery"]["count"] == 1
 
-    def test_soak_bench_projection_written(self, tmp_path):
-        from repro.bench.report import load_report
+    def test_soak_report_is_strict_json(self, tmp_path, capsys):
+        import json
+
         from repro.cli import main
 
+        def reject(constant):
+            raise ValueError(f"non-JSON constant {constant} in the report")
+
+        # A restart policy with no deaths leaves the recovery stage empty.
         code = main([
-            "soak",
-            "--shape", "constant",
-            "--edges", "2",
-            "--workers", "2",
-            "--horizon", "8",
-            "--events", "200",
-            "--output", str(tmp_path / "soak.json"),
-            "--bench-output", str(tmp_path),
+            "soak", "--smoke", "--shape", "constant",
+            "--on-worker-death", "restart",
         ])
         assert code == 0
-        bench = load_report(str(tmp_path / "BENCH_soak_constant.json"))
-        assert bench.suite == "soak_constant"
-        assert "served_fraction" in bench.ratios
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        (report,) = payload["reports"]
+        recovery = report["stages"]["recovery"]
+        assert recovery["count"] == 0
+        assert recovery["mean_s"] is None
+        assert recovery["p50_s"] is recovery["p95_s"] is recovery["p99_s"] is None
+        for stage in ("queue", "serve", "trade", "slot"):
+            stats = report["stages"][stage]
+            assert stats["p50_s"] <= stats["p95_s"] <= stats["p99_s"] <= stats["max_s"]
+
+
+class TestRuntimeMetrics:
+    def test_untraced_runtimes_count_only_their_own_run(self):
+        config = ServeConfig(
+            scenario=ScenarioConfig(
+                dataset="synthetic", num_edges=3, horizon=8, seed=0
+            )
+        )
+        first = ShardRuntime(config)
+        first.run()
+        second = ShardRuntime(config)
+        second.run()
+        for runtime in (first, second):
+            metrics = runtime.metrics()
+            assert metrics["counters"]["serve/slots_completed"] == 8
+            assert metrics["counters"]["serve/events_in"] == 631
+            assert metrics["timers"]["serve/stage/slot"]["count"] == 8
+            assert metrics["timers"]["serve/stage/serve"]["count"] == 3 * 8
+        assert first.tracer is not second.tracer
+        assert not second.tracer.enabled
