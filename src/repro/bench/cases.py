@@ -163,9 +163,9 @@ def _simulator_cases(
     ]
     for edges in (_SMALL_EDGES, _LARGE_EDGES):
         for label, vectorized in (("scalar", False), ("vectorized", True)):
-            if vectorized and spec_overrides:
-                # Fault plans and tracing force the scalar reference loop;
-                # the vectorized twin has nothing comparable to measure.
+            if vectorized and "trace_output" in (spec_overrides or {}):
+                # Tracing forces the scalar reference loop; the vectorized
+                # twin has nothing comparable to measure.
                 continue
             meta: dict[str, object] = {
                 "edges": edges,

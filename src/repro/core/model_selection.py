@@ -216,17 +216,24 @@ class OnlineModelSelection(SelectionPolicy):
             )
         return model
 
-    def observe_block(self, block: int, slot_losses: list[float]) -> None:
-        """Fold one whole block's slot losses in a single call (line 7, bulk).
+    def observe_block(
+        self, block: int, slot_losses: list[float], lost: int = 0
+    ) -> None:
+        """Fold one whole block's feedback in a single call (line 7, bulk).
 
-        Bitwise-identical to calling :meth:`observe` once per slot in slot
-        order on a freshly opened block: the loss sum accumulates left to
-        right as Python floats, and the block closes (folding into the
-        estimator) exactly when the last slot's loss lands.  Because this
-        replaces the per-slot ``select`` calls too, it also accounts the
-        block's slots in :attr:`selection_counts`.  Batch drivers pair it
-        with :meth:`open_block_with`; a block that already received partial
-        per-slot feedback must finish through :meth:`observe`.
+        ``slot_losses`` are the block's observed slot losses in slot order
+        and ``lost`` counts its slots whose feedback never arrived.  This is
+        bitwise-identical to the per-slot :meth:`observe` /
+        :meth:`observe_lost` calls on a freshly opened block, in any
+        interleaving that keeps the observed losses in slot order: the loss
+        sum accumulates left to right as Python floats, the block closes
+        (folding into the estimator) on ``observed + lost``, an all-lost
+        block folds nothing, and :attr:`feedback_losses` grows by ``lost``.
+        Because this replaces the per-slot ``select`` calls too, it also
+        accounts the block's slots in :attr:`selection_counts`.  Batch
+        drivers pair it with :meth:`open_block_with`; a block that already
+        received partial per-slot feedback must finish through
+        :meth:`observe`.
         """
         if block > self._latest_block:
             raise RuntimeError(f"observed block {block} before it was opened")
@@ -236,10 +243,10 @@ class OnlineModelSelection(SelectionPolicy):
                 f"block {block} already has slot feedback; finish it through "
                 "observe()"
             )
-        if len(slot_losses) != record.length:
+        if lost < 0 or len(slot_losses) + lost != record.length:
             raise ValueError(
                 f"block {block} spans {record.length} slots, got "
-                f"{len(slot_losses)} losses"
+                f"{len(slot_losses)} losses and {lost} lost slots"
             )
         total = record.loss_sum
         for loss in slot_losses:
@@ -247,7 +254,9 @@ class OnlineModelSelection(SelectionPolicy):
                 raise ValueError(f"loss must be finite, got {loss!r}")
             total += float(loss)
         record.loss_sum = total
-        record.observed = record.length
+        record.observed = len(slot_losses)
+        record.lost = lost
+        self.feedback_losses += lost
         self._selection_counts[record.model] += record.length
         self._close_block(record)
 

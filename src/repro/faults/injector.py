@@ -94,6 +94,10 @@ class FaultInjector:
             else:  # future spec kinds must be wired here explicitly
                 raise TypeError(f"injector cannot realize {type(spec).__name__}")
 
+        # Realized once and frozen: the mask accessors below hand out the
+        # arrays themselves, so a caller cannot rewrite the realization.
+        for mask in (offline, feedback, download, backoff, blocked):
+            mask.flags.writeable = False
         self._offline = offline
         self._feedback_lost = feedback
         self._download_failed = download
@@ -103,8 +107,6 @@ class FaultInjector:
         self.has_edge_faults = bool(
             offline.any() or feedback.any() or download.any()
         )
-        #: Whether any trading-side fault can fire.
-        self.has_trading_faults = bool(blocked.any())
 
     def _check_edge(self, edge: int) -> None:
         if edge >= self.num_edges:
@@ -156,6 +158,26 @@ class FaultInjector:
         return (u[1] < loss_p) & self._window_mask(
             spec.start, spec.end, spec.edge
         )
+
+    @property
+    def offline_mask(self) -> np.ndarray:
+        """Read-only ``(horizon, num_edges)`` mask of edge-down slots."""
+        return self._offline
+
+    @property
+    def feedback_lost_mask(self) -> np.ndarray:
+        """Read-only ``(horizon, num_edges)`` mask of dropped slot losses."""
+        return self._feedback_lost
+
+    @property
+    def download_failed_mask(self) -> np.ndarray:
+        """Read-only ``(horizon, num_edges)`` mask of failing downloads."""
+        return self._download_failed
+
+    @property
+    def backoff_caps(self) -> np.ndarray:
+        """Read-only ``(horizon, num_edges)`` retry-backoff caps, in slots."""
+        return self._backoff_cap
 
     def edge_offline(self, t: int, edge: int) -> bool:
         """Whether ``edge`` is down (serving nothing) at slot ``t``."""

@@ -232,43 +232,7 @@ class EdgeSlotKernel:
                 )
             return offline_outcome(t, self.edge, model, arrivals=count)
 
-        # Resolve which model actually serves this slot: a switch requires a
-        # download, which fault plans can fail — the edge then keeps its
-        # hosted model and retries under capped exponential backoff.
-        # Initial provisioning never fails.
-        hosted = self.previous_model
-        serve = model
-        if injector is not None and hosted >= 0 and model != hosted:
-            if self.retry_wait > 0:
-                self.retry_wait -= 1
-                serve = hosted
-            elif injector.download_failed(t, self.edge):
-                self.retry_attempts += 1
-                cap = injector.backoff_cap(t, self.edge)
-                self.retry_backoff = min(max(2 * self.retry_backoff, 1), cap)
-                self.retry_wait = self.retry_backoff
-                serve = hosted
-                if tracing:
-                    tracer.emit(
-                        FaultInjectedEvent(
-                            t=t, kind="download_failure", edge=self.edge
-                        )
-                    )
-                    tracer.emit(
-                        RetryEvent(
-                            t=t,
-                            edge=self.edge,
-                            hosted_model=hosted,
-                            target_model=int(model),
-                            attempt=self.retry_attempts,
-                            backoff_slots=self.retry_backoff,
-                        )
-                    )
-        if injector is not None and serve == model:
-            self.retry_wait = 0
-            self.retry_backoff = 0
-            self.retry_attempts = 0
-
+        serve = model if injector is None else self.resolve_download(t, model)
         switched = bool(serve != self.previous_model)
         if switched and tracing:
             tracer.emit(
@@ -333,6 +297,52 @@ class EdgeSlotKernel:
             arrivals=int(count),
             served=int(count),
         )
+
+    def resolve_download(self, t: int, model: int) -> int:
+        """The model that serves online slot ``t`` when the policy chose ``model``.
+
+        A switch requires a download, which the fault plan can fail: the
+        edge then keeps its hosted model and retries under capped
+        exponential backoff.  Initial provisioning never fails, and serving
+        the chosen model clears the retry state.  This is the one retry
+        machine: :meth:`step` runs it on every online slot of a faulted
+        run, and the vectorized simulator walks it over a block's slots
+        until the block's model first serves.  The caller records the
+        served model as :attr:`previous_model`.
+        """
+        hosted = self.previous_model
+        if hosted >= 0 and model != hosted:
+            if self.retry_wait > 0:
+                self.retry_wait -= 1
+                return hosted
+            injector = self.injector
+            if injector.download_failed(t, self.edge):
+                self.retry_attempts += 1
+                cap = injector.backoff_cap(t, self.edge)
+                self.retry_backoff = min(max(2 * self.retry_backoff, 1), cap)
+                self.retry_wait = self.retry_backoff
+                tracer = self.tracer
+                if tracer.enabled:
+                    tracer.emit(
+                        FaultInjectedEvent(
+                            t=t, kind="download_failure", edge=self.edge
+                        )
+                    )
+                    tracer.emit(
+                        RetryEvent(
+                            t=t,
+                            edge=self.edge,
+                            hosted_model=hosted,
+                            target_model=int(model),
+                            attempt=self.retry_attempts,
+                            backoff_slots=self.retry_backoff,
+                        )
+                    )
+                return hosted
+        self.retry_wait = 0
+        self.retry_backoff = 0
+        self.retry_attempts = 0
+        return model
 
     def step_offline(self, t: int, count: int) -> EdgeSlotOutcome:
         """Execute slot ``t`` as a missed (offline) slot with real arrivals.

@@ -207,12 +207,12 @@ class Simulator:
         """Simulate the full horizon and return per-slot records.
 
         ``vectorized=None`` (the default) picks the vectorized fast path
-        whenever the run qualifies (no tracing, faults, or delayed labels)
-        and the scalar reference loop otherwise — the two are bit-identical,
-        locked by the golden digests.  Pass ``False`` to force the scalar
-        loop (the reference for equivalence tests and benchmarks) or
-        ``True`` to require the fast path (raises if the run does not
-        qualify).
+        whenever the run qualifies (no tracing, no delayed labels, and a
+        fault plan only on a fleet of plain Algorithm-1 policies) and the
+        scalar reference loop otherwise — the two are bit-identical, locked
+        by the golden digests.  Pass ``False`` to force the scalar loop (the
+        reference for equivalence tests and benchmarks) or ``True`` to
+        require the fast path (raises if the run does not qualify).
         """
         from repro.sim.vector import can_vectorize, run_vectorized
 
@@ -220,8 +220,9 @@ class Simulator:
             vectorized = can_vectorize(self)
         elif vectorized and not can_vectorize(self):
             raise ValueError(
-                "run cannot use the vectorized fast path: tracing, fault "
-                "injection, or label delay is enabled"
+                "run cannot use the vectorized fast path: tracing or label "
+                "delay is enabled, or a fault plan runs on a fleet that is "
+                "not plain Algorithm 1"
             )
         if vectorized:
             return run_vectorized(self)

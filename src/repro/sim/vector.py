@@ -22,6 +22,15 @@ The fast path runs in two phases:
   ``select``/``observe`` round-trips at all.  Mixed or subclassed fleets
   fall back to a per-slot loop over the policies' public interface, which
   batches only the block openings that coincide at a slot.
+* **Edge faults** are handled inside that same per-block body, from the
+  injector's realized masks.  Each block walks the edge kernel's download
+  retry machine (:meth:`~repro.sim.kernel.EdgeSlotKernel.resolve_download`)
+  from its first slot until the block's model first serves; until then an
+  online slot serves the hosted model.  Offline slots keep the chosen
+  model, serve and cost nothing, and still draw their pool indices.
+  Offline, still-hosted and feedback-lost slots are passed to
+  ``observe_block`` as lost slots.  Market outages and trade rejections
+  need nothing here: the trading kernel Phase B steps holds the injector.
 * **Phase B (trading)** replays the system-level sequence: selection does
   not depend on trading, so slot emissions for the whole horizon come from
   one :meth:`EnergyModel.slot_emissions_kg_batch` call, after which a lean
@@ -59,8 +68,13 @@ Why digests are preserved (the full argument is in DESIGN.md):
   changes a BLAS reduction shape.
 
 The fast path declines runs that need the per-slot machinery it strips
-(tracing, fault injection, delayed labels) — those fall back to the
-retained scalar loop.
+(tracing, delayed labels, a fault plan on a mixed or subclassed fleet) —
+those fall back to the retained scalar loop.
+
+Phase A's working set is kept small: pool indices are stored in the
+smallest dtype that holds the pool and freed before Phase B allocates, and
+slot offsets stay numpy arrays.  At 64 edges and H=1000 the draws are the
+run's largest buffers.
 """
 
 from __future__ import annotations
@@ -75,7 +89,12 @@ from repro.core.tsallis import (
     tsallis_inf_probabilities_batch,
 )
 from repro.nn.losses import squared_label_loss
-from repro.sim.kernel import assemble_result, draw_pool_indices, result_arrays
+from repro.sim.kernel import (
+    EdgeSlotKernel,
+    assemble_result,
+    draw_pool_indices,
+    result_arrays,
+)
 from repro.sim.results import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
@@ -87,16 +106,19 @@ __all__ = ["can_vectorize", "run_vectorized"]
 def can_vectorize(sim: "Simulator") -> bool:
     """Whether ``sim`` qualifies for the vectorized fast path.
 
-    Tracing, fault injection, and delayed label feedback all hook into the
-    per-slot kernel body the fast path elides, so such runs use the scalar
-    reference loop instead (bit-identical either way).  Live inference *is*
+    Tracing and delayed label feedback hook into the per-slot kernel body
+    the fast path elides, so such runs use the scalar reference loop
+    instead (bit-identical either way).  A fault plan qualifies when every
+    selection policy is a plain :class:`OnlineModelSelection`: Phase A then
+    walks whole blocks and folds their lost slots, while a mixed or
+    subclassed fleet under a plan declines.  Live inference *is*
     supported: forward passes stay per edge-slot, exactly as the kernel
     issues them.
     """
-    return (
-        not sim.tracer.enabled
-        and sim.faults.is_empty
-        and sim.label_delay == 0
+    if sim.tracer.enabled or sim.label_delay != 0:
+        return False
+    return sim.faults.is_empty or all(
+        type(policy) is OnlineModelSelection for policy in sim.selection_policies
     )
 
 
@@ -161,6 +183,26 @@ def _open_blocks(group: list[_Opening]) -> list[int]:
     ]
 
 
+def _first_serving_slot(
+    kernel: EdgeSlotKernel, model: int, t: int, end: int, offline: np.ndarray
+) -> int:
+    """The first slot of ``[t, end)`` where the block's ``model`` serves, or ``end``.
+
+    Walks the edge's download retry machine
+    (:meth:`~repro.sim.kernel.EdgeSlotKernel.resolve_download`) from the
+    block's first slot, exactly as the scalar step runs it on each online
+    slot: a ``retry_wait`` left over from the previous block can delay the
+    switch even where the failure mask has no hit.  Offline slots leave the
+    retry state untouched, because the scalar step returns before its
+    download logic.  Once the model serves, the rest of the block serves it
+    with no further switch, so the walk stops there.
+    """
+    for s in range(t, end):
+        if not offline[s] and kernel.resolve_download(s, model) == model:
+            return s
+    return end
+
+
 def run_vectorized(sim: "Simulator") -> SimulationResult:
     """Execute ``sim`` on the fast path; bit-identical to the scalar loop."""
     scenario = sim.scenario
@@ -171,6 +213,15 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     # slot by slot; it shares only their layout and the final assembly.
     arrays = result_arrays(scenario)
     policies = [kernel.policy for kernel in edge_kernels]
+
+    # Edge faults reach Phase A as realized (edge, slot) masks; market
+    # faults stay inside the trading kernel, which Phase B steps per slot.
+    offline = lost = None
+    injector = edge_kernels[0].injector
+    if injector is not None and injector.has_edge_faults:
+        offline = np.ascontiguousarray(injector.offline_mask.T)
+        # Slots whose feedback never lands, whichever model serves them.
+        lost = offline | injector.feedback_lost_mask.T
 
     profiles = scenario.profiles
     loss_tables = [profile.loss_per_sample for profile in profiles]
@@ -210,28 +261,34 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
 
     # Pre-draw every stream for the whole horizon.  Each edge's arrival and
     # data streams are consumed in slot order within one vectorized call —
-    # stream-identical to the scalar loop's per-slot draws.
+    # stream-identical to the scalar loop's per-slot draws.  Offline slots
+    # draw too, as the scalar step does.  The indices are kept in the
+    # smallest dtype that holds the pool, and the slot offsets as arrays:
+    # at 64 edges these are the largest buffers of the run.
     counts_mat = np.stack(
         [proc.sample_slots(horizon) for proc in arrival_processes]
     )
     pool_size = edge_kernels[0].pool_size
     class_indices = edge_kernels[0].class_indices
-    offsets: list[list[int]] = []
+    index_dtype = np.min_scalar_type(pool_size - 1)
+    offsets: list[np.ndarray | None] = []
     flat_indices: list[np.ndarray | None] = []
     slot_indices: list[list[np.ndarray] | None] = []
     for i in range(num_edges):
         counts = counts_mat[i]
         if class_indices is None:
             bounds = np.concatenate(([0], np.cumsum(counts)))
-            offsets.append([int(v) for v in bounds])
+            offsets.append(bounds)
             flat_indices.append(
-                edge_kernels[i].data_rng.integers(0, pool_size, size=int(bounds[-1]))
+                edge_kernels[i]
+                .data_rng.integers(0, pool_size, size=int(bounds[-1]))
+                .astype(index_dtype)
             )
             slot_indices.append(None)
         else:
             # Two-stage class-mix draws interleave choice/integers calls per
             # slot; keep them per-slot (still in stream order per edge).
-            offsets.append([])
+            offsets.append(None)
             flat_indices.append(None)
             slot_indices.append(
                 [
@@ -247,8 +304,9 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     open_groups = _block_openings(policies, by_slot=not blockwise)
 
     selections = arrays["selections"]
-    loss_mat = np.empty((num_edges, horizon))
-    correct_mat = np.empty((num_edges, horizon))
+    switches = arrays["switches"]
+    loss_mat = np.zeros((num_edges, horizon))
+    correct_mat = np.zeros((num_edges, horizon))
     loss_rows = [loss_mat[i] for i in range(num_edges)]
     correct_rows = [correct_mat[i] for i in range(num_edges)]
 
@@ -256,6 +314,55 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     # pairwise routine, so bit-identical) minus several layers of Python
     # wrapper — worth it at ~10k reductions per run.
     reduce_add = np.add.reduce
+
+    def slot_draw(i: int, s: int) -> np.ndarray:
+        """Edge ``i``'s pool indices at slot ``s``."""
+        flat = flat_indices[i]
+        if flat is None:
+            return slot_indices[i][s]
+        bounds = offsets[i]
+        return flat[bounds[s] : bounds[s + 1]].astype(np.intp)
+
+    def fill(i: int, model: int, a: int, b: int) -> None:
+        """Edge ``i``'s slot losses and correct counts over ``[a, b)``.
+
+        ``model`` serves the span.  A gathered span computes its offline
+        slots too, and Phase B zeroes them; the per-slot path skips them,
+        because a live forward pass is worth saving.
+        """
+        row_loss = loss_rows[i]
+        row_correct = correct_rows[i]
+        flat = flat_indices[i]
+        if flat is not None and not live:
+            # One gather for the span; per-slot loss reductions run on
+            # contiguous slices of it (bitwise the same as per-slot gathers
+            # of the identical values).
+            bounds = offsets[i][a : b + 1]
+            base = int(bounds[0])
+            # Gathers index fastest with intp: widen the span's draws once.
+            span = flat[base : int(bounds[-1])].astype(np.intp)
+            cuts = bounds - base
+            # Correct counts are sums of 0/1 indicators — every partial sum
+            # is an exactly-representable integer, so the summation order
+            # cannot change the result and reduceat (not otherwise
+            # bit-stable) is safe here.
+            row_correct[a:b] = np.add.reduceat(
+                correct_tables[model][span], cuts[:-1]
+            )
+            seg_losses = loss_tables[model][span]
+            cuts = cuts.tolist()
+            row_loss[a:b] = [
+                reduce_add(seg_losses[lo:hi]) / (hi - lo)
+                for lo, hi in zip(cuts, cuts[1:])
+            ]
+        else:
+            for s in range(a, b):
+                if offline is not None and offline[i, s]:
+                    continue
+                idx = slot_draw(i, s)
+                losses = losses_for(model, idx)
+                row_loss[s] = reduce_add(losses) / losses.size
+                row_correct[s] = reduce_add(correct_tables[model][idx])
 
     # Phase A — selection trajectories (independent of trading).
     if blockwise:
@@ -269,47 +376,32 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
             models = _open_blocks(group)
             for model, (i, policy, block, t) in zip(models, group):
                 end = t + int(policy.schedule.lengths[block])
-                latency = latency_rows[i][model]
-                row_loss = loss_rows[i]
-                row_correct = correct_rows[i]
-                feedback: list[float] = []
-                flat = flat_indices[i]
-                if flat is not None and not live:
-                    # One gather for the block; per-slot loss reductions run
-                    # on contiguous slices of it (bitwise the same as
-                    # per-slot gathers of the identical values).
-                    bounds = offsets[i]
-                    base = bounds[t]
-                    big = flat[base : bounds[end]]
-                    seg_losses = loss_tables[model][big]
-                    seg_correct = correct_tables[model][big]
-                    rel = np.asarray(bounds[t:end]) - base
-                    # Correct counts are sums of 0/1 indicators — every
-                    # partial sum is an exactly-representable integer, so the
-                    # summation order cannot change the result and reduceat
-                    # (not otherwise bit-stable) is safe here.
-                    row_correct[t:end] = np.add.reduceat(seg_correct, rel)
-                    for s in range(t, end):
-                        a = bounds[s] - base
-                        b = bounds[s + 1] - base
-                        seg = seg_losses[a:b]
-                        slot_loss = float(reduce_add(seg) / seg.size)
-                        row_loss[s] = slot_loss
-                        feedback.append(slot_loss + latency)
-                else:
-                    for s in range(t, end):
-                        if flat is not None:
-                            bounds = offsets[i]
-                            idx = flat[bounds[s] : bounds[s + 1]]
-                        else:
-                            idx = slot_indices[i][s]
-                        losses = losses_for(model, idx)
-                        slot_loss = float(reduce_add(losses) / losses.size)
-                        row_loss[s] = slot_loss
-                        row_correct[s] = reduce_add(correct_tables[model][idx])
-                        feedback.append(slot_loss + latency)
-                policy.observe_block(block, feedback)
+                kernel = edge_kernels[i]
+                hosted = kernel.previous_model
+                first = t
+                if offline is not None:
+                    first = _first_serving_slot(kernel, model, t, end, offline[i])
+                # Until ``first`` an online slot still serves the hosted
+                # model, and an edge that never served has only offline
+                # slots there.  An offline slot keeps the chosen model.
+                split = first if hosted >= 0 else t
                 selections[t:end, i] = model
+                if split > t:
+                    selections[t:split, i] = np.where(
+                        offline[i, t:split], model, hosted
+                    )
+                    fill(i, hosted, t, split)
+                if split < end:
+                    fill(i, model, split, end)
+                if first < end:
+                    # A switch is measured against the last *served* model.
+                    kernel.previous_model = model
+                    switches[first, i] = model != hosted
+                observed = loss_rows[i][first:end] + latency_rows[i][model]
+                if lost is not None:
+                    observed = observed[~lost[i, first:end]]
+                feedback = observed.tolist()
+                policy.observe_block(block, feedback, lost=end - t - len(feedback))
     else:
         # Mixed fleet: drive the policies' public per-slot interface (block
         # openings of any plain Algorithm-1 members still batch).
@@ -321,28 +413,29 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
                 _open_blocks(group)
             for i in range(num_edges):
                 model = select_fns[i](t)
-                flat = flat_indices[i]
-                if flat is not None:
-                    bounds = offsets[i]
-                    idx = flat[bounds[t] : bounds[t + 1]]
-                else:
-                    idx = slot_indices[i][t]
+                idx = slot_draw(i, t)
                 losses = losses_for(model, idx)
                 slot_loss = float(reduce_add(losses) / losses.size)
                 observe_fns[i](t, model, slot_loss + latency_rows[i][model])
                 selections[t, i] = model
                 loss_rows[i][t] = slot_loss
                 correct_rows[i][t] = reduce_add(correct_tables[model][idx])
+        switches[0] = True
+        np.not_equal(selections[1:], selections[:-1], out=switches[1:])
+    # Phase B never reads the draws: free them before it allocates.
+    del flat_indices, slot_indices, offsets
 
     # Phase B — system-level emissions and trading.  Selections are fully
     # known, so the whole horizon's per-edge emissions come from one batch
     # call; the trading kernel itself is stateful and order-dependent, so a
     # lean per-slot loop feeds it in slot order.
-    previous = np.vstack(
-        [np.full((1, num_edges), -1, dtype=selections.dtype), selections[:-1]]
-    )
-    switches = selections != previous
-    arrays["switches"] = switches
+    if offline is not None:
+        # An offline edge-slot serves nothing: no arrivals served, no loss,
+        # and (with zero arrivals and no switch) exactly zero emissions.
+        # The draws are done, so from here on counts_mat holds served counts.
+        counts_mat[offline] = 0
+        loss_mat[offline] = 0.0
+        correct_mat[offline] = 0.0
     emissions_mat = energy.slot_emissions_kg_batch(
         selections,
         counts_mat.T,
@@ -355,16 +448,17 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     trading_step = trading_kernel.step
     # The scalar loop accumulates slot emissions edge by edge as Python
     # floats; replay that exact addition sequence.
-    for t, row in enumerate(emissions_mat.tolist()):
+    for t in range(horizon):
         slot_emissions = 0.0
-        for value in row:
+        for value in emissions_mat[t].tolist():
             slot_emissions += value
         emissions[t] = slot_emissions
         bought[t], sold[t], trading_cost[t] = trading_step(t, slot_emissions)
 
     # Cross-edge per-slot accumulation, vectorized over slots but iterated
     # in ascending edge order — the same addition sequence per slot as the
-    # scalar fold's per-edge sums.
+    # scalar fold's per-edge sums (an offline edge adds exact zeros where
+    # the fold skips it).
     expected_inference = arrays["expected_inference"]
     realized_loss = arrays["realized_loss"]
     compute_cost = arrays["compute_cost"]
@@ -373,12 +467,20 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     correct_acc = np.zeros(horizon)
     for i in range(num_edges):
         chosen = selections[:, i]
-        expected_inference += expected_losses[chosen]
+        expected = expected_losses[chosen]
+        compute = latencies[i][chosen]
+        if offline is not None:
+            expected[offline[i]] = 0.0
+            compute[offline[i]] = 0.0
+        expected_inference += expected
         realized_loss += loss_mat[i]
-        compute_cost += latencies[i][chosen]
+        compute_cost += compute
         switching_cost += np.where(switches[:, i], switch_costs[i], 0.0)
         correct_acc += correct_mat[i]
         arrivals_total += counts_mat[i]
-    # Arrival counts are truncated below at 1, so every slot serves work.
-    arrays["accuracy"] = correct_acc / arrivals_total
+    # A slot where every edge is offline served nothing; the scalar fold
+    # records its accuracy as NaN.
+    accuracy = np.full(horizon, np.nan)
+    np.divide(correct_acc, arrivals_total, out=accuracy, where=arrivals_total > 0)
+    arrays["accuracy"] = accuracy
     return assemble_result(scenario, sim.label, arrays)

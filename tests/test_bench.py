@@ -13,7 +13,13 @@ import os
 
 import pytest
 
-from repro.bench.cases import SUITE_NAMES, BenchCase, derive_ratios, run_case
+from repro.bench.cases import (
+    SUITE_NAMES,
+    BenchCase,
+    derive_ratios,
+    run_case,
+    suite_cases,
+)
 from repro.bench.cli import main
 from repro.bench.report import (
     BENCH_FORMAT_VERSION,
@@ -198,6 +204,33 @@ class TestRunCase:
         ratios = derive_ratios("simulator", results)
         assert ratios["vectorized_speedup_i64"] == pytest.approx(4.0)
         assert ratios["vectorized_speedup_i10"] == pytest.approx(1.5)
+
+
+class TestSimulatorOverrides:
+    """Which engines the simulator suite measures under ``--faults`` / tracing."""
+
+    @staticmethod
+    def _engines(overrides) -> dict[str, str]:
+        return {
+            case.name: case.meta["engine"]
+            for case in suite_cases("simulator", spec_overrides=overrides)
+            if "engine" in case.meta
+        }
+
+    def test_fault_plan_keeps_both_engines(self):
+        from repro.faults import EdgeOutage, FaultPlan
+
+        plan = FaultPlan((EdgeOutage(edge=0, start=1, end=2),))
+        engines = self._engines({"faults": plan})
+        assert sorted(engines) == [
+            "simulate_scalar_i10", "simulate_scalar_i64",
+            "simulate_vectorized_i10", "simulate_vectorized_i64",
+        ]
+
+    def test_trace_output_keeps_only_the_scalar_loop(self, tmp_path):
+        engines = self._engines({"trace_output": str(tmp_path / "trace.jsonl")})
+        assert sorted(engines) == ["simulate_scalar_i10", "simulate_scalar_i64"]
+        assert set(engines.values()) == {"scalar"}
 
 
 # ---------------------------------------------------------------------------

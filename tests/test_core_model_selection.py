@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.blocks import BlockSchedule
 from repro.core.model_selection import OnlineModelSelection, _BlockRecord
+from repro.core.tsallis import tsallis_inf_probabilities
 from repro.sim.config import ScenarioConfig
 from repro.sim.simulator import Simulator
 from repro.spec import RunSpec
@@ -126,6 +127,69 @@ class TestOnlineModelSelection:
             return int(np.sum(selections[1:] != selections[:-1]))
 
         assert count_switches(10.0) < count_switches(0.5)
+
+
+class TestObserveBlock:
+    """``observe_block(block, losses, lost=k)`` is the per-slot fold in bulk."""
+
+    @staticmethod
+    def open_next(policy, block, t):
+        """Open ``block`` at slot ``t`` the way a batch driver does."""
+        probabilities = tsallis_inf_probabilities(
+            policy.cumulative_estimates(), policy.block_eta(block)
+        )
+        return policy.open_block_with(block, t, probabilities)
+
+    def test_lost_slots_match_per_slot_interleaving(self):
+        horizon = 80
+        bulk, slotwise = (
+            OnlineModelSelection(4, horizon, 1.5, np.random.default_rng(21))
+            for _ in range(2)
+        )
+        gen = np.random.default_rng(8)
+        t = 0
+        for block, length in enumerate(bulk.schedule.lengths.tolist()):
+            losses = gen.uniform(0.0, 3.0, size=length).tolist()
+            # Block 1 loses every slot's feedback; the others lose some.
+            lost = gen.random(length) < (1.0 if block == 1 else 0.4)
+            for s in range(length):
+                model = slotwise.select(t + s)
+                if lost[s]:
+                    slotwise.observe_lost(t + s, model)
+                else:
+                    slotwise.observe(t + s, model, losses[s])
+            assert self.open_next(bulk, block, t) == model
+            observed = [loss for loss, gone in zip(losses, lost) if not gone]
+            bulk.observe_block(block, observed, lost=int(lost.sum()))
+            t += length
+            np.testing.assert_array_equal(
+                bulk.cumulative_estimates(), slotwise.cumulative_estimates()
+            )
+            assert bulk.feedback_losses == slotwise.feedback_losses
+            np.testing.assert_array_equal(
+                bulk.selection_counts, slotwise.selection_counts
+            )
+            assert bulk.pending_blocks == slotwise.pending_blocks == 0
+        assert t == horizon
+
+    def test_all_lost_block_folds_nothing(self):
+        policy = OnlineModelSelection(3, 40, 1.0, np.random.default_rng(4))
+        model = self.open_next(policy, 0, 0)
+        length = int(policy.schedule.lengths[0])
+        policy.observe_block(0, [], lost=length)
+        assert not policy.cumulative_estimates().any()
+        assert policy.feedback_losses == length
+        assert policy.selection_counts[model] == length
+        assert policy.pending_blocks == 0
+
+    @pytest.mark.parametrize("extra_losses,lost", [(1, 0), (-1, 0), (1, -1)])
+    def test_length_mismatch_raises(self, extra_losses, lost):
+        policy = OnlineModelSelection(3, 40, 1.0, np.random.default_rng(4))
+        self.open_next(policy, 0, 0)
+        length = int(policy.schedule.lengths[0])
+        with pytest.raises(ValueError, match="spans"):
+            policy.observe_block(0, [1.0] * (length + extra_losses), lost=lost)
+        assert policy.pending_blocks == 1
 
 
 def drive_delayed(policy, slots, delay, pending, log, *, flush=False):

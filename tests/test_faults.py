@@ -142,6 +142,38 @@ class TestInjector:
         )
         assert injector.backoff_cap(0, 0) == 16
 
+    @pytest.mark.parametrize(
+        "accessor",
+        ["offline_mask", "feedback_lost_mask", "download_failed_mask", "backoff_caps"],
+    )
+    def test_mask_accessors_are_read_only(self, accessor):
+        injector = self.build()
+        mask = getattr(injector, accessor)
+        assert mask.shape == (40, 3)
+        before = mask.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = mask[0, 0] + 1
+        np.testing.assert_array_equal(getattr(injector, accessor), before)
+
+    def test_mask_accessors_match_point_queries(self):
+        injector = self.build()
+        queries = {
+            "offline_mask": injector.edge_offline,
+            "feedback_lost_mask": injector.feedback_lost,
+            "download_failed_mask": injector.download_failed,
+            "backoff_caps": injector.backoff_cap,
+        }
+        for name, query in queries.items():
+            expected = [[query(t, i) for i in range(3)] for t in range(40)]
+            assert getattr(injector, name).tolist() == expected, name
+
+    def test_edge_fault_guard_ignores_market_faults(self):
+        market_only = FaultPlan(
+            (MarketOutage(start=1, end=5), TradeRejection(probability=1.0))
+        )
+        assert not self.build(market_only).has_edge_faults
+        assert self.build().has_edge_faults
+
 
 class TestDeterminism:
     """Bit-level reproducibility with and without faults."""

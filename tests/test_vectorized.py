@@ -11,6 +11,8 @@ the live-inference path, plus the dispatch rules of
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -118,8 +120,13 @@ def test_live_inference_is_bit_identical(mnist_scenario):
 
 def test_class_mix_draws_are_bit_identical(mnist_scenario):
     """The per-slot two-stage class-mix draw path (mnist pools) agrees."""
+    num_classes = int(np.max(mnist_scenario.y_pool)) + 1
+    weights = np.random.default_rng(5).dirichlet(
+        np.ones(num_classes), size=mnist_scenario.num_edges
+    )
+    scenario = dataclasses.replace(mnist_scenario, edge_class_weights=weights)
     spec = RunSpec(seed=6)
-    scalar, fast = _digests(mnist_scenario, spec)
+    scalar, fast = _digests(scenario, spec)
     assert scalar == fast
 
 
@@ -184,12 +191,18 @@ def test_default_dispatch_picks_fast_path_and_matches_scalar():
     "overrides",
     [
         {"label_delay": 2},
-        {"faults": FaultPlan((EdgeOutage(edge=0, start=2, end=4),))},
+        {
+            "selection": "UCB",
+            "faults": FaultPlan((EdgeOutage(edge=0, start=2, end=4),)),
+        },
     ],
     ids=["label_delay", "faults"],
 )
 def test_unsupported_runs_decline_and_fall_back(overrides):
-    """Per-slot machinery forces the scalar loop; forcing the fast path raises."""
+    """Per-slot machinery forces the scalar loop; forcing the fast path raises.
+
+    A fault plan declines only on a fleet that is not plain Algorithm 1.
+    """
     scenario = _scenario(2, 24, seed=1)
     spec = RunSpec(seed=8, **overrides)
     sim = Simulator.from_spec(scenario, spec)
@@ -199,6 +212,17 @@ def test_unsupported_runs_decline_and_fall_back(overrides):
     # The default dispatch still works — it silently takes the scalar loop.
     result = Simulator.from_spec(scenario, spec).run()
     assert result.horizon == scenario.horizon
+
+
+def test_faulted_algorithm1_fleet_qualifies_and_matches_scalar():
+    """An Ours fleet under a fault plan takes the fast path, bit-identically."""
+    scenario = _scenario(2, 24, seed=1)
+    spec = RunSpec(seed=8, faults=FaultPlan((EdgeOutage(edge=0, start=2, end=4),)))
+    sim = Simulator.from_spec(scenario, spec)
+    assert can_vectorize(sim)
+    auto = sim.run()
+    scalar = Simulator.from_spec(scenario, spec).run(vectorized=False)
+    assert result_digest(auto) == result_digest(scalar)
 
 
 def test_tracing_declines_fast_path(tmp_path):
