@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--label-delay", type=int, default=None, metavar="D",
                        help="deliver bandit feedback D slots late")
     serve.add_argument("--adapter",
-                       choices=("poisson", "replay", "dataset", "shape"),
+                       choices=("poisson", "replay", "shape"),
                        default=None,
                        help="stream adapter feeding the edges "
                             "(default: poisson)")

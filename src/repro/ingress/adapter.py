@@ -1,8 +1,7 @@
 """The aggregation seam: an ingress tier disguised as a stream adapter.
 
-:class:`IngressAdapter` wraps any count-producing
-:class:`~repro.serve.adapters.StreamAdapter` (poisson, replay, shape —
-not dataset, whose pre-drawn indices are inseparable from its counts).
+:class:`IngressAdapter` wraps any
+:class:`~repro.serve.adapters.StreamAdapter` (poisson, replay, shape).
 Per slot it thins the base count into per-SLA-class requests
 (:class:`~repro.ingress.generator.RequestThinner`), routes them through
 the :class:`~repro.ingress.router.IngressRouter`, and hands the runtime a
@@ -40,7 +39,7 @@ from repro.obs.events import (
     RequestDropEvent,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.serve.adapters import DatasetAdapter, StreamAdapter
+from repro.serve.adapters import StreamAdapter
 from repro.serve.queues import WorkItem
 from repro.sim.kernel import EdgeSlotOutcome
 from repro.sim.scenario import Scenario
@@ -64,12 +63,6 @@ class IngressAdapter(StreamAdapter):
         prices: np.ndarray,
         tracer: Tracer | None = None,
     ) -> None:
-        if isinstance(base, DatasetAdapter):
-            raise ValueError(
-                "ingress cannot wrap the dataset adapter: its pre-drawn "
-                "indices are coupled to its counts, so deferral would "
-                "desynchronize data from arrivals"
-            )
         self.base = base
         self.edge = int(edge)
         self.config = config

@@ -1,10 +1,11 @@
 """repro.serve: the async streaming edge-fleet runtime.
 
-Runs Algorithm 1 (per-edge online model selection) and Algorithm 2 (central
-carbon-allowance trading) as long-lived asyncio tasks over pluggable stream
-adapters, with bounded-queue backpressure, periodic snapshot/restore, a
-stdlib health endpoint, and a deterministic virtual-clock mode that is
-bit-identical to :meth:`repro.sim.simulator.Simulator.run`.
+Runs Algorithm 1 (per-edge online model selection) in one asyncio slot
+loop per shard worker and Algorithm 2 (central carbon-allowance trading) in
+the parent, over pluggable stream adapters, with bounded-queue
+backpressure, periodic snapshot/restore, a stdlib health endpoint, and a
+deterministic virtual-clock mode that is bit-identical to
+:meth:`repro.sim.simulator.Simulator.run`.
 
 One runtime, :class:`~repro.serve.shard.ShardRuntime`, serves every
 configuration: ``num_workers=0`` runs the edges in-process on an inline
@@ -14,7 +15,6 @@ under deterministic load shapes (:mod:`repro.serve.load`).
 """
 
 from repro.serve.adapters import (
-    DatasetAdapter,
     PoissonAdapter,
     ShapeAdapter,
     StreamAdapter,
@@ -55,7 +55,6 @@ __all__ = [
     "AddEdge",
     "BoundedWorkQueue",
     "ChaosPlan",
-    "DatasetAdapter",
     "PoissonAdapter",
     "QueueStats",
     "RandomKills",

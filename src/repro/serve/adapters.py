@@ -1,6 +1,6 @@
 """Stream adapters: where each edge's per-slot workload comes from.
 
-Four sources, all reusing existing subsystems:
+Three sources, all reusing existing subsystems:
 
 * :class:`PoissonAdapter` — synthetic arrivals from the scenario's workload
   trace via :class:`repro.data.streams.ArrivalProcess` (the simulator's own
@@ -8,16 +8,11 @@ Four sources, all reusing existing subsystems:
 * :class:`TraceReplayAdapter` — counts replayed verbatim from the
   ``arrival`` events of a recorded JSONL trace (:mod:`repro.obs`);
 * :class:`ShapeAdapter` — counts from a seeded load-shape grid
-  (:mod:`repro.serve.load`) for the soak harness;
-* :class:`DatasetAdapter` — arrivals plus *pre-drawn* data-pool indices
-  from the edge's ``data-<edge>`` stream, for dataset-backed (MNIST/CIFAR
-  via :mod:`repro.nn`) serving where the adapter owns sample selection.
-  The kernel skips its own draw when indices are provided, and the adapter
-  consumes the same generator the kernel would have — determinism holds
-  either way.
+  (:mod:`repro.serve.load`) for the soak harness.
 
-Adapters are synchronous, picklable state machines; the async feeder tasks
-in :mod:`repro.serve.runtime` drive them.
+Adapters produce counts only; each edge kernel draws its own pool
+indices.  They are synchronous, picklable state machines that a shard
+worker's slot loop (:mod:`repro.serve.shard`) drives.
 """
 
 from __future__ import annotations
@@ -29,11 +24,9 @@ import numpy as np
 from repro.data.streams import ArrivalProcess
 from repro.obs.sinks import read_events
 from repro.serve.queues import WorkItem
-from repro.sim.kernel import EdgeSlotKernel, draw_pool_indices
 from repro.sim.scenario import Scenario
 
 __all__ = [
-    "DatasetAdapter",
     "PoissonAdapter",
     "ShapeAdapter",
     "StreamAdapter",
@@ -112,53 +105,6 @@ class ShapeAdapter(TraceReplayAdapter):
     name = "shape"
 
 
-class DatasetAdapter(StreamAdapter):
-    """Arrivals plus pre-drawn pool indices for dataset-backed serving.
-
-    Shares the edge kernel's ``data-<edge>`` generator: the draw the kernel
-    would have made happens here instead, one slot earlier in the pipeline
-    but in the same per-edge order — the stream consumption is identical.
-    """
-
-    name = "dataset"
-
-    def __init__(
-        self,
-        edge: int,
-        arrivals: ArrivalProcess,
-        scenario: Scenario,
-        data_rng: np.random.Generator,
-        class_indices: list[np.ndarray] | None,
-    ) -> None:
-        super().__init__(edge)
-        self.arrivals = arrivals
-        self.scenario = scenario
-        self.data_rng = data_rng
-        self.class_indices = class_indices
-        self.pool_size = scenario.profiles[0].pool_size
-
-    def next_item(self, t: int) -> WorkItem:
-        count = self.arrivals.sample(t)
-        indices = draw_pool_indices(
-            self.scenario,
-            self.edge,
-            count,
-            self.data_rng,
-            self.pool_size,
-            self.class_indices,
-        )
-        return WorkItem(t=t, count=count, indices=indices)
-
-    def state_dict(self) -> dict[str, object]:
-        # data_rng is the kernel's generator; pickled in the same snapshot
-        # payload, the shared identity survives the round-trip.
-        return {"arrivals": self.arrivals, "data_rng": self.data_rng}
-
-    def load_state(self, state: dict[str, object]) -> None:
-        self.arrivals = state["arrivals"]
-        self.data_rng = state["data_rng"]
-
-
 def arrival_counts_from_trace(
     path: str | Path, *, horizon: int, num_edges: int
 ) -> np.ndarray:
@@ -196,7 +142,6 @@ def make_adapters(
     name: str,
     scenario: Scenario,
     arrival_processes: list[ArrivalProcess],
-    edge_kernels: list[EdgeSlotKernel],
     *,
     replay_log: str | Path | None = None,
     load_counts: np.ndarray | None = None,
@@ -228,16 +173,5 @@ def make_adapters(
         )
         return [
             TraceReplayAdapter(i, counts[:, i]) for i in range(num_edges)
-        ]
-    if name == "dataset":
-        return [
-            DatasetAdapter(
-                i,
-                arrival_processes[i],
-                scenario,
-                edge_kernels[i].data_rng,
-                edge_kernels[i].class_indices,
-            )
-            for i in range(num_edges)
         ]
     raise ValueError(f"unknown adapter {name!r}")

@@ -1,13 +1,13 @@
 """Pluggable slot clocks gating how far ahead the fleet may run.
 
-The coordinator *releases* slots as it completes them; feeders *wait* for a
-slot's release before generating its workload.  :class:`VirtualClock`
-advances only on releases — time is logical, runs are deterministic, and a
-release depth of one yields the lockstep schedule that is bit-identical to
-``Simulator.run``.  :class:`WallClock` additionally paces each slot to real
-time (``slot_duration`` seconds per slot, measured on the event loop's
-monotonic clock — never the wall-time-of-day clock, which reprolint RPL008
-bans from library code).
+The coordinator *releases* slots as it completes them; a shard's slot loop
+*waits* for a slot's release before drawing its workload.
+:class:`VirtualClock` advances only on releases — time is logical, runs are
+deterministic, and a release depth of one yields the lockstep schedule that
+is bit-identical to ``Simulator.run``.  :class:`WallClock` additionally
+paces each slot to real time (``slot_duration`` seconds per slot, measured
+on the event loop's monotonic clock — never the wall-time-of-day clock,
+which reprolint RPL008 bans from library code).
 """
 
 from __future__ import annotations
@@ -78,6 +78,10 @@ class SlotClock:
     async def pace(self, t: int) -> None:
         """Hold slot ``t`` to real time; virtual clocks return immediately."""
 
+    def started(self, t: int) -> bool:
+        """Whether slot ``t``'s start time has passed; always on virtual time."""
+        return True
+
 
 class VirtualClock(SlotClock):
     """Logical time: slots run as fast as the release schedule allows."""
@@ -86,8 +90,11 @@ class VirtualClock(SlotClock):
 class WallClock(SlotClock):
     """Real-time pacing: slot ``t`` starts ``t * slot_duration`` seconds in.
 
-    ``slot_duration=0`` degrades to free-running (releases still gate), which
-    is what load tests use to saturate the queues without waiting.
+    The origin is set by the first paced slot, which starts at once: a
+    worker that begins mid-horizon (a resume, a respawn) serves its first
+    slot immediately and paces the rest from there.  ``slot_duration=0``
+    degrades to free-running (releases still gate), which is what load
+    tests use to saturate the queues without waiting.
     """
 
     def __init__(self, slot_duration: float) -> None:
@@ -103,9 +110,18 @@ class WallClock(SlotClock):
         """Sleep until slot ``t``'s scheduled start on the monotonic clock."""
         if self.slot_duration == 0:
             return
-        loop = asyncio.get_running_loop()
+        now = asyncio.get_running_loop().time()
         if self._origin is None:
-            self._origin = loop.time()
-        delay = self._origin + t * self.slot_duration - loop.time()
+            self._origin = now - t * self.slot_duration
+        delay = self._origin + t * self.slot_duration - now
         if delay > 0:
             await asyncio.sleep(delay)
+
+    def started(self, t: int) -> bool:
+        """Whether slot ``t``'s start time has passed (never before any pace)."""
+        if self.slot_duration == 0:
+            return True
+        if self._origin is None:
+            return False
+        now = asyncio.get_running_loop().time()
+        return self._origin + t * self.slot_duration <= now

@@ -31,9 +31,12 @@ __all__ = [
 ]
 
 #: Stream adapters selectable by name in a serve config.
-ADAPTER_NAMES = ("poisson", "replay", "dataset", "shape")
+ADAPTER_NAMES = ("poisson", "replay", "shape")
 
-#: What a feeder does when an edge's work queue is full.
+#: What a shard's slot loop does with a burst that does not fit its edge's
+#: work queue: ``"block"`` holds it (and stops drawing that edge) until a
+#: step makes room; ``"shed"`` drops its payload and queues a zero-weight
+#: shed marker in its place.
 BACKPRESSURE_MODES = ("block", "shed")
 
 #: What the sharded parent does when a worker process dies mid-horizon:
@@ -194,11 +197,6 @@ class ServeConfig:
                 raise ValueError(
                     f"ingress must be an IngressConfig dict or None, "
                     f"got {type(self.ingress).__name__}"
-                )
-            if self.adapter == "dataset":
-                raise ValueError(
-                    'adapter "dataset" cannot run under ingress: its '
-                    "pre-drawn indices are coupled to its counts"
                 )
             # Parse eagerly so a bad embedded config fails at construction,
             # not mid-run.  Lazy import: repro.serve.__init__ imports this

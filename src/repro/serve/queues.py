@@ -4,17 +4,17 @@ Capacity is measured in *events* (sample counts), not items: a slot
 carrying 80 samples occupies 80 units, so the bound tracks actual memory
 and compute debt rather than item counts.  A burst larger than the whole
 capacity is still admitted when the queue is empty (otherwise ``block``
-mode would deadlock on it); shed markers weigh nothing and always fit, so
+mode would hold it forever); shed markers weigh nothing and always fit, so
 an edge sees every slot even when its payload was dropped.
+
+The queues are plain synchronous deques: one shard worker's slot loop
+(:mod:`repro.serve.shard`) is the only code that feeds and drains them.
 """
 
 from __future__ import annotations
 
-import asyncio
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = ["BoundedWorkQueue", "QueueStats", "WorkItem"]
 
@@ -23,15 +23,12 @@ __all__ = ["BoundedWorkQueue", "QueueStats", "WorkItem"]
 class WorkItem:
     """One slot's workload for one edge.
 
-    ``indices`` carries pre-drawn data-pool indices when the adapter owns
-    the draw (dataset adapter); ``None`` lets the edge kernel draw.  A
-    ``shed`` item records a payload dropped at the queue: the kernel still
-    advances its block schedule, but serves nothing.
+    A ``shed`` item records a payload dropped at the queue: the kernel
+    still advances its block schedule, but serves nothing.
     """
 
     t: int
     count: int
-    indices: np.ndarray | None = None
     shed: bool = False
 
     @property
@@ -47,17 +44,17 @@ class QueueStats:
     events: int = 0
     items: int = 0
     peak_events: int = 0
-    total_enqueued: int = 0
     rejected: int = 0
 
 
 class BoundedWorkQueue:
-    """An asyncio FIFO bounded by total event weight.
+    """A FIFO bounded by total event weight.
 
-    ``put`` blocks until the item fits (``block=True``) or returns ``False``
-    immediately (``block=False`` — the shed path).  ``get`` blocks until an
-    item is available.  Single-producer/single-consumer per edge, so FIFO
-    order is also slot order.
+    ``put`` admits an item when it fits and returns whether it did.  A
+    refused ``block=False`` put is the shed path and counts in
+    ``stats.rejected``; a refused blocking put leaves the caller holding
+    the burst to offer again once a ``pop`` has made room.  Each item
+    carries the time it was fed, which ``pop`` hands back with it.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -65,13 +62,7 @@ class BoundedWorkQueue:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self.stats = QueueStats()
-        self._items: deque[WorkItem] = deque()
-        self._condition = asyncio.Condition()
-
-    def _has_room(self, weight: int) -> bool:
-        if weight == 0 or self.stats.items == 0:
-            return True
-        return self.stats.events + weight <= self.capacity
+        self._items: deque[tuple[WorkItem, float]] = deque()
 
     @property
     def depth_events(self) -> int:
@@ -83,28 +74,24 @@ class BoundedWorkQueue:
         """Items currently enqueued."""
         return self.stats.items
 
-    async def put(self, item: WorkItem, *, block: bool = True) -> bool:
-        """Enqueue ``item``; returns whether it was admitted."""
-        async with self._condition:
-            if not block and not self._has_room(item.weight):
-                self.stats.rejected += 1
-                return False
-            await self._condition.wait_for(lambda: self._has_room(item.weight))
-            self._items.append(item)
-            stats = self.stats
-            stats.events += item.weight
-            stats.items += 1
-            stats.total_enqueued += 1
-            stats.peak_events = max(stats.peak_events, stats.events)
-            self._condition.notify_all()
-            return True
+    def put(self, item: WorkItem, fed_at: float = 0.0, *, block: bool = True) -> bool:
+        """Enqueue ``item`` (fed at ``fed_at``) if it fits; returns whether it did."""
+        stats = self.stats
+        weight = item.weight
+        if weight and stats.items and stats.events + weight > self.capacity:
+            if not block:
+                stats.rejected += 1
+            return False
+        self._items.append((item, fed_at))
+        stats.events += weight
+        stats.items += 1
+        if stats.events > stats.peak_events:
+            stats.peak_events = stats.events
+        return True
 
-    async def get(self) -> WorkItem:
-        """Dequeue the oldest item, waiting for one if the queue is empty."""
-        async with self._condition:
-            await self._condition.wait_for(lambda: self.stats.items > 0)
-            item = self._items.popleft()
-            self.stats.events -= item.weight
-            self.stats.items -= 1
-            self._condition.notify_all()
-            return item
+    def pop(self) -> tuple[WorkItem, float]:
+        """Dequeue the oldest item and the time it was fed."""
+        item, fed_at = self._items.popleft()
+        self.stats.events -= item.weight
+        self.stats.items -= 1
+        return item, fed_at

@@ -66,7 +66,6 @@ def build_serve_kernels(
         config.adapter,
         scenario,
         arrivals,
-        edge_kernels,
         replay_log=config.replay_log,
         load_counts=load_counts,
     )

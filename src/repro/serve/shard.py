@@ -1,16 +1,16 @@
 """The serve runtime: a trading parent over a sharded edge tier.
 
 Topology (one run): the fleet's edges are partitioned contiguously across
-workers.  Each worker runs per-edge **feeder** tasks (draw the slot's
-workload from the stream adapter, enqueue it on the edge's bounded queue,
-blocking or shedding on backpressure) and **actor** tasks (drain the queue
-and step the edge's :class:`~repro.sim.kernel.EdgeSlotKernel`) in its own
-asyncio loop, while the parent owns the
-:class:`~repro.sim.kernel.TradingSlotKernel`, the result arrays, the
-release schedule, and snapshot persistence.  The two sides exchange frames
-(:mod:`repro.serve.frames`): the parent broadcasts slot releases, workers
-report per-slot outcome batches, heartbeats prove liveness during long
-slots, and a drain handshake ends the run with the ledger intact.
+workers.  Each worker runs one **slot loop** on its own asyncio loop: per
+slot it feeds every released slot whose start time has passed from the
+stream adapters into the edges' bounded queues (blocking or shedding on
+backpressure), steps each edge's :class:`~repro.sim.kernel.EdgeSlotKernel`
+on its slot item in edge order, and sends the slot's outcomes.  The parent
+owns the :class:`~repro.sim.kernel.TradingSlotKernel`, the result arrays,
+the release schedule, and snapshot persistence.  The two sides exchange
+frames (:mod:`repro.serve.frames`): the parent broadcasts slot releases,
+workers report per-slot outcome batches, heartbeats prove liveness during
+long slots, and a drain handshake ends the run with the ledger intact.
 
 ``num_workers=0`` is the in-process mode: one inline worker runs as a task
 on an event loop the parent pumps between folds, over an inline link that
@@ -66,7 +66,7 @@ slot boundaries, which is what the soak harness gates recovery on.
 
 Telemetry: the runtime's tracer holds its counters and five stage-latency
 :class:`~repro.obs.metrics.Timer` histograms.  Workers ship each slot's
-per-edge ``queue_s`` (enqueue to dequeue) and ``serve_s`` (kernel step)
+per-edge ``queue_s`` (feed to step) and ``serve_s`` (kernel step)
 lists in its SLOT frame, and the parent folds each list into
 ``serve/stage/queue`` or ``serve/stage/serve`` in one numpy pass per
 frame.  The parent itself records ``serve/stage/trade`` (fold + trading
@@ -91,6 +91,8 @@ from typing import Sequence
 
 from repro.faults.plan import FaultPlan
 from repro.obs.events import (
+    ArrivalEvent,
+    QueueShedEvent,
     ReconfigAppliedEvent,
     SlotStartEvent,
     SnapshotEvent,
@@ -227,22 +229,20 @@ async def _worker_async(
     replay_from: int,
     restart_every: int,
 ) -> None:
-    """One shard's event loop: feeders + actors + the link-facing tasks.
+    """One shard's event loop: a slot loop beside a control and a heartbeat task.
 
-    Concurrency layout keeps every shared resource single-writer: all
-    frames to the parent flow through one **sender** task fed by
-    ``outbox``; all frames from the parent enter through the link's
-    ``listen`` callback feeding ``control``; per-slot outcomes funnel
-    through one **reporter** task that batches a slot's shard outcomes
-    into a single frame.
+    Frames from the parent enter through the link's ``listen`` callback,
+    which feeds ``control``.  Every frame to the parent is sent by the task
+    that builds it: each send is synchronous, so no two can interleave on
+    the single-threaded loop.
 
     A respawned incarnation runs three phases before going live at
     ``start``: a silent *catch-up* re-steps each edge from its restored
     checkpoint up to ``replay_from`` (outcomes discarded — the parent
     already folded them, and the deterministic kernels reproduce the exact
     same state); an *offline replay* reports ``[replay_from, start)`` as
-    offline outcomes with the real arrival counts; then the normal live
-    loops take over.
+    offline outcomes with the real arrival counts; then the slot loop
+    takes over.
     """
     scenario, adapters, edge_kernels, _ = build_serve_kernels(
         config, tracer=tracer, faults=faults
@@ -273,9 +273,7 @@ async def _worker_async(
         for t in range(as_of, replay_from):
             item = adapter.next_item(t)
             if mode == "live":
-                kernel.step(
-                    item.t, item.count, indices=item.indices, shed=item.shed
-                )
+                kernel.step(item.t, item.count, shed=item.shed)
             else:
                 kernel.step_offline(t, item.count)
             if has_ingress:
@@ -292,18 +290,32 @@ async def _worker_async(
     queues = {e: BoundedWorkQueue(config.queue_capacity) for e in edges}
     trace = tracer if tracer is not None else NULL_TRACER
     loop = asyncio.get_running_loop()
-    outbox: asyncio.Queue = asyncio.Queue()
-    reports: asyncio.Queue = asyncio.Queue()
     control: asyncio.Queue = asyncio.Queue()
     shutdown = asyncio.Event()
-    enqueue_ts: dict[int, dict[int, float]] = {e: {} for e in edges}
 
     stop_listening = end.listen(loop, control.put_nowait)
 
+    def _slot_frame(t: int, outcomes: list, queue_s: list, serve_s: list) -> dict:
+        frame = {
+            "type": SLOT,
+            "worker": index,
+            "t": t,
+            "outcomes": outcomes,
+            "queue_s": queue_s,
+            "serve_s": serve_s,
+        }
+        if has_ingress:
+            frame["ingress"] = {
+                outcome.edge: my_adapters[outcome.edge].resolve_slot(outcome)
+                for outcome in outcomes
+            }
+        return frame
+
     # Phase B — offline replay of the slots this worker's predecessor
     # missed: reported with the real arrival counts (the restored adapters
-    # are deterministic), queued ahead of READY so the parent folds them
-    # in order.
+    # are deterministic), sent ahead of READY so the parent folds them in
+    # order.  Every release in a replayed slot resolves against an offline
+    # outcome, so ingress counts it as a miss.
     for t in range(replay_from, start):
         outcomes = []
         for e in edges:
@@ -311,22 +323,7 @@ async def _worker_async(
             outcomes.append(kernels[e].step_offline(t, item.count))
             if delay:
                 kernels[e].deliver_due(t - delay)
-        frame = {
-            "type": SLOT,
-            "worker": index,
-            "t": t,
-            "outcomes": outcomes,
-            "queue_s": [],
-            "serve_s": [],
-        }
-        if has_ingress:
-            # Resolved against the offline outcomes: every release in a
-            # replayed slot is dropped-offline, so it counts as a miss.
-            frame["ingress"] = {
-                outcome.edge: my_adapters[outcome.edge].resolve_slot(outcome)
-                for outcome in outcomes
-            }
-        await outbox.put(frame)
+        end.send(_slot_frame(t, outcomes, [], []))
 
     def _state_frame() -> dict:
         return {
@@ -335,36 +332,6 @@ async def _worker_async(
             "edges": {e: kernels[e].state_dict() for e in edges},
             "adapters": {e: my_adapters[e].state_dict() for e in edges},
         }
-
-    async def _fail(exc: Exception) -> None:
-        await outbox.put(_error_frame(index, exc))
-        shutdown.set()
-
-    async def _control() -> None:
-        while True:
-            frame = await control.get()
-            kind = frame["type"]
-            if kind == RELEASE:
-                await clock.release(int(frame["upto"]))
-            elif kind == SNAPSHOT_REQUEST:
-                # Only requested at quiescent boundaries (release capping),
-                # so kernel/adapter state is settled for every shard edge.
-                await outbox.put(_state_frame())
-            elif kind == RECONFIG:
-                # Reconfig barrier: checkpoint at the (quiescent) barrier
-                # and exit; the parent respawns the reshaped fleet.
-                await outbox.put(_state_frame())
-                shutdown.set()
-                return
-            elif kind == DRAIN:
-                shutdown.set()
-                return
-
-    async def _sender() -> None:
-        while True:
-            frame = await outbox.get()
-            end.send(frame)
-            outbox.task_done()
 
     def _queue_report() -> dict[int, dict[str, int]]:
         # The ``/healthz`` view of this shard's queues.
@@ -378,94 +345,96 @@ async def _worker_async(
             for e, queue in queues.items()
         }
 
+    async def _control() -> None:
+        while True:
+            frame = await control.get()
+            kind = frame["type"]
+            if kind == RELEASE:
+                await clock.release(int(frame["upto"]))
+            elif kind == SNAPSHOT_REQUEST:
+                # Only requested at quiescent boundaries (release capping),
+                # so kernel/adapter state is settled for every shard edge.
+                end.send(_state_frame())
+            elif kind == RECONFIG:
+                # Reconfig barrier: checkpoint at the (quiescent) barrier
+                # and exit; the parent respawns the reshaped fleet.
+                end.send(_state_frame())
+                shutdown.set()
+                return
+            elif kind == DRAIN:
+                shutdown.set()
+                return
+
     async def _heartbeat() -> None:
         while True:
             await asyncio.sleep(heartbeat_interval)
-            await outbox.put(
-                {"type": HEARTBEAT, "worker": index, "queues": _queue_report()}
-            )
+            end.send({"type": HEARTBEAT, "worker": index, "queues": _queue_report()})
 
-    async def _feeder(edge: int) -> None:
-        from repro.obs.events import ArrivalEvent, QueueShedEvent
+    shed_mode = config.backpressure == "shed"
+    # Per edge: the next slot to draw, and (block mode) a burst already
+    # drawn that waits, with its feed time, for a step to make room.
+    next_draw = dict.fromkeys(edges, start)
+    held: dict[int, tuple[WorkItem, float]] = {}
 
-        adapter = my_adapters[edge]
-        queue = queues[edge]
-        shed_mode = config.backpressure == "shed"
-        stamps = enqueue_ts[edge]
-        try:
-            for t in range(start, stop):
-                await clock.wait_for_slot(t)
-                await clock.pace(t)
-                item = adapter.next_item(t)
+    def _feed(t: int) -> None:
+        """Draw every released slot from ``t`` whose start time has passed.
+
+        Admission is per edge: ``shed`` turns a burst that does not fit a
+        non-empty queue into a zero-weight marker; ``block`` stops drawing
+        the edge at that burst and offers it again after the next step.
+        Slot ``t`` itself has been paced already.
+        """
+        last = min(clock.released, stop - 1)
+        while last > t and not clock.started(last):
+            last -= 1
+        now = loop.time()
+        for e in edges:
+            queue = queues[e]
+            if e in held:
+                item, fed_at = held[e]
+                if not queue.put(item, fed_at):
+                    continue
+                del held[e]
+            adapter = my_adapters[e]
+            s = next_draw[e]
+            while s <= last:
+                item = adapter.next_item(s)
+                s += 1
                 if trace.enabled:
-                    trace.emit(ArrivalEvent(t=t, edge=edge, count=item.count))
-                # Stamped before put: a blocked put is queue latency too.
-                stamps[t] = loop.time()
-                if shed_mode:
-                    admitted = await queue.put(item, block=False)
-                    if not admitted:
-                        if trace.enabled:
-                            trace.emit(
-                                QueueShedEvent(t=t, edge=edge, count=item.count)
-                            )
-                        await queue.put(
-                            WorkItem(t=t, count=item.count, shed=True),
-                            block=False,
-                        )
-                else:
-                    await queue.put(item)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            await _fail(exc)
+                    trace.emit(ArrivalEvent(t=item.t, edge=e, count=item.count))
+                if queue.put(item, now, block=not shed_mode):
+                    continue
+                if not shed_mode:
+                    held[e] = (item, now)
+                    break
+                if trace.enabled:
+                    trace.emit(QueueShedEvent(t=item.t, edge=e, count=item.count))
+                queue.put(WorkItem(t=item.t, count=item.count, shed=True), now)
+            next_draw[e] = s
 
-    async def _actor(edge: int) -> None:
-        kernel = kernels[edge]
-        queue = queues[edge]
-        stamps = enqueue_ts[edge]
-        try:
-            for t in range(start, stop):
-                item = await queue.get()
-                dequeued = loop.time()
-                queue_s = dequeued - stamps.pop(item.t)
-                outcome = kernel.step(
-                    item.t, item.count, indices=item.indices, shed=item.shed
-                )
-                serve_s = loop.time() - dequeued
-                if delay:
-                    kernel.deliver_due(t - delay)
-                await reports.put((outcome, queue_s, serve_s))
-            if delay and stop == horizon:
-                kernel.deliver_due(horizon)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            await _fail(exc)
-
-    async def _reporter() -> None:
-        remaining = (stop - start) * len(edges)
-        pending: dict[int, list[tuple[EdgeSlotOutcome, float, float]]] = {}
+    async def _slots() -> None:
         kill_slots = frozenset(chaos.kills) if chaos is not None else frozenset()
         stall_slots = dict(chaos.stalls) if chaos is not None else {}
         drop_slots = dict(chaos.drops) if chaos is not None else {}
-        while remaining:
-            outcome, queue_s, serve_s = await reports.get()
-            remaining -= 1
-            bucket = pending.setdefault(outcome.t, [])
-            bucket.append((outcome, queue_s, serve_s))
-            if len(bucket) != len(edges):
-                continue
-            t = outcome.t
-            del pending[t]
-            bucket.sort(key=lambda row: row[0].edge)
-            # Resolved before the checkpoint capture below so restart
-            # checkpoints never carry provisional slot stats.
-            ingress_payloads = None
-            if has_ingress:
-                ingress_payloads = {
-                    row[0].edge: my_adapters[row[0].edge].resolve_slot(row[0])
-                    for row in bucket
-                }
+        for t in range(start, stop):
+            await clock.wait_for_slot(t)
+            await clock.pace(t)
+            _feed(t)
+            outcomes = []
+            queue_s = []
+            serve_s = []
+            for e in edges:
+                item, fed_at = queues[e].pop()
+                began = loop.time()
+                outcomes.append(kernels[e].step(item.t, item.count, shed=item.shed))
+                stepped = loop.time()
+                queue_s.append(began - fed_at)
+                serve_s.append(stepped - began)
+                if delay:
+                    kernels[e].deliver_due(t - delay)
+            # Ingress resolves before the checkpoint capture below, so
+            # restart checkpoints never carry provisional slot stats.
+            slot_frame = _slot_frame(t, outcomes, queue_s, serve_s)
             # Captured before anything hits the wire: releases are capped
             # at the checkpoint boundary, so every shard kernel is
             # quiescent at state t+1, and a chaos kill below can never
@@ -473,11 +442,9 @@ async def _worker_async(
             state_frame = None
             if restart_every and (t + 1) % restart_every == 0 and t + 1 < stop:
                 state_frame = {
+                    **_state_frame(),
                     "type": RESTART_STATE,
-                    "worker": index,
                     "next_slot": t + 1,
-                    "edges": {e: kernels[e].state_dict() for e in edges},
-                    "adapters": {e: my_adapters[e].state_dict() for e in edges},
                 }
             drop = drop_slots.get(t)
             if drop:
@@ -491,66 +458,43 @@ async def _worker_async(
                 # Abrupt, SIGKILL-like death with this slot unreported —
                 # the parent sees a raw EOF and the process sentinel.
                 os._exit(1)
-            slot_frame = {
-                "type": SLOT,
-                "worker": index,
-                "t": t,
-                "outcomes": [row[0] for row in bucket],
-                "queue_s": [row[1] for row in bucket],
-                "serve_s": [row[2] for row in bucket],
-            }
-            if ingress_payloads is not None:
-                slot_frame["ingress"] = ingress_payloads
             if t == stop - 1:
-                # Every actor has dequeued its last item: the final queue
+                # Every edge has stepped its last item: the final queue
                 # stats, so health reports the drain, not a stale beat.
                 slot_frame["queues"] = _queue_report()
-            await outbox.put(slot_frame)
+            end.send(slot_frame)
             if state_frame is not None:
-                await outbox.put(state_frame)
+                end.send(state_frame)
+        if delay and stop == horizon:
+            for e in edges:
+                kernels[e].deliver_due(horizon)
 
+    end.send({"type": READY, "worker": index})
     tasks = [
         asyncio.create_task(_control(), name=f"shard{index}-control"),
-        asyncio.create_task(_sender(), name=f"shard{index}-sender"),
         asyncio.create_task(_heartbeat(), name=f"shard{index}-heartbeat"),
     ]
-    tasks += [
-        asyncio.create_task(_feeder(e), name=f"shard{index}-feeder-{e}")
-        for e in edges
-    ]
-    tasks += [
-        asyncio.create_task(_actor(e), name=f"shard{index}-actor-{e}")
-        for e in edges
-    ]
-    reporter_task = asyncio.create_task(_reporter(), name=f"shard{index}-reporter")
+    slot_task = asyncio.create_task(_slots(), name=f"shard{index}-slots")
     shutdown_task = asyncio.create_task(
         shutdown.wait(), name=f"shard{index}-shutdown"
     )
-    await outbox.put({"type": READY, "worker": index})
     try:
         await asyncio.wait(
-            {reporter_task, shutdown_task},
-            return_when=asyncio.FIRST_COMPLETED,
+            {slot_task, shutdown_task}, return_when=asyncio.FIRST_COMPLETED
         )
-        if reporter_task.done() and not reporter_task.cancelled():
-            exc = reporter_task.exception()
-            if exc is not None:
-                raise exc
+        if slot_task.done():
+            slot_task.result()  # re-raises the slot loop's exception
             if stop < horizon:
                 # A partial run's stop slot may coincide with a snapshot
                 # boundary: the parent still needs this worker's STATE
                 # frame after the last SLOT, so hold the control channel
                 # open until it says DRAIN.
                 await shutdown_task
-        # Flush everything queued for the wire before tearing down.
-        await outbox.join()
     finally:
-        for task in [reporter_task, shutdown_task, *tasks]:
+        for task in [slot_task, shutdown_task, *tasks]:
             if not task.done():
                 task.cancel()
-        await asyncio.gather(
-            reporter_task, shutdown_task, *tasks, return_exceptions=True
-        )
+        await asyncio.gather(slot_task, shutdown_task, *tasks, return_exceptions=True)
         stop_listening()
 
 
@@ -889,8 +833,7 @@ class ShardRuntime:
         self.completed_slot = next_slot - 1
         self._edge_state_slot = next_slot
         # Per-edge kernel/adapter states are handed to the workers, which
-        # rebuild and then restore their own shard (one pickle payload per
-        # worker keeps kernel/adapter shared-object identity intact).
+        # rebuild and then restore their own shard.
         for e in range(self.num_edges):
             self._edge_payloads[e] = (
                 state["edges"][e],

@@ -4,9 +4,8 @@ A snapshot is one pickle of the runtime's explicit state dict — bandit
 weights and block counters (inside the selection policies), download-retry
 state, pending delayed feedback, the trading policy's dual state, the
 ledger, the market's trade log, adapter positions, and the partial result
-arrays.  Everything is pickled in a *single* payload so objects shared
-between components (e.g. the data generator an adapter shares with its
-kernel) keep their shared identity on restore.
+arrays.  Everything is pickled in a *single* payload, so one file holds
+one consistent slot boundary.
 
 Writes are atomic (temp file + ``os.replace``) so a crash mid-snapshot
 leaves the previous snapshot intact.  Tracers are never pickled — the
@@ -43,7 +42,10 @@ def load_snapshot(path: str | Path) -> dict[str, object]:
 
     Version 1 files predate the in-process worker: their config's
     ``num_workers=1`` meant "in-process", which is ``0`` now, so it is
-    rewritten and the run resumes where it was written.
+    rewritten and the run resumes where it was written.  A config that
+    names the removed ``dataset`` adapter resumes on ``poisson``: both drew
+    the same arrivals, and the poisson adapter reads only the
+    ``arrivals`` of the old adapter state.
     """
     with Path(path).open("rb") as handle:
         payload = pickle.load(handle)
@@ -60,4 +62,7 @@ def load_snapshot(path: str | Path) -> dict[str, object]:
             f"snapshot {path} has version {version!r}, "
             f"this runtime reads version {SNAPSHOT_VERSION}"
         )
+    config = payload.get("config")
+    if isinstance(config, dict) and config.get("adapter") == "dataset":
+        payload["config"] = {**config, "adapter": "poisson"}
     return payload

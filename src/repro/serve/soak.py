@@ -5,7 +5,7 @@ deterministic load shapes of :mod:`repro.serve.load` and reports, per
 shape:
 
 * per-stage latency — count, mean, max and p50/p95/p99 of ``queue``
-  (enqueue to dequeue inside a worker), ``serve`` (kernel step),
+  (feed to step inside a worker), ``serve`` (kernel step),
   ``trade`` (parent fold + allowance-trading step) and ``slot`` (release
   to fold, end-to-end).  Each stage is the summary of the runtime's
   ``serve/stage/<stage>`` tracer :class:`~repro.obs.metrics.Timer`, the

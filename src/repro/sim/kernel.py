@@ -6,11 +6,11 @@ cycle plus the ledger/market bookkeeping) live here as small stateful
 kernels, and :class:`SlotAggregator` folds one slot's edge outcomes into the
 run's result arrays before stepping the trading kernel.
 :class:`~repro.sim.simulator.Simulator` drives them in a lockstep loop;
-:mod:`repro.serve` drives the same kernels from asyncio actor tasks and
-folds through the same aggregator.  Because both runtimes execute the
-*same* code in the same floating-point operation order, the serve runtime's
-virtual-clock mode is bit-identical to ``Simulator.run`` by construction
-(locked by the golden digests).
+:mod:`repro.serve` drives the same kernels from each shard worker's slot
+loop and folds through the same aggregator.  Because both runtimes execute
+the *same* code in the same floating-point operation order, the serve
+runtime's virtual-clock mode is bit-identical to ``Simulator.run`` by
+construction (locked by the golden digests).
 
 State is explicit: each kernel exposes ``state_dict()`` / ``load_state()``
 so a serve snapshot can capture a quiescent slot boundary and a restored
@@ -149,8 +149,8 @@ class EdgeSlotKernel:
 
     Owns everything the simulator used to keep per edge — the selection
     policy, the data-draw RNG stream, download-retry state, and the delayed
-    feedback queue — so the simulator loop and a serve actor task execute
-    identical logic.
+    feedback queue — so the simulator loop and a serve worker's slot loop
+    execute identical logic.
     """
 
     def __init__(
@@ -185,17 +185,9 @@ class EdgeSlotKernel:
         # observations still in flight when ``label_delay > 0``.
         self.pending_feedback: list[tuple[int, int, float]] = []
 
-    def step(
-        self,
-        t: int,
-        count: int,
-        indices: np.ndarray | None = None,
-        shed: bool = False,
-    ) -> EdgeSlotOutcome:
+    def step(self, t: int, count: int, shed: bool = False) -> EdgeSlotOutcome:
         """Execute slot ``t`` with ``count`` arrivals; return the outcome.
 
-        ``indices`` lets a stream adapter pre-draw the slot's pool indices
-        (from the same ``data-<edge>`` stream, so parity holds either way).
         ``shed=True`` records a backpressure-shed slot: the policy still
         advances its block schedule via ``observe_lost``, but nothing runs.
         """
@@ -220,11 +212,10 @@ class EdgeSlotKernel:
             # Edge down: draw the slot's sample indices anyway so RNG
             # streams stay aligned with the unfaulted run, then drop the
             # workload unserved — no inference, no emissions, no feedback.
-            if indices is None:
-                draw_pool_indices(
-                    self.scenario, self.edge, count, self.data_rng,
-                    self.pool_size, self.class_indices,
-                )
+            draw_pool_indices(
+                self.scenario, self.edge, count, self.data_rng,
+                self.pool_size, self.class_indices,
+            )
             policy.observe_lost(t, model)
             if tracing:
                 tracer.emit(
@@ -246,13 +237,10 @@ class EdgeSlotKernel:
             )
         self.previous_model = int(serve)
 
-        if indices is None:
-            idx = draw_pool_indices(
-                self.scenario, self.edge, count, self.data_rng,
-                self.pool_size, self.class_indices,
-            )
-        else:
-            idx = indices
+        idx = draw_pool_indices(
+            self.scenario, self.edge, count, self.data_rng,
+            self.pool_size, self.class_indices,
+        )
         profile = self.scenario.profiles[serve]
         losses = self._sample_losses(profile, idx)
         slot_loss = float(losses.mean()) if idx.size else 0.0

@@ -266,20 +266,6 @@ class TestShardedSnapshots:
         result = resumed.run()
         assert result_digest(result) == GOLDEN_DIGESTS[("A", 0)]
 
-    def test_dataset_rng_identity_survives_sharded_snapshot(self, tmp_path):
-        snap = tmp_path / "state.pkl"
-        config = shard_config(
-            "A",
-            0,
-            adapter="dataset",
-            num_workers=2,
-            snapshot_every=8,
-            snapshot_path=str(snap),
-        )
-        ShardRuntime(config, **FAST).run(max_slots=8)
-        result = ShardRuntime.from_snapshot(snap, **FAST).run()
-        assert result_digest(result) == GOLDEN_DIGESTS[("A", 0)]
-
     def test_partial_sharded_run_without_snapshot_cannot_continue(self):
         runtime = ShardRuntime(shard_config("B", 0, num_workers=2), **FAST)
         runtime.run(max_slots=5)
