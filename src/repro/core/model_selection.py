@@ -25,12 +25,15 @@ import numpy as np
 
 from repro.core.blocks import BlockSchedule, build_schedule
 from repro.core.estimators import ImportanceWeightedEstimator
-from repro.core.tsallis import tsallis_inf_probabilities
+from repro.core.tsallis import (
+    tsallis_inf_probabilities,
+    tsallis_inf_probabilities_batch,
+)
 from repro.obs.events import BlockBoundaryEvent
 from repro.policies.selection import SelectionPolicy
 from repro.utils.validation import check_simplex
 
-__all__ = ["OnlineModelSelection"]
+__all__ = ["OnlineModelSelection", "block_openings", "open_blocks"]
 
 
 @dataclass
@@ -305,17 +308,18 @@ class OnlineModelSelection(SelectionPolicy):
             )
         raise RuntimeError(f"block {block} already received all its losses")
 
-    def _open_block(self, block: int, t: int) -> None:
+    def _open_block(self, block: int, t: int) -> int:
         """Lines 3-5: compute the OMD distribution and sample the block model.
 
         Under delayed feedback the cumulative estimates may still miss
         outstanding blocks — the distribution is simply computed from what
-        has arrived, the standard delayed-bandit semantics.
+        has arrived, the standard delayed-bandit semantics.  The solver ran
+        the simplex postcondition already.  Returns the sampled model.
         """
         probabilities = tsallis_inf_probabilities(
             self._estimator.cumulative, self.block_eta(block)
         )
-        self.open_block_with(block, t, probabilities)
+        return self.open_block_with(block, t, probabilities, validated=True)
 
     def _close_block(self, record: _BlockRecord) -> None:
         """Lines 8-9: fold the complete block loss into the estimator.
@@ -333,3 +337,56 @@ class OnlineModelSelection(SelectionPolicy):
                 trusted=True,
             )
         del self._open[record.block]
+
+
+#: One Theorem-1 block opening: ``(edge, policy, block, start slot)``.
+BlockOpening = tuple[int, OnlineModelSelection, int, int]
+
+
+def block_openings(policies: list, *, by_slot: bool) -> dict[int, list[BlockOpening]]:
+    """Every block opening of the plain Algorithm-1 edges, grouped for batching.
+
+    Block boundaries are fixed by the Theorem-1 schedule, so every opening
+    and its start slot are known up front.  ``by_slot=False`` groups them
+    into rounds — round ``k`` holds block ``k`` of every edge whose
+    schedule has more than ``k`` blocks; ``by_slot=True`` groups the
+    openings that coincide at a slot.  Each group lists edges in ascending
+    order of their index in ``policies``.  Only exact
+    :class:`OnlineModelSelection` instances participate — subclasses may
+    override the opening logic and fall back to their own ``select``.
+    """
+    groups: dict[int, list[BlockOpening]] = {}
+    for i, policy in enumerate(policies):
+        if type(policy) is not OnlineModelSelection:
+            continue
+        start = 0
+        for block, length in enumerate(policy.schedule.lengths):
+            groups.setdefault(start if by_slot else block, []).append(
+                (i, policy, block, start)
+            )
+            start += int(length)
+    return groups
+
+
+def open_blocks(group: list[BlockOpening]) -> list[int]:
+    """Open every block in ``group`` with one batched OMD solve.
+
+    Each row opens at its own start slot.  A single opening is the scalar
+    one ``select`` makes; two or more use the batched solver, whose rows
+    are bitwise identical to the scalar trajectories whatever else shares
+    the batch.  Sampling the block model happens inside each policy, on its
+    own ``selection-<edge>`` stream, in block order — the same per-stream
+    draw order as per-edge ``select`` calls.  The batched solver already
+    ran the simplex postcondition, so the openings skip the re-check.
+    Returns the sampled models, aligned with ``group``.
+    """
+    if len(group) == 1:
+        _, policy, block, start = group[0]
+        return [policy._open_block(block, start)]
+    stacked = np.stack([p.cumulative_estimates() for _, p, _, _ in group])
+    etas = np.array([p.block_eta(b) for _, p, b, _ in group])
+    probabilities = tsallis_inf_probabilities_batch(stacked, etas)
+    return [
+        policy.open_block_with(block, start, row, validated=True)
+        for row, (_, policy, block, start) in zip(probabilities, group)
+    ]

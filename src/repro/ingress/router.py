@@ -1,43 +1,46 @@
 """The carbon-aware ingress router: admission, deferral, release.
 
 One router instance fronts one edge.  Each slot it ingests that edge's
-thinned per-class request counts and decides, per request, between three
-fates: **release now** (the request joins the slot's ``M_i^t`` count and
-is served by the edge kernel), **defer** (the request waits in a
-deadline-ordered heap for a cheaper forecast slot or for slot capacity),
-or **drop** (admission policy under queue overflow).
+thinned per-class request counts and decides between three fates:
+**release now** (join the slot's ``M_i^t`` count, served by the edge
+kernel), **defer** (wait in a deadline-ordered queue for a cheaper
+forecast slot or for slot capacity), or **drop** (admission policy under
+queue overflow).
 
-Two scheduling regimes, selected by ``config.deferral``:
+Queues hold **cohorts**: the requests of one class that arrived in one
+slot share a deadline and are interchangeable, so one entry with a count
+stands for all of them and every queue operation costs one step per
+cohort.  A partial release or drop splits the head cohort.
 
-* **deferral on** — per-SLA-class ``heapq`` queues keyed
-  ``(deadline_slot, seq)``; deadline order equals FIFO order within a
-  class because a class's deadline budget is constant.  Releases run
-  deadline-forced requests first (capacity-exempt — deadline beats
-  throttle), then fill remaining slot capacity by class priority,
-  holding back deferrable requests whose look-ahead forecast
-  (:mod:`repro.forecast.price_models`) shows a cheaper slot within
-  deadline.  The hold-back check is a valid heap-prefix cut: the top of a
-  class heap has the *earliest* deadline, so its look-ahead window is a
-  subset of every deeper entry's window — if the top prefers to wait, so
-  does everything under it.
-* **deferral off** — one plain FIFO per edge, deadline- and
-  carbon-blind.  With ``slot_capacity == 0`` every request releases in
-  its arrival slot, reproducing the non-ingress adapter path bit-exactly;
-  with a capacity it models the naive baseline the example study
-  compares against (spill releases in arrival order, whatever the SLA).
+* **deferral on** — one FIFO of ``[deadline, arrival, count]`` cohorts per
+  SLA class: a class's deadline budget is constant, so arrival order is
+  deadline order.  Deadline-forced cohorts release first (capacity-exempt:
+  deadline beats throttle), then remaining slot capacity fills by class
+  priority, holding back a deferrable class while the look-ahead forecast
+  (:mod:`repro.forecast.price_models`) shows a cheaper slot before its
+  head cohort's deadline — the head has the earliest deadline, so if it
+  waits, everything behind it does.  The forecasts are scanned once per
+  slot, as running minima.  An arrival is always the slackest entry of
+  its class, so ``deadline-shed`` rejects the arrivals beyond the bound.
+* **deferral off** — one deadline- and carbon-blind FIFO of
+  ``[deadline, arrival, class, count]`` cohorts.  With
+  ``slot_capacity == 0`` every request releases in its arrival slot,
+  reproducing the non-ingress adapter path bit-exactly; with a capacity
+  it is the naive baseline the example study compares against.
+  ``deadline-shed`` evicts the latest arrival of the latest deadline.
 
-Determinism: routing consumes no randomness at all — given the thinned
-counts and the price trace, every decision is a pure function of config
-and slot index.  The final slot force-releases everything (deadlines are
-clamped to ``horizon - 1``), so no request is ever left in a queue and
-request accounting closes exactly.
+Determinism: routing consumes no randomness — every decision is a pure
+function of config, counts, prices and slot index.  Deadlines clamp to
+``horizon - 1``, so the final slot releases everything and request
+accounting closes exactly.
 """
 
 from __future__ import annotations
 
 import copy
-import heapq
 from collections import deque
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -46,8 +49,25 @@ from repro.ingress.request import clamp_deadline
 
 __all__ = ["IngressRouter"]
 
-#: Queue entry layout: (deadline_slot, seq, arrival_slot, class_index).
-_DEADLINE, _SEQ, _ARRIVAL, _CLASS = 0, 1, 2, 3
+
+def _take(queue: deque[list[int]], n: int) -> list[list[int]]:
+    """Pop the first ``n`` requests of a cohort queue (count last) as cohorts."""
+    taken = []
+    while n > 0:
+        head = queue[0]
+        if head[-1] > n:
+            head[-1] -= n
+            taken.append([*head[:-1], n])
+            break
+        taken.append(queue.popleft())
+        n -= head[-1]
+    return taken
+
+
+def _group(entries, *fields: int) -> deque[list[int]]:
+    """Cohorts of consecutive per-request tuples equal at the ``fields``."""
+    runs = groupby(entries, itemgetter(*fields))
+    return deque([*key, sum(1 for _ in run)] for key, run in runs)
 
 
 class IngressRouter:
@@ -58,23 +78,19 @@ class IngressRouter:
         self.config = config
         self.horizon = int(horizon)
         self.classes = config.classes
-        #: Class indices in release order: priority descending, name as a
-        #: deterministic tie-break.
+        #: Class indices in release order: priority descending, then name.
         self._release_order = sorted(
             range(len(self.classes)),
             key=lambda ci: (-self.classes[ci].priority, self.classes[ci].name),
         )
-        self._seq = 0
-        self._heaps: list[list[tuple[int, int, int, int]]] = [
-            [] for _ in self.classes
-        ]
-        self._fifo: deque[tuple[int, int, int, int]] = deque()
+        self._queues: list[deque[list[int]]] = [deque() for _ in self.classes]
+        self._fifo: deque[list[int]] = deque()
         self._forecaster = config.make_forecaster()
 
     @property
     def depth(self) -> int:
         """Requests currently queued (all classes)."""
-        return len(self._fifo) + sum(len(heap) for heap in self._heaps)
+        return sum(c[-1] for queue in (self._fifo, *self._queues) for c in queue)
 
     def step(
         self, t: int, counts: np.ndarray | list[int], price: float
@@ -87,177 +103,152 @@ class IngressRouter:
         structure (decisions at ``t`` use prices up to ``t`` only).
         """
         self._forecaster.update(price)
-        defer_cache: dict[int, bool] = {}
-        total_in = int(np.sum(counts))
-        dropped = 0
-        released: list[tuple[int, int, int, int]] = []
-
+        counts = np.asarray(counts).tolist()
+        # Released cohorts, as (deadline, arrival, class, count).
         if self.config.deferral:
-            dropped += self._admit_heaps(t, counts)
-            released = self._release_heaps(t, price, defer_cache)
+            dropped = self._admit(t, counts)
+            released = self._release(t, price)
         else:
-            released, fifo_dropped = self._route_fifo(t, counts)
-            dropped += fifo_dropped
-
-        per_class: dict[str, list[int]] = {
-            cls.name: [0, 0] for cls in self.classes
-        }
+            released, dropped = self._route_fifo(t, counts)
+        # This slot's arrivals still queued are the tail cohorts.
+        deferred = 0
+        for queue in (self._fifo, *self._queues):
+            for cohort in reversed(queue):
+                if cohort[1] != t:
+                    break
+                deferred += cohort[-1]
+        per_class = {cls.name: [0, 0] for cls in self.classes}
         waits: dict[int, int] = {}
-        for entry in released:
-            stats = per_class[self.classes[entry[_CLASS]].name]
-            stats[0] += 1
-            if t <= entry[_DEADLINE]:
-                stats[1] += 1
-            wait = t - entry[_ARRIVAL]
+        total = 0
+        for deadline, arrival, ci, count in released:
+            total += count
+            stats = per_class[self.classes[ci].name]
+            stats[0] += count
+            if t <= deadline:
+                stats[1] += count
+            wait = t - arrival
             if wait:
-                waits[wait] = waits.get(wait, 0) + 1
-
-        # This slot's arrivals still queued at slot end — counted by scan
-        # (queues are small) so admission evictions of *older* entries can
-        # never push the tally negative.
-        deferred = sum(
-            1 for entry in self._fifo if entry[_ARRIVAL] == t
-        ) + sum(
-            1
-            for heap in self._heaps
-            for entry in heap
-            if entry[_ARRIVAL] == t
-        )
-        provisional: dict[str, object] = {
-            "in": total_in,
+                waits[wait] = waits.get(wait, 0) + count
+        return total, {
+            "in": sum(counts),
             "dropped": dropped,
-            "released": len(released),
+            "released": total,
             "deferred": deferred,
             "queued": self.depth,
             "per_class": per_class,
             "waits": waits,
         }
-        return len(released), provisional
 
-    # ------------------------------------------------------------------
-    # deferral-on regime: per-class deadline heaps
-
-    def _admit_heaps(self, t: int, counts: np.ndarray | list[int]) -> int:
-        """Push the slot's arrivals into class heaps; returns drops."""
+    def _admit(self, t: int, counts: list[int]) -> int:
+        """Queue the slot's arrivals as one cohort per class; returns drops."""
         capacity = self.config.queue_capacity
         policy = self.config.admission
         dropped = 0
         for ci, count in enumerate(counts):
+            queue = self._queues[ci]
+            over = 0
+            if capacity and policy != "admit":
+                over = max(count - max(capacity - sum(c[-1] for c in queue), 0), 0)
+                dropped += over
+            if policy == "deadline-shed":
+                count -= over
+            if not count:
+                continue
             deadline = clamp_deadline(t, self.classes[ci].deadline_slots, self.horizon)
-            heap = self._heaps[ci]
-            for _ in range(int(count)):
-                entry = (deadline, self._seq, t, ci)
-                self._seq += 1
-                if capacity and len(heap) >= capacity and policy != "admit":
-                    if policy == "drop-oldest":
-                        heapq.heappop(heap)
-                        dropped += 1
-                    else:  # deadline-shed: evict the slackest request
-                        slackest = max(range(len(heap)), key=lambda j: heap[j][:2])
-                        if heap[slackest][:2] > entry[:2]:
-                            heap[slackest] = heap[-1]
-                            heap.pop()
-                            heapq.heapify(heap)
-                        else:
-                            dropped += 1
-                            continue
-                        dropped += 1
-                heapq.heappush(heap, entry)
+            queue.append([deadline, t, count])
+            if policy == "drop-oldest":
+                _take(queue, over)
         return dropped
 
-    def _release_heaps(
-        self, t: int, price: float, defer_cache: dict[int, bool]
-    ) -> list[tuple[int, int, int, int]]:
-        """Pop this slot's releases: forced first, then capacity fill."""
-        released: list[tuple[int, int, int, int]] = []
-        # Deadline-forced releases are capacity-exempt: a request whose
-        # deadline is now goes out now, throttle or not.  On the final slot
+    def _release(self, t: int, price: float) -> list[tuple[int, int, int, int]]:
+        """This slot's released cohorts: forced first, then capacity fill."""
+        released = []
+        # Deadline-forced releases are capacity-exempt.  On the final slot
         # every deadline has clamped to t, so this pass drains everything.
         for ci in self._release_order:
-            heap = self._heaps[ci]
-            while heap and heap[0][_DEADLINE] <= t:
-                released.append(heapq.heappop(heap))
+            queue = self._queues[ci]
+            while queue and queue[0][0] <= t:
+                deadline, arrival, count = queue.popleft()
+                released.append((deadline, arrival, ci, count))
         capacity = self.config.slot_capacity
+        budget = capacity - sum(c[-1] for c in released) if capacity else None
+        minima: list[float] = []
+        lookahead = t + self.config.lookahead
+        threshold = price * (1.0 - self.config.defer_margin)
         for ci in self._release_order:
-            cls = self.classes[ci]
-            heap = self._heaps[ci]
-            while heap and (not capacity or len(released) < capacity):
-                if cls.deferrable and self._prefer_wait(
-                    t, heap[0][_DEADLINE], price, defer_cache
-                ):
-                    break
-                released.append(heapq.heappop(heap))
+            deferrable = self.classes[ci].deferrable
+            queue = self._queues[ci]
+            while queue and (budget is None or budget > 0):
+                deadline, arrival, count = queue[0]
+                # Hold back while a cheaper slot is forecast before the deadline.
+                window = min(deadline, lookahead) - t
+                if deferrable and window > 0:
+                    if self._lowest(minima, window) < threshold:
+                        break
+                if budget is not None:
+                    count = min(count, budget)
+                    budget -= count
+                _take(queue, count)
+                released.append((deadline, arrival, ci, count))
         return released
 
-    def _prefer_wait(
-        self, t: int, deadline: int, price: float, cache: dict[int, bool]
-    ) -> bool:
-        """Whether a cheaper forecast slot exists within the wait window."""
-        window = min(deadline, t + self.config.lookahead) - t
-        if window <= 0:
-            return False
-        cached = cache.get(window)
-        if cached is None:
-            forecaster = self._forecaster
-            best = min(forecaster.predict(k) for k in range(1, window + 1))
-            cached = best < price * (1.0 - self.config.defer_margin)
-            cache[window] = cached
-        return cached
+    def _lowest(self, minima: list[float], window: int) -> float:
+        """Lowest of ``predict(1..window)``; ``minima[k - 1]`` is the slot's
+        running lowest of ``predict(1..k)``, grown only as far as asked."""
+        predict = self._forecaster.predict
+        for k in range(len(minima) + 1, window + 1):
+            value = predict(k)
+            minima.append(value if not minima or value < minima[-1] else minima[-1])
+        return minima[window - 1]
 
-    # ------------------------------------------------------------------
-    # deferral-off regime: one deadline-blind FIFO
-
-    def _route_fifo(
-        self, t: int, counts: np.ndarray | list[int]
-    ) -> tuple[list[tuple[int, int, int, int]], int]:
-        """Arrival-order release up to slot capacity; spill queues FIFO."""
-        arrivals: list[tuple[int, int, int, int]] = []
+    def _route_fifo(self, t: int, counts: list[int]) -> tuple[list[list[int]], int]:
+        """Arrival-order release up to slot capacity; the spill queues FIFO
+        under the admission policy.  Returns the released cohorts and drops."""
+        pending = self._fifo
         for ci, count in enumerate(counts):
-            deadline = clamp_deadline(t, self.classes[ci].deadline_slots, self.horizon)
-            for _ in range(int(count)):
-                arrivals.append((deadline, self._seq, t, ci))
-                self._seq += 1
-        pending = self._fifo
-        pending.extend(arrivals)
+            if count:
+                slots = self.classes[ci].deadline_slots
+                pending.append([clamp_deadline(t, slots, self.horizon), t, ci, count])
+        queued = sum(c[-1] for c in pending)
         capacity = self.config.slot_capacity
-        budget = len(pending) if not capacity or t == self.horizon - 1 else capacity
-        released = [pending.popleft() for _ in range(min(budget, len(pending)))]
-        return released, self._enforce_fifo_capacity()
-
-    def _enforce_fifo_capacity(self) -> int:
-        """Apply the admission policy to the FIFO spill queue; returns drops."""
-        capacity = self.config.queue_capacity
-        policy = self.config.admission
-        if not capacity or policy == "admit":
-            return 0
-        dropped = 0
-        pending = self._fifo
-        while len(pending) > capacity:
-            if policy == "drop-oldest":
-                pending.popleft()
-            else:  # deadline-shed
-                slackest = max(range(len(pending)), key=lambda j: pending[j][:2])
-                del pending[slackest]
-            dropped += 1
-        return dropped
-
-    # ------------------------------------------------------------------
-    # snapshot support
+        n = min(capacity, queued) if capacity and t < self.horizon - 1 else queued
+        released = _take(pending, n)
+        bound = self.config.queue_capacity
+        excess = queued - n - bound
+        if not bound or self.config.admission == "admit" or excess <= 0:
+            return released, 0
+        if self.config.admission == "drop-oldest":
+            _take(pending, excess)
+            return released, excess
+        left = excess
+        while left:  # deadline-shed: the last cohort of the latest deadline
+            j = max(range(len(pending)), key=lambda j: (pending[j][0], j))
+            shed = min(left, pending[j][-1])
+            pending[j][-1] -= shed
+            left -= shed
+            if not pending[j][-1]:
+                del pending[j]
+        return released, excess
 
     def state_dict(self) -> dict[str, object]:
-        """Picklable router state (queues, seq counter, forecaster)."""
+        """Picklable router state (cohort queues, forecaster)."""
         return {
-            "seq": self._seq,
-            "heaps": [list(heap) for heap in self._heaps],
-            "fifo": list(self._fifo),
+            "queues": [[list(c) for c in queue] for queue in self._queues],
+            "fifo": [list(c) for c in self._fifo],
             "forecaster": copy.deepcopy(self._forecaster),
         }
 
     def load_state(self, state: dict[str, object]) -> None:
-        """Restore the state captured by :meth:`state_dict`."""
-        self._seq = int(state["seq"])
-        self._heaps = [list(heap) for heap in state["heaps"]]
-        for heap in self._heaps:
-            heapq.heapify(heap)
-        self._fifo = deque(state["fifo"])
+        """Restore the state captured by :meth:`state_dict`.
+
+        Also reads the per-request layout of version-2 snapshots: a
+        ``"seq"`` counter, ``"heaps"`` in heap order and a ``"fifo"`` of
+        ``(deadline, seq, arrival, class)`` tuples, grouped into cohorts.
+        """
+        if "seq" in state:
+            self._queues = [_group(sorted(heap), 0, 2) for heap in state["heaps"]]
+            self._fifo = _group(state["fifo"], 0, 2, 3)
+        else:
+            self._queues = [deque(list(c) for c in q) for q in state["queues"]]
+            self._fifo = deque(list(c) for c in state["fifo"])
         self._forecaster = copy.deepcopy(state["forecaster"])

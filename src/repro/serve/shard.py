@@ -4,8 +4,10 @@ Topology (one run): the fleet's edges are partitioned contiguously across
 workers.  Each worker runs one **slot loop** on its own asyncio loop: per
 slot it feeds every released slot whose start time has passed from the
 stream adapters into the edges' bounded queues (blocking or shedding on
-backpressure), steps each edge's :class:`~repro.sim.kernel.EdgeSlotKernel`
-on its slot item in edge order, and sends the slot's outcomes.  The parent
+backpressure), opens every shard block that starts at the slot with one
+batched Tsallis solve (:func:`~repro.core.model_selection.open_blocks`),
+steps each edge's :class:`~repro.sim.kernel.EdgeSlotKernel` on its slot
+item in edge order, and sends the slot's outcomes.  The parent
 owns the :class:`~repro.sim.kernel.TradingSlotKernel`, the result arrays,
 the release schedule, and snapshot persistence.  The two sides exchange
 frames (:mod:`repro.serve.frames`): the parent broadcasts slot releases,
@@ -89,6 +91,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from repro.core.model_selection import block_openings, open_blocks
 from repro.faults.plan import FaultPlan
 from repro.obs.events import (
     ArrivalEvent,
@@ -416,10 +419,14 @@ async def _worker_async(
         kill_slots = frozenset(chaos.kills) if chaos is not None else frozenset()
         stall_slots = dict(chaos.stalls) if chaos is not None else {}
         drop_slots = dict(chaos.drops) if chaos is not None else {}
+        # One solve opens the blocks that start at t; read after any restore.
+        openings = block_openings([kernels[e].policy for e in edges], by_slot=True)
         for t in range(start, stop):
             await clock.wait_for_slot(t)
             await clock.pace(t)
             _feed(t)
+            if t in openings:
+                open_blocks(openings[t])
             outcomes = []
             queue_s = []
             serve_s = []

@@ -176,6 +176,8 @@ class EdgeSlotKernel:
         self.label_delay = label_delay
         self.live_inference = live_inference
         self.pool_size = scenario.profiles[0].pool_size
+        # The scenario's cached per-model means, as floats a step indexes.
+        self.expected_losses = scenario.expected_losses.tolist()
         self.switch_cost = float(scenario.effective_switch_costs()[edge])
         self.previous_model = -1
         self.retry_wait = 0
@@ -276,7 +278,7 @@ class EdgeSlotKernel:
             switched=switched,
             offline=False,
             shed=False,
-            expected_loss=float(profile.expected_loss),
+            expected_loss=self.expected_losses[serve],
             slot_loss=slot_loss,
             latency=latency,
             switch_cost=self.switch_cost if switched else 0.0,

@@ -21,7 +21,9 @@ The fast path runs in two phases:
   :meth:`~OnlineModelSelection.observe_block` call — no per-slot
   ``select``/``observe`` round-trips at all.  Mixed or subclassed fleets
   fall back to a per-slot loop over the policies' public interface, which
-  batches only the block openings that coincide at a slot.
+  batches only the block openings that coincide at a slot.  Both open
+  blocks through :func:`~repro.core.model_selection.open_blocks`, as the
+  serve tier's shard slot loop does.
 * **Edge faults** are handled inside that same per-block body, from the
   injector's realized masks.  Each block walks the edge kernel's download
   retry machine (:meth:`~repro.sim.kernel.EdgeSlotKernel.resolve_download`)
@@ -83,10 +85,10 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core.model_selection import OnlineModelSelection
-from repro.core.tsallis import (
-    tsallis_inf_probabilities,
-    tsallis_inf_probabilities_batch,
+from repro.core.model_selection import (
+    OnlineModelSelection,
+    block_openings,
+    open_blocks,
 )
 from repro.nn.losses import squared_label_loss
 from repro.sim.kernel import (
@@ -120,67 +122,6 @@ def can_vectorize(sim: "Simulator") -> bool:
     return sim.faults.is_empty or all(
         type(policy) is OnlineModelSelection for policy in sim.selection_policies
     )
-
-
-#: One Theorem-1 block opening: ``(edge, policy, block, start slot)``.
-_Opening = tuple[int, OnlineModelSelection, int, int]
-
-
-def _block_openings(policies: list, *, by_slot: bool) -> dict[int, list[_Opening]]:
-    """Every block opening of the plain Algorithm-1 edges, grouped for batching.
-
-    Block boundaries are fixed by the Theorem-1 schedule, so every opening
-    and its start slot are known up front.  ``by_slot=False`` groups them
-    into rounds — round ``k`` holds block ``k`` of every edge whose
-    schedule has more than ``k`` blocks; ``by_slot=True`` groups the
-    openings that coincide at a slot.  Each group lists edges in ascending
-    order.  Only exact :class:`OnlineModelSelection` instances participate
-    — subclasses may override the opening logic and fall back to their own
-    ``select``.
-    """
-    groups: dict[int, list[_Opening]] = {}
-    for i, policy in enumerate(policies):
-        if type(policy) is not OnlineModelSelection:
-            continue
-        start = 0
-        for block, length in enumerate(policy.schedule.lengths):
-            groups.setdefault(start if by_slot else block, []).append(
-                (i, policy, block, start)
-            )
-            start += int(length)
-    return groups
-
-
-def _open_blocks(group: list[_Opening]) -> list[int]:
-    """Open every block in ``group`` with one batched OMD solve.
-
-    Each row opens at its own start slot.  A single opening uses the
-    scalar solver (exactly what ``select`` would have done); two or more
-    use the batched solver, whose rows are bitwise identical to the scalar
-    trajectories whatever else shares the batch.  Sampling the block model
-    happens inside each policy, on its own ``selection-<edge>`` stream, in
-    block order — the same per-stream draw order as the scalar loop.  Both
-    solvers already ran the simplex postcondition, so the openings skip the
-    re-check.  Returns the sampled models, aligned with ``group``.
-    """
-    if len(group) == 1:
-        _, policy, block, start = group[0]
-        model = policy.open_block_with(
-            block,
-            start,
-            tsallis_inf_probabilities(
-                policy.cumulative_estimates(), policy.block_eta(block)
-            ),
-            validated=True,
-        )
-        return [model]
-    stacked = np.stack([p.cumulative_estimates() for _, p, _, _ in group])
-    etas = np.array([p.block_eta(b) for _, p, b, _ in group])
-    probabilities = tsallis_inf_probabilities_batch(stacked, etas)
-    return [
-        policy.open_block_with(block, start, row, validated=True)
-        for row, (_, policy, block, start) in zip(probabilities, group)
-    ]
 
 
 def _first_serving_slot(
@@ -301,7 +242,7 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
             )
 
     blockwise = all(type(policy) is OnlineModelSelection for policy in policies)
-    open_groups = _block_openings(policies, by_slot=not blockwise)
+    open_groups = block_openings(policies, by_slot=not blockwise)
 
     selections = arrays["selections"]
     switches = arrays["switches"]
@@ -373,7 +314,7 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
         # round k-1 closed, so rounds reorder nothing any edge observes.
         for k in range(len(open_groups)):
             group = open_groups[k]
-            models = _open_blocks(group)
+            models = open_blocks(group)
             for model, (i, policy, block, t) in zip(models, group):
                 end = t + int(policy.schedule.lengths[block])
                 kernel = edge_kernels[i]
@@ -410,7 +351,7 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
         for t in range(horizon):
             group = open_groups.get(t)
             if group is not None:
-                _open_blocks(group)
+                open_blocks(group)
             for i in range(num_edges):
                 model = select_fns[i](t)
                 idx = slot_draw(i, t)

@@ -30,7 +30,7 @@ from repro.ingress import (
     resolve_payload,
 )
 from repro.obs import Tracer
-from repro.serve import ServeConfig, ShardRuntime
+from repro.serve import ServeConfig, ShardRuntime, load_snapshot
 from repro.serve.soak import run_soak
 from repro.sim.io import result_digest
 from repro.utils.rng import spawn_generator, thinning_stream
@@ -246,9 +246,17 @@ class TestRouter:
         # (slackest) arrivals, keeping the earliest deadlines queued.
         _, p0 = router.step(4, [0, 6], 10.0)
         assert p0["dropped"] == 4  # capacity 2
-        heap = router._heaps[1]
-        assert sorted(entry[0] for entry in heap) == [12, 12]
-        assert sorted(entry[1] for entry in heap) == [0, 1]  # earliest seqs
+        assert p0["deferred"] == router.depth == 2
+        # Later arrivals have more slack than the parked pair: all shed.
+        _, p1 = router.step(5, [0, 3], 10.0)
+        assert p1["dropped"] == 3 and p1["deferred"] == 0 and router.depth == 2
+        # Once the price falls, the slot-4 pair releases one per slot
+        # (slot capacity 1), each inside its slot-12 deadline.
+        for t, wait in ((6, 2), (7, 3)):
+            released, provisional = router.step(t, [0, 0], 1.0)
+            assert released == 1 and provisional["waits"] == {wait: 1}
+            assert provisional["per_class"]["slow"] == [1, 1]
+        assert router.depth == 0
 
     def test_state_round_trip_resumes_identically(self):
         config = IngressConfig(classes=TWO_CLASSES, slot_capacity=3,
@@ -381,6 +389,28 @@ class TestServeIntegration:
         runtime.run(max_slots=8)
         resumed = ShardRuntime.from_snapshot(path, tracer=Tracer())
         assert result_digest(resumed.run()) == GOLDEN_DIGESTS[("A", 0)]
+
+    def test_deferral_resume_with_parked_cohorts_preserves_digest(self, tmp_path):
+        # Requests parked in the routers at the snapshot go on from there.
+        # Request accounting is not asserted across the resume: a snapshot
+        # does not carry the run's IngressStats.
+        ingress = IngressConfig(slot_capacity=4)
+        uninterrupted = ShardRuntime(
+            ingress_serve_config("A", 0, ingress=ingress), tracer=Tracer()
+        ).run()
+        path = tmp_path / "state.pkl"
+        config = ingress_serve_config(
+            "A", 0, ingress=ingress, snapshot_every=8, snapshot_path=str(path)
+        )
+        ShardRuntime(config, tracer=Tracer()).run(max_slots=8)
+        parked = 0
+        for edge, adapter in enumerate(load_snapshot(path)["adapters"]):
+            router = IngressRouter(edge, ingress, SCENARIO_CONFIGS["A"].horizon)
+            router.load_state(adapter["router"])
+            parked += router.depth
+        assert parked > 0
+        resumed = ShardRuntime.from_snapshot(path, tracer=Tracer())
+        assert result_digest(resumed.run()) == result_digest(uninterrupted)
 
 
 class TestSoakDeterminism:

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.core import model_selection
 from repro.obs import JsonlSink, Tracer, summarize_trace
 from repro.serve import (
     SNAPSHOT_VERSION,
@@ -34,6 +36,7 @@ from repro.serve import (
     load_snapshot,
     save_snapshot,
 )
+from repro.serve.runtime import build_serve_kernels
 from repro.sim.config import ScenarioConfig
 from repro.sim.io import result_digest
 from repro.spec import RunSpec
@@ -557,6 +560,41 @@ class TestSlotLoop:
             == self._worker_task_names(monkeypatch, 16)
             == ["shard0-control", "shard0-heartbeat", "shard0-shutdown", "shard0-slots"]
         )
+
+    def test_block_openings_share_one_solve_per_slot(self, monkeypatch):
+        # The slot loop opens every block that starts at a slot with one
+        # batched solve, so a scalar solve is left only at the slots where
+        # exactly one edge of the shard opens a block.
+        scalar_solves, batch_rows = [], []
+        solve = model_selection.tsallis_inf_probabilities
+        solve_batch = model_selection.tsallis_inf_probabilities_batch
+
+        def counted_solve(losses, eta):
+            scalar_solves.append(eta)
+            return solve(losses, eta)
+
+        def counted_batch(losses, etas):
+            batch_rows.extend(etas)
+            return solve_batch(losses, etas)
+
+        monkeypatch.setattr(model_selection, "tsallis_inf_probabilities", counted_solve)
+        monkeypatch.setattr(
+            model_selection, "tsallis_inf_probabilities_batch", counted_batch
+        )
+        scenario = ScenarioConfig(
+            dataset="synthetic", num_edges=6, horizon=64, seed=2
+        )
+        config = ServeConfig(scenario=scenario, seed=2)
+        _, _, kernels, _ = build_serve_kernels(config)
+        openings = Counter(
+            start
+            for kernel in kernels
+            for start in np.cumsum([0, *kernel.policy.schedule.lengths[:-1]]).tolist()
+        )
+        ShardRuntime(config).run()
+        singles = sum(1 for edges in openings.values() if edges == 1)
+        assert len(scalar_solves) <= singles < len(openings)
+        assert len(scalar_solves) + len(batch_rows) == sum(openings.values())
 
 
 class TestWorkerFailures:

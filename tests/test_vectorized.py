@@ -16,13 +16,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core import model_selection
 from repro.core.tsallis import (
     tsallis_inf_probabilities,
     tsallis_inf_probabilities_batch,
 )
 from repro.faults import EdgeOutage, FaultPlan
 from repro.policies import make_selection_policies, make_trading_policy
-from repro.sim import vector
 from repro.sim.config import ScenarioConfig
 from repro.sim.io import result_digest
 from repro.sim.scenario import build_scenario
@@ -150,8 +150,8 @@ def test_blockwise_path_solves_once_per_block_round(monkeypatch):
         calls.append(1)
         return tsallis_inf_probabilities(cumulative_losses, eta)
 
-    monkeypatch.setattr(vector, "tsallis_inf_probabilities_batch", batch)
-    monkeypatch.setattr(vector, "tsallis_inf_probabilities", scalar)
+    monkeypatch.setattr(model_selection, "tsallis_inf_probabilities_batch", batch)
+    monkeypatch.setattr(model_selection, "tsallis_inf_probabilities", scalar)
     sim = Simulator.from_spec(scenario, spec)
     schedules = [len(policy.schedule.lengths) for policy in sim.selection_policies]
     fast = sim.run(vectorized=True)
