@@ -154,10 +154,11 @@ class OnlineModelSelection(SelectionPolicy):
     def pending_block(self, t: int) -> int | None:
         """The block ``select(t)`` would have to open, or ``None``.
 
-        Batch drivers (the vectorized simulator) use this to collect the
-        edges whose block boundaries coincide at slot ``t`` so a single
-        :func:`~repro.core.tsallis.tsallis_inf_probabilities_batch` call can
-        solve all of their OMD steps at once.
+        No code in the program calls this: both batch drivers, the
+        vectorized simulator and the shard worker's slot loop, group
+        coinciding block openings with :func:`block_openings`.  It is kept
+        only because the benchmark's layer profiler (``perf/layers.py``)
+        wraps it by name.
         """
         if not 0 <= t < self.horizon:
             raise ValueError(f"slot {t} outside horizon [0, {self.horizon})")

@@ -12,9 +12,13 @@ works unchanged.
 
 The adapter also owns the slot-stats lifecycle: ``next_item`` parks the
 router's provisional stats under the slot index, and the runtime calls
-:meth:`IngressAdapter.resolve_slot` once the slot's
-:class:`~repro.sim.kernel.EdgeSlotOutcome` is known (shed/offline slots
-turn releases into deadline misses).  During a shard worker's silent
+:meth:`IngressAdapter.resolve_slot` with the edge's
+:class:`~repro.sim.kernel.EdgeSlotOutcome` row once it is known (shed and
+offline slots turn releases into deadline misses).  A shard worker
+resolves its kernels' rows before they join the slot's
+:class:`~repro.sim.kernel.SlotOutcomes` record; the serve parent resolves
+the offline rows of an edge reconfigured out of the fleet, whose router
+it keeps stepping, so the requests parked there still resolve.  During a shard worker's silent
 catch-up the runtime calls :meth:`IngressAdapter.discard_slot` instead —
 queue state advances, already-merged stats are not re-reported.
 

@@ -14,10 +14,13 @@ type                   dir     payload
 =====================  ======  ==================================================
 ``ready``              w -> p  worker built its kernels and entered its loop
 ``release``            p -> w  ``upto``: run slots through this index
-``slot``               w -> p  ``t``, ``outcomes`` (edge order within the
-                               shard), ``queue_s``/``serve_s`` per-edge stage
-                               latencies in seconds; the run's last slot
-                               also carries ``queues``
+``slot``               w -> p  ``record``: the shard's one-slot
+                               :class:`~repro.sim.kernel.SlotOutcomes`
+                               (slot ``record.t``, rows in edge order);
+                               ``queue_s``/``serve_s`` per-edge stage
+                               latencies in seconds; ``ingress`` resolved
+                               request stats per edge when ingress is on;
+                               the run's last slot also carries ``queues``
 ``heartbeat``          w -> p  liveness proof while slots are long;
                                ``queues``: per-edge queue depth/peak/rejected
 ``snapshot_request``   p -> w  capture kernel/adapter state at the (quiescent)
@@ -34,11 +37,12 @@ type                   dir     payload
 ``error``              w -> p  ``message``/``traceback``: a task crashed
 =====================  ======  ==================================================
 
-Frames deliberately carry picklable simulator objects (outcomes, state
-dicts) rather than JSON projections: the parent folds the *same*
-:class:`~repro.sim.kernel.EdgeSlotOutcome` values an in-process run would,
-which is what keeps sharded virtual-clock runs bit-identical to
-``Simulator.run``.
+Frames deliberately carry picklable simulator objects (slot records,
+state dicts) rather than JSON projections: the parent folds the *same*
+columns an in-process run would, which is what keeps sharded
+virtual-clock runs bit-identical to ``Simulator.run``.  A record pickles
+one numpy array per outcome field, not one object per edge; the inline
+link passes it by reference, and nothing writes a record once it is sent.
 
 Two transports carry the frames behind one interface (``send``, ``poll``,
 ``recv``, ``drain``, ``listen``, ``close``): :class:`PipeEnd` pickles them

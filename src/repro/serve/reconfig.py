@@ -21,9 +21,9 @@ itself; and because a factor-1.0 trading rescale is exact and inactive
 edges never existed in a *no-op* plan (e.g. a bare :class:`Rebalance` to
 the same worker count), a no-op-reconfigured virtual-clock run is
 bit-identical to the unreconfigured golden digests.  Inactive edges are
-folded as parent-synthesized offline outcomes (zero arrivals), so the
-accounting equation ``in == served + shed + offline`` holds across any
-plan.
+folded as offline rows carrying the arrivals the parent's copy of their
+adapter still offers, so the accounting equation ``in == served + shed +
+offline`` holds across any plan and no plan changes the offered load.
 """
 
 from __future__ import annotations

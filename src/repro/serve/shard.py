@@ -7,12 +7,13 @@ stream adapters into the edges' bounded queues (blocking or shedding on
 backpressure), opens every shard block that starts at the slot with one
 batched Tsallis solve (:func:`~repro.core.model_selection.open_blocks`),
 steps each edge's :class:`~repro.sim.kernel.EdgeSlotKernel` on its slot
-item in edge order, and sends the slot's outcomes.  The parent
-owns the :class:`~repro.sim.kernel.TradingSlotKernel`, the result arrays,
-the release schedule, and snapshot persistence.  The two sides exchange
-frames (:mod:`repro.serve.frames`): the parent broadcasts slot releases,
-workers report per-slot outcome batches, heartbeats prove liveness during
-long slots, and a drain handshake ends the run with the ledger intact.
+item in edge order, and sends the shard's one-slot
+:class:`~repro.sim.kernel.SlotOutcomes` record.  The parent owns the
+:class:`~repro.sim.kernel.TradingSlotKernel`, the result arrays, the
+release schedule, and snapshot persistence.  The two sides exchange frames
+(:mod:`repro.serve.frames`): the parent broadcasts slot releases, workers
+report per-slot records, heartbeats prove liveness during long slots, and
+a drain handshake ends the run with the ledger intact.
 
 ``num_workers=0`` is the in-process mode: one inline worker runs as a task
 on an event loop the parent pumps between folds, over an inline link that
@@ -24,8 +25,9 @@ Determinism: every worker rebuilds the *full* kernel set from the shared
 :class:`~repro.serve.config.ServeConfig` — bit-identical by the name-keyed
 RNG stream contract (:func:`~repro.serve.runtime.build_serve_kernels`) —
 and steps only its own edges, whose streams are independent of everyone
-else's.  The parent folds outcome batches in global edge order through the
-:class:`~repro.sim.kernel.SlotAggregator` the simulator's scalar loop folds
+else's.  The parent merges each slot's shard records into one record in
+global edge order, counts its events with array sums, and folds it through
+the :class:`~repro.sim.kernel.SlotAggregator` every simulator path folds
 through too, so a virtual-clock run at any worker count is bit-identical to
 ``Simulator.run`` and is locked against the same golden digests.
 
@@ -34,7 +36,7 @@ one ``multiprocessing.connection.wait`` call, so a crashed worker surfaces
 immediately (an inline worker dies only by raising, and its task ending is
 its sentinel).  Policy ``"fail"`` raises (attaching the worker-side traceback
 when one made it over the wire); ``"degrade"`` marks the dead shard's edges
-offline for every remaining slot (synthesized zero-cost outcomes, so
+offline for every remaining slot (zero-cost offline rows, so
 ``in == served + shed + offline`` still holds exactly), keeps trading every
 slot on the surviving emissions, and completes the horizon — surviving
 edges' trajectories are untouched because edges only couple through the
@@ -57,9 +59,10 @@ Live reconfiguration: a :class:`~repro.serve.reconfig.ReconfigPlan` applies
 ``add_edge``/``remove_edge``/``rebalance`` ops at slot barriers — the
 parent caps releases at the barrier, drains the fleet (every worker
 checkpoints and exits), applies the ops, rescales the trading kernel by
-the active-count ratio, repartitions, and respawns.  Inactive edges are
-folded as parent-synthesized offline outcomes; a no-op plan is
-bit-identical to an unreconfigured run.
+the active-count ratio, repartitions, and respawns.  The parent folds an
+inactive edge as offline rows that carry the arrivals its own copy of the
+edge's adapter still offers, so the offered load survives the change; a
+no-op plan is bit-identical to an unreconfigured run.
 
 Deterministic chaos: a :class:`~repro.serve.chaos.ChaosPlan` realizes —
 as a pure function of ``(plan, fleet, horizon, seed)`` — into per-worker
@@ -90,6 +93,8 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from repro.core.model_selection import block_openings, open_blocks
 from repro.faults.plan import FaultPlan
@@ -129,7 +134,7 @@ from repro.serve.queues import BoundedWorkQueue, WorkItem
 from repro.serve.reconfig import ReconfigPlan, apply_op
 from repro.serve.runtime import build_serve_kernels
 from repro.serve.snapshot import load_snapshot, save_snapshot
-from repro.sim.kernel import EdgeSlotOutcome, SlotAggregator, offline_outcome
+from repro.sim.kernel import SlotAggregator, SlotOutcomes, offline_outcome
 from repro.sim.results import SimulationResult
 
 __all__ = [
@@ -241,7 +246,7 @@ async def _worker_async(
 
     A respawned incarnation runs three phases before going live at
     ``start``: a silent *catch-up* re-steps each edge from its restored
-    checkpoint up to ``replay_from`` (outcomes discarded — the parent
+    checkpoint up to ``replay_from`` (rows discarded — the parent
     already folded them, and the deterministic kernels reproduce the exact
     same state); an *offline replay* reports ``[replay_from, start)`` as
     offline outcomes with the real arrival counts; then the slot loop
@@ -302,8 +307,7 @@ async def _worker_async(
         frame = {
             "type": SLOT,
             "worker": index,
-            "t": t,
-            "outcomes": outcomes,
+            "record": SlotOutcomes.from_rows(outcomes),
             "queue_s": queue_s,
             "serve_s": serve_s,
         }
@@ -638,10 +642,11 @@ class ShardRuntime:
         self._rebind_tracer = tracer is not None
         self._faults = faults
         # The parent builds the full kernel set too: it keeps the trading
-        # kernel (Algorithm 2 + market + ledger); the edge kernels are never
-        # stepped here and their streams stay untouched (draws are lazy).
-        self.scenario, _, _, self.trading_kernel = build_serve_kernels(
-            config, tracer=tracer, faults=faults
+        # kernel (Algorithm 2 + market + ledger) and the adapters of
+        # inactive edges; the edge kernels are never stepped here and
+        # untouched streams cost nothing (draws are lazy).
+        self.scenario, self._adapters, _, self.trading_kernel = (
+            build_serve_kernels(config, tracer=tracer, faults=faults)
         )
         self.horizon = self.scenario.horizon
         self.num_edges = self.scenario.num_edges
@@ -712,9 +717,11 @@ class ShardRuntime:
         self.completed_slot = -1
         self._edge_state_slot = 0  # slot the (fresh/restored) edge state is at
         self._handles: list[_Shard] = []
-        self._owner: dict[int, _Shard] = {}
-        self._pending: dict[int, dict[int, EdgeSlotOutcome]] = {}
-        self._last_models: dict[int, int] = {}
+        #: Reported shard records awaiting their slot's fold:
+        #: ``t -> {worker -> record}``.
+        self._pending: dict[int, dict[int, SlotOutcomes]] = {}
+        #: Each edge's model in the last slot a worker reported for it.
+        self._last_models = np.full(self.num_edges, -1)
         #: Per-edge queue stats as of the owning worker's last heartbeat
         #: (or final slot): ``edge -> {depth_events, depth_items, ...}``.
         self._queue_stats: dict[int, dict[str, int]] = {}
@@ -759,7 +766,7 @@ class ShardRuntime:
         self.ingress = None
         #: Resolved per-slot ingress payloads awaiting their slot's fold:
         #: ``t -> {edge -> payload}``.  Overwrite semantics mirror the
-        #: outcome buffer — a restarted worker's replay frames replace the
+        #: record buffer — a restarted worker's replay frames replace the
         #: dead incarnation's unfolded payloads, never double-count.
         self._pending_ingress: dict[int, dict[int, dict]] = {}
         if ingress_config is not None:
@@ -843,15 +850,10 @@ class ShardRuntime:
         # rebuild and then restore their own shard.
         for e in range(self.num_edges):
             self._edge_payloads[e] = (
-                state["edges"][e],
-                state["adapters"][e],
-                next_slot,
-                "live",
+                state["edges"][e], state["adapters"][e], next_slot, "live"
             )
         if next_slot > 0:
-            selections = state["arrays"]["selections"]
-            for e in range(self.num_edges):
-                self._last_models[e] = int(selections[-1][e])
+            self._last_models[:] = state["arrays"]["selections"][-1]
 
     # -- public surface ----------------------------------------------------
 
@@ -961,7 +963,6 @@ class ShardRuntime:
             for w, edges in enumerate(self.shards)
         ]
         self._handles = handles
-        self._owner = {e: h for h in handles for e in h.edges}
         if self.config.health_port is not None:
             self.status_thread = _StatusThread(
                 {"/healthz": self.health, "/metrics": self.metrics},
@@ -1166,11 +1167,11 @@ class ShardRuntime:
         handle.last_frame = time.monotonic()
         kind = frame["type"]
         if kind == SLOT:
-            t = int(frame["t"])
-            bucket = self._pending.setdefault(t, {})
-            for outcome in frame["outcomes"]:
-                bucket[outcome.edge] = outcome
-                self._last_models[outcome.edge] = outcome.model
+            record = frame["record"]
+            t = record.t
+            # A restart's replay replaces the dead incarnation's record.
+            self._pending.setdefault(t, {})[handle.index] = record
+            self._last_models[record.edge] = record.model[:, -1]
             if "queues" in frame:
                 self._queue_stats.update(frame["queues"])
             ingress_payloads = frame.get("ingress")
@@ -1304,8 +1305,6 @@ class ShardRuntime:
         )
         handle.restarted = True
         self._handles[w] = handle
-        for e in old.edges:
-            self._owner[e] = handle
         self._restarts.increment()
         if self.tracer.enabled:
             self.tracer.emit(
@@ -1385,15 +1384,19 @@ class ShardRuntime:
             self._edge_payloads[e] = (kernel_state, adapter_state, as_of, "live")
 
     def _pin_inactive_offline(self, at: int) -> None:
-        """Mark every inactive edge's stretch from ``at`` as parent-folded."""
+        """Mark every inactive edge's stretch from ``at`` as parent-folded.
+
+        The parent's adapter takes over an edge's arrivals from its
+        checkpoint, copied: adapters adopt the objects they restore, and
+        the payload goes back to a worker if the edge is re-added.
+        """
         for e in range(self.num_edges):
             if e in self._active:
                 continue
-            payload = self._edge_payloads.get(e)
-            if payload is None:
-                self._edge_payloads[e] = (None, None, at, "offline")
-            else:
-                self._edge_payloads[e] = (*payload[:3], "offline")
+            payload = self._edge_payloads.get(e, (None, None, at, "offline"))
+            if payload[3] == "live":
+                self._adapters[e].load_state(copy.deepcopy(payload[1]))
+            self._edge_payloads[e] = (*payload[:3], "offline")
 
     def _join_all(self, handles: list[_Shard]) -> None:
         deadline = time.monotonic() + 10.0
@@ -1471,16 +1474,9 @@ class ShardRuntime:
             for w, edges in enumerate(self.shards)
         ]
         self._handles[:] = new_handles
-        self._owner = {e: h for h in new_handles for e in h.edges}
         self._await_ready(new_handles)
 
     # -- the slot fold -----------------------------------------------------
-
-    def _next_barrier(self, completed: int) -> int | None:
-        for b in self._barriers:
-            if b > completed:
-                return b
-        return None
 
     def _release_target_for(self, completed: int) -> int:
         return release_target(
@@ -1490,7 +1486,7 @@ class ShardRuntime:
             pipeline_depth=self.config.pipeline_depth,
             snapshot_every=self.config.snapshot_every,
             restart_state_every=self._restart_every,
-            barrier=self._next_barrier(completed),
+            barrier=next((b for b in self._barriers if b > completed), None),
         )
 
     def _release_through(self, target: int) -> None:
@@ -1505,49 +1501,53 @@ class ShardRuntime:
         self._broadcast({"type": RELEASE, "upto": target}, self._handles)
         self._released = target
 
-    def _synthesize_offline(self, t: int, edge: int) -> EdgeSlotOutcome:
-        return offline_outcome(t, edge, self._last_models.get(edge, -1))
+    def _slot_record(self, t: int) -> SlotOutcomes:
+        """Slot ``t``'s record over the whole fleet, rows in edge order.
 
-    def _count(self, outcome: EdgeSlotOutcome) -> None:
-        self._events_in.increment(outcome.arrivals)
-        if outcome.offline:
-            self._events_dropped_offline.increment(outcome.arrivals)
-        elif outcome.shed:
-            self._events_shed.increment(outcome.arrivals)
-        else:
-            self._events_served.increment(outcome.served)
-
-    def _slot_complete(self, t: int) -> bool:
-        bucket = self._pending.get(t, {})
+        The reported shard records plus an offline row for each edge no
+        worker reported.  A degraded edge offers nothing; an inactive
+        (reconfigured-out) edge offers the arrivals of its adapter here,
+        and with ingress their requests resolve against its offline row.
+        """
+        bucket = self._pending.pop(t, {})
+        parts = [bucket[h.index] for h in self._handles if h.index in bucket]
+        reported = {e for part in parts for e in part.edge.tolist()}
+        rows = []
         for e in range(self.num_edges):
-            if e in bucket:
+            if e in reported:
                 continue
-            owner = self._owner.get(e)
-            if owner is None or owner.failed:
-                continue  # inactive or degraded edge: the parent synthesizes
-            # A live (or restarting — its replacement will replay) owner
-            # still owes this slot.
-            return False
-        return True
+            if e in self._active:
+                rows.append(offline_outcome(t, e, self._last_models[e]))
+                continue
+            adapter = self._adapters[e]
+            count = adapter.next_item(t).count
+            rows.append(offline_outcome(t, e, self._last_models[e], arrivals=count))
+            if self.ingress is not None:
+                payload = adapter.resolve_slot(rows[-1])
+                self._pending_ingress.setdefault(t, {})[e] = payload
+        if rows:
+            parts.append(SlotOutcomes.from_rows(rows))
+        return SlotOutcomes.merge(parts)
 
     def _fold_ready(self) -> None:
-        """Fold every slot whose outcomes (or death synthesis) are complete."""
+        """Fold every slot whose shard records are in (or never coming)."""
         while self.completed_slot < self._stop_slot - 1:
             t = self.completed_slot + 1
-            if not self._slot_complete(t):
+            # A live (or restarting — its replacement will replay) worker
+            # still owes its record; a degraded one's edges get offline rows.
+            bucket = self._pending.get(t, {})
+            if not all(h.index in bucket or h.failed for h in self._handles):
                 return
-            bucket = self._pending.pop(t, {})
-            outcomes = []
-            for e in range(self.num_edges):
-                outcome = bucket.get(e)
-                if outcome is None:
-                    outcome = self._synthesize_offline(t, e)
-                self._count(outcome)
-                outcomes.append(outcome)
+            record = self._slot_record(t)
+            arrivals = record.arrivals
+            self._events_in.increment(int(arrivals.sum()))
+            self._events_dropped_offline.increment(int(arrivals[record.offline].sum()))
+            self._events_shed.increment(int(arrivals[record.shed].sum()))
+            self._events_served.increment(int(record.served.sum()))
             if self.ingress is not None:
                 self._merge_ingress(t)
             fold_start = time.monotonic()
-            self.aggregator.fold(t, outcomes)
+            self.aggregator.fold(t, record)
             folded = time.monotonic()
             self._stage_trade.add(folded - fold_start)
             released_at = self._release_ts.pop(t, None)
@@ -1565,11 +1565,13 @@ class ShardRuntime:
     def _merge_ingress(self, t: int) -> None:
         """Fold slot ``t``'s resolved request stats into the run accounting.
 
-        Runs exactly once per folded slot.  Parent-synthesized offline
-        outcomes (degraded shards) carry no payload and need none: their
-        requests were never generated, so ``requests_in`` never saw them
-        and the accounting identity is waived while any worker is degraded
-        (mirrors the ``total_events`` leg of the soak gate).
+        Runs exactly once per folded slot.  An inactive edge's payload comes
+        from the parent's own adapter (:meth:`_slot_record`), so the
+        requests its router still holds miss their deadlines rather than
+        vanish.  A degraded edge's offline rows carry no payload and need
+        none: its requests were never generated, so ``requests_in`` never
+        saw them and the accounting identity is waived while any worker is
+        degraded (mirrors the ``total_events`` leg of the soak gate).
         """
         assert self.ingress is not None
         for _, payload in sorted(self._pending_ingress.pop(t, {}).items()):
@@ -1602,9 +1604,7 @@ class ShardRuntime:
         adapters: list[object] = [None] * self.num_edges
         for frame in self._state_frames.values():
             for e, kernel_state in frame["edges"].items():
-                edges[e] = kernel_state
-            for e, adapter_state in frame["adapters"].items():
-                adapters[e] = adapter_state
+                edges[e], adapters[e] = kernel_state, frame["adapters"][e]
         missing = [e for e in range(self.num_edges) if edges[e] is None]
         if missing:
             # Never persist a torn snapshot — resuming one would silently

@@ -3,14 +3,17 @@
 The per-edge inference step (Algorithm 1's select/observe cycle plus fault
 handling) and the system-level trading step (Algorithm 2's decide/observe
 cycle plus the ledger/market bookkeeping) live here as small stateful
-kernels, and :class:`SlotAggregator` folds one slot's edge outcomes into the
-run's result arrays before stepping the trading kernel.
-:class:`~repro.sim.simulator.Simulator` drives them in a lockstep loop;
-:mod:`repro.serve` drives the same kernels from each shard worker's slot
-loop and folds through the same aggregator.  Because both runtimes execute
-the *same* code in the same floating-point operation order, the serve
-runtime's virtual-clock mode is bit-identical to ``Simulator.run`` by
-construction (locked by the golden digests).
+kernels.  What couples them is each slot's edge outcomes, one columnar
+:class:`SlotOutcomes` record, and :class:`SlotAggregator` is the one fold
+of such records into the run's result arrays: it sums each column across
+edges in edge order, then steps the trading kernel once per slot.  The
+scalar :class:`~repro.sim.simulator.Simulator` loop folds a one-slot
+record per slot, the vectorized path (:mod:`repro.sim.vector`) one record
+for the whole horizon, and :mod:`repro.serve` the records its shard
+workers send.  Because every runtime executes the *same* code in the same
+floating-point operation order, the serve runtime's virtual-clock mode is
+bit-identical to ``Simulator.run`` by construction (locked by the golden
+digests).
 
 State is explicit: each kernel exposes ``state_dict()`` / ``load_state()``
 so a serve snapshot can capture a quiescent slot boundary and a restored
@@ -19,7 +22,8 @@ process can resume mid-horizon without replaying.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -44,12 +48,11 @@ __all__ = [
     "EdgeSlotKernel",
     "EdgeSlotOutcome",
     "SlotAggregator",
+    "SlotOutcomes",
     "TradingSlotKernel",
-    "assemble_result",
     "class_index_map",
     "draw_pool_indices",
     "offline_outcome",
-    "result_arrays",
 ]
 
 
@@ -91,14 +94,14 @@ def draw_pool_indices(
     return idx
 
 
-@dataclass(frozen=True)
-class EdgeSlotOutcome:
-    """What one edge contributed to one slot.
+class EdgeSlotOutcome(NamedTuple):
+    """What one edge contributed to one slot: one row of a :class:`SlotOutcomes`.
 
     ``arrivals`` is the raw workload offered to the edge; ``served`` is what
     actually ran inference (zero when the slot was shed under backpressure
-    or dropped by an edge outage).  All cost fields are zero for shed or
-    offline slots, mirroring the simulator's accounting.
+    or dropped by an edge outage).  The cost fields default to zero, which
+    is what a shed or offline slot costs, mirroring the simulator's
+    accounting.  The field names are the record's column names.
     """
 
     t: int
@@ -107,24 +110,53 @@ class EdgeSlotOutcome:
     switched: bool
     offline: bool
     shed: bool
-    expected_loss: float
-    slot_loss: float
-    latency: float
-    switch_cost: float
-    emissions_kg: float
-    correct: float
     arrivals: int
     served: int
+    expected_loss: float = 0.0
+    slot_loss: float = 0.0
+    latency: float = 0.0
+    switch_cost: float = 0.0
+    emissions_kg: float = 0.0
+    correct: float = 0.0
 
 
-_ZERO_COSTS = dict(
-    expected_loss=0.0,
-    slot_loss=0.0,
-    latency=0.0,
-    switch_cost=0.0,
-    emissions_kg=0.0,
-    correct=0.0,
-)
+#: The dtype of each record column, in field order (``t`` is a scalar).
+_DTYPES = tuple(np.dtype(kind) for kind in get_type_hints(EdgeSlotOutcome).values())
+
+
+class SlotOutcomes(namedtuple("SlotOutcomes", EdgeSlotOutcome._fields)):
+    """The edge outcomes of one slot, or of a range of slots from ``t``.
+
+    The columnar form of :class:`EdgeSlotOutcome` rows, with the same
+    fields: ``edge`` holds the rows' edge ids in ascending order, and every
+    other field after ``t`` is an ``(edges, slots)`` numpy column.  The
+    scalar loop and a shard worker build one-slot records from kernel rows;
+    the vectorized simulator builds one for the whole horizon from views of
+    its matrices.
+    """
+
+    __slots__ = ()
+
+    @property
+    def num_slots(self) -> int:
+        """How many consecutive slots, from ``t``, the record covers."""
+        return self.model.shape[1]
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[EdgeSlotOutcome]) -> "SlotOutcomes":
+        """One slot's record from its rows, given in ascending edge order."""
+        t, edge, *values = zip(*rows)
+        columns = [np.array(v, dtype)[:, None] for v, dtype in zip(values, _DTYPES[2:])]
+        return cls(t[0], np.array(edge), *columns)
+
+    @classmethod
+    def merge(cls, parts: Sequence["SlotOutcomes"]) -> "SlotOutcomes":
+        """One record from records of disjoint edges over the same slots."""
+        if len(parts) == 1:
+            return parts[0]
+        t, *fields = zip(*parts)
+        order = np.argsort(np.concatenate(fields[0]))
+        return cls(t[0], *(np.concatenate(field)[order] for field in fields))
 
 
 def offline_outcome(
@@ -140,7 +172,6 @@ def offline_outcome(
     return EdgeSlotOutcome(
         t=t, edge=edge, model=int(model), switched=False,
         offline=True, shed=False, arrivals=int(arrivals), served=0,
-        **_ZERO_COSTS,
     )
 
 
@@ -206,7 +237,6 @@ class EdgeSlotKernel:
             return EdgeSlotOutcome(
                 t=t, edge=self.edge, model=int(model), switched=False,
                 offline=False, shed=True, arrivals=int(count), served=0,
-                **_ZERO_COSTS,
             )
 
         injector = self.injector
@@ -272,20 +302,12 @@ class EdgeSlotKernel:
             )
         )
         return EdgeSlotOutcome(
-            t=t,
-            edge=self.edge,
-            model=int(serve),
-            switched=switched,
-            offline=False,
-            shed=False,
-            expected_loss=self.expected_losses[serve],
-            slot_loss=slot_loss,
-            latency=latency,
-            switch_cost=self.switch_cost if switched else 0.0,
+            t=t, edge=self.edge, model=int(serve), switched=switched,
+            offline=False, shed=False, arrivals=int(count), served=int(count),
+            expected_loss=self.expected_losses[serve], slot_loss=slot_loss,
+            latency=latency, switch_cost=self.switch_cost if switched else 0.0,
             emissions_kg=emissions_kg,
             correct=float(profile.correct_per_sample[idx].sum()),
-            arrivals=int(count),
-            served=int(count),
         )
 
     def resolve_download(self, t: int, model: int) -> int:
@@ -571,121 +593,104 @@ class TradingSlotKernel:
         self.fleet_scale = float(state.get("fleet_scale", 1.0))
 
 
-class SlotAggregator:
-    """The per-slot edge-order fold into result arrays plus the trade step.
+#: Slots the fold sums per pass over a multi-slot record.
+_SLOTS_PER_PASS = 128
 
-    Every slot-by-slot runtime folds through this one class — the scalar
-    simulator loop and the serve tier's parent — so they aggregate
-    *identically* (the vectorized path fills the same
-    :func:`result_arrays` wholesale and shares :func:`assemble_result`):
-    outcomes are folded in global
-    edge order (the float-summation order the golden digests pin), then the
-    trading kernel steps once on the slot's system emissions.  Holds the
-    result arrays, their snapshot/restore halves, and the final
-    :class:`~repro.sim.results.SimulationResult` assembly.
+#: Result arrays the fold fills with a column's per-slot sum across edges
+#: (``accuracy`` holds the correct count until the fold divides it).
+_EDGE_SUMS = {
+    "expected_inference": "expected_loss",
+    "realized_loss": "slot_loss",
+    "compute_cost": "latency",
+    "switching_cost": "switch_cost",
+    "emissions": "emissions_kg",
+    "accuracy": "correct",
+}
+
+
+class SlotAggregator:
+    """The one fold of slot records into result arrays, plus the trade step.
+
+    Every runtime folds through this class: the scalar simulator loop one
+    slot at a time, the vectorized path its whole horizon at once, and the
+    serve tier's parent each slot its workers report.  It alone writes the
+    per-slot result arrays.  Holds them, their snapshot/restore halves, and
+    the final :class:`~repro.sim.results.SimulationResult` assembly.
     """
 
     def __init__(self, scenario: Scenario, trading_kernel: TradingSlotKernel) -> None:
         self.scenario = scenario
         self.trading_kernel = trading_kernel
-        self.arrays = result_arrays(scenario)
+        horizon, num_edges = scenario.horizon, scenario.num_edges
+        per_slot = (*_EDGE_SUMS, "bought", "sold", "trading_cost", "arrivals_total")
+        self._arrays = {name: np.zeros(horizon) for name in per_slot}
+        self._arrays["selections"] = np.zeros((horizon, num_edges), dtype=int)
+        self._arrays["switches"] = np.zeros((horizon, num_edges), dtype=bool)
 
-    def fold(self, t: int, outcomes: list[EdgeSlotOutcome]) -> None:
-        """Fold slot ``t``'s outcomes (edge order) and step the trading kernel.
+    def fold(self, t: int, record: SlotOutcomes) -> None:
+        """Fold ``record``'s slots from ``t``, then step the trading kernel on each.
 
-        Sums accumulate as Python floats from ``0.0`` in edge order, which
-        is bit-identical to accumulating into the zeroed float64 slot.
+        A slot's costs are its columns summed in ascending edge order from
+        ``0.0``, the float-addition order the golden digests pin.
+        ``np.add.accumulate`` along the edge axis adds in exactly that order
+        at any slot count; a reduction does not (numpy sums a single slot's
+        column pairwise).  Offline rows add exact zeros.  The trading kernel
+        then steps once per slot, in slot order, on the slot's emissions.
         """
-        arrays = self.arrays
-        expected = realized = compute = switching = 0.0
-        slot_emissions = 0.0
-        slot_correct = 0.0
-        slot_arrivals = 0
-        for outcome in outcomes:
-            if outcome.offline:
-                continue
-            expected += outcome.expected_loss
-            realized += outcome.slot_loss
-            compute += outcome.latency
-            if outcome.switched:
-                switching += outcome.switch_cost
-            slot_emissions += outcome.emissions_kg
-            slot_correct += outcome.correct
-            slot_arrivals += outcome.served
-        arrays["selections"][t] = [outcome.model for outcome in outcomes]
-        arrays["switches"][t] = [outcome.switched for outcome in outcomes]
-        arrays["expected_inference"][t] = expected
-        arrays["realized_loss"][t] = realized
-        arrays["compute_cost"][t] = compute
-        arrays["switching_cost"][t] = switching
-        arrays["emissions"][t] = slot_emissions
-        arrays["arrivals_total"][t] = slot_arrivals
-        arrays["accuracy"][t] = (
-            slot_correct / slot_arrivals if slot_arrivals else np.nan
-        )
-        (
-            arrays["bought"][t],
-            arrays["sold"][t],
-            arrays["trading_cost"][t],
-        ) = self.trading_kernel.step(t, slot_emissions)
+        arrays = self._arrays
+        stop = t + record.num_slots
+        arrays["selections"][t:stop] = record.model.T
+        arrays["switches"][t:stop] = record.switched.T
+        # A bounded span of slots per pass keeps the accumulates' scratch
+        # small when the record covers a whole horizon.
+        for lo in range(0, record.num_slots, _SLOTS_PER_PASS):
+            span = slice(lo, lo + _SLOTS_PER_PASS)
+            for name, column in _EDGE_SUMS.items():
+                running = np.add.accumulate(getattr(record, column)[:, span], axis=0)
+                arrays[name][t:stop][span] = running[-1]
+        served = record.served.sum(axis=0)
+        arrays["arrivals_total"][t:stop] = served
+        accuracy = arrays["accuracy"][t:stop]
+        np.divide(accuracy, served, out=accuracy, where=served > 0)
+        accuracy[served == 0] = np.nan  # a slot that served nothing
+        step = self.trading_kernel.step
+        bought, sold, cost = arrays["bought"], arrays["sold"], arrays["trading_cost"]
+        emissions = arrays["emissions"][t:stop].tolist()
+        for s, slot_emissions in enumerate(emissions, start=t):
+            bought[s], sold[s], cost[s] = step(s, slot_emissions)
 
     def partial_arrays(self, next_slot: int) -> dict[str, np.ndarray]:
         """Snapshot copies of the arrays' completed prefix."""
         return {
             name: array[:next_slot].copy()
-            for name, array in self.arrays.items()
+            for name, array in self._arrays.items()
         }
 
     def load_arrays(self, saved: dict[str, np.ndarray]) -> None:
         """Restore the completed prefix captured by :meth:`partial_arrays`."""
         for name, prefix in saved.items():
-            self.arrays[name][: len(prefix)] = prefix
+            self._arrays[name][: len(prefix)] = prefix
 
     def result(self, label: str) -> SimulationResult:
         """Assemble the completed run's :class:`SimulationResult`."""
-        return assemble_result(self.scenario, label, self.arrays)
-
-
-def result_arrays(scenario: Scenario) -> dict[str, np.ndarray]:
-    """Zeroed per-slot result arrays for one run of ``scenario``."""
-    horizon, num_edges = scenario.horizon, scenario.num_edges
-    return {
-        "expected_inference": np.zeros(horizon),
-        "realized_loss": np.zeros(horizon),
-        "compute_cost": np.zeros(horizon),
-        "switching_cost": np.zeros(horizon),
-        "emissions": np.zeros(horizon),
-        "bought": np.zeros(horizon),
-        "sold": np.zeros(horizon),
-        "trading_cost": np.zeros(horizon),
-        "arrivals_total": np.zeros(horizon),
-        "accuracy": np.zeros(horizon),
-        "selections": np.zeros((horizon, num_edges), dtype=int),
-        "switches": np.zeros((horizon, num_edges), dtype=bool),
-    }
-
-
-def assemble_result(
-    scenario: Scenario, label: str, arrays: dict[str, np.ndarray]
-) -> SimulationResult:
-    """The :class:`SimulationResult` over a completed run's result arrays."""
-    return SimulationResult(
-        label=label,
-        horizon=scenario.horizon,
-        num_edges=scenario.num_edges,
-        carbon_cap=scenario.config.carbon_cap_kg,
-        expected_inference_cost=arrays["expected_inference"],
-        realized_inference_loss=arrays["realized_loss"],
-        compute_cost=arrays["compute_cost"],
-        switching_cost=arrays["switching_cost"],
-        emissions=arrays["emissions"],
-        bought=arrays["bought"],
-        sold=arrays["sold"],
-        trading_cost=arrays["trading_cost"],
-        buy_prices=scenario.prices.buy.copy(),
-        sell_prices=scenario.prices.sell.copy(),
-        arrivals=arrays["arrivals_total"],
-        accuracy=arrays["accuracy"],
-        selections=arrays["selections"],
-        switches=arrays["switches"],
-    )
+        scenario, arrays = self.scenario, self._arrays
+        return SimulationResult(
+            label=label,
+            horizon=scenario.horizon,
+            num_edges=scenario.num_edges,
+            carbon_cap=scenario.config.carbon_cap_kg,
+            expected_inference_cost=arrays["expected_inference"],
+            realized_inference_loss=arrays["realized_loss"],
+            compute_cost=arrays["compute_cost"],
+            switching_cost=arrays["switching_cost"],
+            emissions=arrays["emissions"],
+            bought=arrays["bought"],
+            sold=arrays["sold"],
+            trading_cost=arrays["trading_cost"],
+            buy_prices=scenario.prices.buy.copy(),
+            sell_prices=scenario.prices.sell.copy(),
+            arrivals=arrays["arrivals_total"],
+            accuracy=arrays["accuracy"],
+            selections=arrays["selections"],
+            switches=arrays["switches"],
+        )

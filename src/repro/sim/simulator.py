@@ -23,8 +23,9 @@ on the policies, so different policies face *identical* workloads and data
 
 The per-edge and trading step bodies live in :mod:`repro.sim.kernel` as
 stateful slot kernels shared with the :mod:`repro.serve` runtime, and so
-does the per-slot outcome fold (:class:`~repro.sim.kernel.SlotAggregator`);
-the simulator is the lockstep driver of those kernels.
+does the one fold of slot records into result arrays
+(:class:`~repro.sim.kernel.SlotAggregator`); the simulator is the lockstep
+driver of those kernels.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.policies.trading import TradingPolicy
 from repro.sim.kernel import (
     EdgeSlotKernel,
     SlotAggregator,
+    SlotOutcomes,
     TradingSlotKernel,
     class_index_map,
 )
@@ -241,9 +243,8 @@ class Simulator:
         for t in range(horizon):
             if tracing:
                 tracer.emit(SlotStartEvent(t=t, horizon=horizon))
-            folder.fold(
-                t, [kernel.step(t, process.sample(t)) for process, kernel in edges]
-            )
+            rows = [kernel.step(t, process.sample(t)) for process, kernel in edges]
+            folder.fold(t, SlotOutcomes.from_rows(rows))
             if delay > 0:
                 for kernel in edge_kernels:
                     kernel.deliver_due(t - delay)

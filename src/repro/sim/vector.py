@@ -2,7 +2,7 @@
 
 The scalar reference loop executes ``horizon x num_edges`` full
 :class:`~repro.sim.kernel.EdgeSlotKernel` steps — each one paying for a
-frozen-dataclass outcome, per-field float conversions, energy-model method
+outcome row, per-field float conversions, energy-model method
 dispatch, and fault/tracer bookkeeping that a clean run never uses.  This
 module re-executes the *same arithmetic in the same floating-point order*
 with the per-edge-slot overhead stripped out and the pure-array parts
@@ -32,11 +32,14 @@ The fast path runs in two phases:
   model, serve and cost nothing, and still draw their pool indices.
   Offline, still-hosted and feedback-lost slots are passed to
   ``observe_block`` as lost slots.  Market outages and trade rejections
-  need nothing here: the trading kernel Phase B steps holds the injector.
-* **Phase B (trading)** replays the system-level sequence: selection does
-  not depend on trading, so slot emissions for the whole horizon come from
-  one :meth:`EnergyModel.slot_emissions_kg_batch` call, after which a lean
-  per-slot loop feeds the (stateful, order-dependent) trading kernel.
+  need nothing here: the trading kernel the fold steps holds the injector.
+* **Phase B (the record)**: selection does not depend on trading, so every
+  edge-slot's emissions come from one
+  :meth:`EnergyModel.slot_emissions_kg_batch` call.  The whole horizon
+  becomes one :class:`~repro.sim.kernel.SlotOutcomes` of views of Phase
+  A's matrices, folded once by the scalar loop's own
+  :class:`~repro.sim.kernel.SlotAggregator`, which steps the (stateful,
+  order-dependent) trading kernel once per slot.
 
 Why digests are preserved (the full argument is in DESIGN.md):
 
@@ -48,9 +51,8 @@ Why digests are preserved (the full argument is in DESIGN.md):
   streams are independent.
 * **Reductions** — each per-slot loss mean stays a pairwise reduction over
   the identical contiguous values (a contiguous slice of a block-level
-  gather reduces exactly like the per-slot gather); cross-edge accumulation
-  is performed edge-by-edge in ascending edge order, reproducing the scalar
-  loop's addition sequence per slot.
+  gather reduces exactly like the per-slot gather).  The cross-edge sums
+  are the fold's, the same code and addition order as the scalar loop's.
 * **Block folding** — an edge's estimator is only *read* when that edge
   opens its next block, which happens strictly after the previous block's
   last slot; folding a block's losses at open time is therefore
@@ -93,9 +95,9 @@ from repro.core.model_selection import (
 from repro.nn.losses import squared_label_loss
 from repro.sim.kernel import (
     EdgeSlotKernel,
-    assemble_result,
+    SlotAggregator,
+    SlotOutcomes,
     draw_pool_indices,
-    result_arrays,
 )
 from repro.sim.results import SimulationResult
 
@@ -150,13 +152,10 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     horizon, num_edges = scenario.horizon, scenario.num_edges
 
     arrival_processes, edge_kernels, trading_kernel = sim.build_kernels()
-    # The fast path fills the result arrays wholesale instead of folding
-    # slot by slot; it shares only their layout and the final assembly.
-    arrays = result_arrays(scenario)
     policies = [kernel.policy for kernel in edge_kernels]
 
     # Edge faults reach Phase A as realized (edge, slot) masks; market
-    # faults stay inside the trading kernel, which Phase B steps per slot.
+    # faults stay inside the trading kernel, which the fold steps per slot.
     offline = lost = None
     injector = edge_kernels[0].injector
     if injector is not None and injector.has_edge_faults:
@@ -170,7 +169,7 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     expected_losses = np.array([float(p.expected_loss) for p in profiles])
     latencies = scenario.latencies
     latency_rows = [[float(v) for v in latencies[i]] for i in range(num_edges)]
-    switch_costs = [kernel.switch_cost for kernel in edge_kernels]
+    switch_costs = np.array([kernel.switch_cost for kernel in edge_kernels])
 
     live = sim.live_inference
     losses_for: Callable[[int, np.ndarray], np.ndarray]
@@ -244,8 +243,11 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     blockwise = all(type(policy) is OnlineModelSelection for policy in policies)
     open_groups = block_openings(policies, by_slot=not blockwise)
 
-    selections = arrays["selections"]
-    switches = arrays["switches"]
+    # Every per-edge-slot matrix is (edge, slot), the record's layout.
+    selections = np.zeros(
+        (num_edges, horizon), dtype=np.min_scalar_type(scenario.num_models - 1)
+    )
+    switches = np.zeros((num_edges, horizon), dtype=bool)
     loss_mat = np.zeros((num_edges, horizon))
     correct_mat = np.zeros((num_edges, horizon))
     loss_rows = [loss_mat[i] for i in range(num_edges)]
@@ -326,9 +328,9 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
                 # model, and an edge that never served has only offline
                 # slots there.  An offline slot keeps the chosen model.
                 split = first if hosted >= 0 else t
-                selections[t:end, i] = model
+                selections[i, t:end] = model
                 if split > t:
-                    selections[t:split, i] = np.where(
+                    selections[i, t:split] = np.where(
                         offline[i, t:split], model, hosted
                     )
                     fill(i, hosted, t, split)
@@ -337,7 +339,7 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
                 if first < end:
                     # A switch is measured against the last *served* model.
                     kernel.previous_model = model
-                    switches[first, i] = model != hosted
+                    switches[i, first] = model != hosted
                 observed = loss_rows[i][first:end] + latency_rows[i][model]
                 if lost is not None:
                     observed = observed[~lost[i, first:end]]
@@ -358,70 +360,46 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
                 losses = losses_for(model, idx)
                 slot_loss = float(reduce_add(losses) / losses.size)
                 observe_fns[i](t, model, slot_loss + latency_rows[i][model])
-                selections[t, i] = model
+                selections[i, t] = model
                 loss_rows[i][t] = slot_loss
                 correct_rows[i][t] = reduce_add(correct_tables[model][idx])
-        switches[0] = True
-        np.not_equal(selections[1:], selections[:-1], out=switches[1:])
+        switches[:, 0] = True
+        np.not_equal(selections[:, 1:], selections[:, :-1], out=switches[:, 1:])
     # Phase B never reads the draws: free them before it allocates.
     del flat_indices, slot_indices, offsets
 
-    # Phase B — system-level emissions and trading.  Selections are fully
-    # known, so the whole horizon's per-edge emissions come from one batch
-    # call; the trading kernel itself is stateful and order-dependent, so a
-    # lean per-slot loop feeds it in slot order.
+    # Phase B — the whole horizon as one record, folded once.  Selections
+    # are fully known, so every edge-slot's emissions come from one batch
+    # call; the fold sums the columns across edges and steps the stateful,
+    # order-dependent trading kernel slot by slot.
+    served = counts_mat
     if offline is not None:
         # An offline edge-slot serves nothing: no arrivals served, no loss,
         # and (with zero arrivals and no switch) exactly zero emissions.
-        # The draws are done, so from here on counts_mat holds served counts.
-        counts_mat[offline] = 0
+        served = np.where(offline, 0, counts_mat)
         loss_mat[offline] = 0.0
         correct_mat[offline] = 0.0
+    edge_column = edge_range[:, None]
     emissions_mat = energy.slot_emissions_kg_batch(
         selections,
-        counts_mat.T,
+        served,
         switches,
-        transfer_table[edge_range, selections],
+        transfer_table[edge_column, selections],
     )
-    emissions = arrays["emissions"]
-    bought, sold = arrays["bought"], arrays["sold"]
-    trading_cost = arrays["trading_cost"]
-    trading_step = trading_kernel.step
-    # The scalar loop accumulates slot emissions edge by edge as Python
-    # floats; replay that exact addition sequence.
-    for t in range(horizon):
-        slot_emissions = 0.0
-        for value in emissions_mat[t].tolist():
-            slot_emissions += value
-        emissions[t] = slot_emissions
-        bought[t], sold[t], trading_cost[t] = trading_step(t, slot_emissions)
-
-    # Cross-edge per-slot accumulation, vectorized over slots but iterated
-    # in ascending edge order — the same addition sequence per slot as the
-    # scalar fold's per-edge sums (an offline edge adds exact zeros where
-    # the fold skips it).
-    expected_inference = arrays["expected_inference"]
-    realized_loss = arrays["realized_loss"]
-    compute_cost = arrays["compute_cost"]
-    switching_cost = arrays["switching_cost"]
-    arrivals_total = arrays["arrivals_total"]
-    correct_acc = np.zeros(horizon)
-    for i in range(num_edges):
-        chosen = selections[:, i]
-        expected = expected_losses[chosen]
-        compute = latencies[i][chosen]
-        if offline is not None:
-            expected[offline[i]] = 0.0
-            compute[offline[i]] = 0.0
-        expected_inference += expected
-        realized_loss += loss_mat[i]
-        compute_cost += compute
-        switching_cost += np.where(switches[:, i], switch_costs[i], 0.0)
-        correct_acc += correct_mat[i]
-        arrivals_total += counts_mat[i]
-    # A slot where every edge is offline served nothing; the scalar fold
-    # records its accuracy as NaN.
-    accuracy = np.full(horizon, np.nan)
-    np.divide(correct_acc, arrivals_total, out=accuracy, where=arrivals_total > 0)
-    arrays["accuracy"] = accuracy
-    return assemble_result(scenario, sim.label, arrays)
+    expected = expected_losses[selections]
+    latency = latencies[edge_column, selections]
+    if offline is not None:
+        expected[offline] = 0.0
+        latency[offline] = 0.0
+    never = np.broadcast_to(False, selections.shape)
+    record = SlotOutcomes(
+        0, edge_range, model=selections, switched=switches,
+        offline=never if offline is None else offline, shed=never,
+        arrivals=counts_mat, served=served, expected_loss=expected,
+        slot_loss=loss_mat, latency=latency,
+        switch_cost=np.where(switches, switch_costs[:, None], 0.0),
+        emissions_kg=emissions_mat, correct=correct_mat,
+    )
+    aggregator = SlotAggregator(scenario, trading_kernel)
+    aggregator.fold(0, record)
+    return aggregator.result(sim.label)

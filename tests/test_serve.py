@@ -597,6 +597,38 @@ class TestSlotLoop:
         assert len(scalar_solves) + len(batch_rows) == sum(openings.values())
 
 
+    def test_slot_frames_carry_one_columnar_record_per_shard(self, monkeypatch):
+        # A SLOT frame carries its shard's one-slot record, one numpy
+        # column per outcome field, never one outcome object per edge.
+        from repro.sim.kernel import EdgeSlotOutcome, SlotOutcomes
+
+        seen = []
+        dispatch = ShardRuntime._dispatch
+
+        def recording(runtime, handle, frame):
+            if frame["type"] == "slot":
+                seen.append((handle.edges, frame))
+            return dispatch(runtime, handle, frame)
+
+        monkeypatch.setattr(ShardRuntime, "_dispatch", recording)
+        scenario = ScenarioConfig(
+            dataset="synthetic", num_edges=5, horizon=6, seed=3
+        )
+        ShardRuntime(ServeConfig(scenario=scenario, seed=3, num_workers=2)).run()
+        assert sorted(len(edges) for edges, _ in seen) == [2] * 6 + [3] * 6
+        for edges, frame in seen:
+            record = frame["record"]
+            assert isinstance(record, SlotOutcomes)
+            assert record.edge.tolist() == list(edges)
+            assert record.num_slots == 1 and record.served.shape == (len(edges), 1)
+            for value in frame.values():
+                assert not isinstance(value, EdgeSlotOutcome)
+                assert not (
+                    isinstance(value, list)
+                    and any(isinstance(v, EdgeSlotOutcome) for v in value)
+                )
+
+
 class TestWorkerFailures:
     def test_adapter_exception_propagates(self, monkeypatch):
         from repro.serve.adapters import PoissonAdapter

@@ -762,6 +762,66 @@ class TestReconfig:
         assert (result.selections[4:12, 0] == result.selections[3, 0]).all()
         assert result_digest(result) == result_digest(run_once())
 
+    @pytest.mark.parametrize(
+        "ingress",
+        [IngressConfig(slot_capacity=4), IngressConfig()],
+        ids=["slot-capacity-4", "default-ingress"],
+    )
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            (("remove", 10, 2),),
+            (("remove", 4, 0), ("add", 12, 0)),
+        ],
+        ids=["remove-2-at-10", "remove-0-at-4-readd-at-12"],
+    )
+    def test_a_removed_edge_keeps_resolving_its_requests(self, ops, ingress):
+        from repro.serve import AddEdge, ReconfigPlan, RemoveEdge
+
+        kinds = {"remove": RemoveEdge, "add": AddEdge}
+        plan = ReconfigPlan(
+            tuple(kinds[kind](at=at, edge=edge) for kind, at, edge in ops)
+        )
+        config = shard_config(
+            "A", 0, num_workers=2, ingress=ingress.to_dict()
+        )
+        tracer = Tracer()
+        runtime = ShardRuntime(config, tracer=tracer, reconfig=plan, **FAST)
+        runtime.run()
+        counters = tracer.metrics_snapshot()["counters"]
+        served = counters["serve/events_served"]
+        shed = counters["serve/events_shed"]
+        offline = counters["serve/events_dropped_offline"]
+        # The parent keeps stepping a removed edge's router: its arrivals
+        # are still offered, and the requests parked there still resolve,
+        # as deadline misses in offline slots.  4,867 is what the
+        # unreconfigured run takes in.
+        assert runtime.ingress.requests_in == 4867
+        assert runtime.ingress.accounting_ok(served, shed, offline)
+        assert offline > 0
+
+    @pytest.mark.parametrize("ingress", [None, IngressConfig()], ids=["plain", "ingress"])
+    def test_soak_counts_a_removed_edges_offered_load_offline(self, ingress):
+        from repro.serve import ReconfigPlan, RemoveEdge
+        from repro.serve.soak import run_soak
+
+        report = run_soak(
+            "spike",
+            num_edges=8,
+            num_workers=2,
+            horizon=48,
+            total_events=4000,
+            reconfig=ReconfigPlan((RemoveEdge(at=20, edge=3),)),
+            ingress=ingress,
+        )
+        assert report.accounting_ok and report.reconfigs == 1
+        assert report.events_in == report.total_events == 4000
+        assert report.events_dropped_offline > 0
+        if ingress is not None:
+            summary = report.ingress
+            assert summary["requests_in"] == 4000
+            assert summary["deadline_misses"] >= report.events_dropped_offline
+
     def test_reconfig_rejects_snapshots_and_out_of_horizon_ops(self, tmp_path):
         from repro.serve import Rebalance, ReconfigPlan
 
