@@ -443,11 +443,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         sink = AsyncQueueSink(JsonlSink(args.trace_output))
         tracer.add_sink(sink)
 
+    def traced(config: ServeConfig) -> Tracer | None:
+        # Events are kept only where something reads them: the trace file
+        # or the health port's /metrics.  An untraced runtime counts into
+        # a tracer of its own, and its in-process edges keep the columnar
+        # shard step.
+        return tracer if sink is not None or config.health_port is not None else None
+
     if args.resume is not None:
         state = load_snapshot(args.resume)
         config = ServeConfig.from_dict(state["config"])
         runtime = ShardRuntime.from_state(
-            state, tracer=tracer, faults=plan,
+            state, tracer=traced(config), faults=plan,
             shard_trace_paths=_shard_trace_paths(args.trace_output, config),
         )
         print(f"resuming {runtime.label} from {args.resume} "
@@ -519,7 +526,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # Chaos and reconfig plans act on worker processes.
             config = config.with_overrides(num_workers=1)
         runtime = ShardRuntime(
-            config, tracer=tracer, faults=plan,
+            config, tracer=traced(config), faults=plan,
             shard_trace_paths=_shard_trace_paths(args.trace_output, config),
             **shard_kwargs,
         )
@@ -536,7 +543,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"served {runtime.completed_slot + 1}/{runtime.horizon} slots "
               f"of {runtime.label}; resume with --resume "
               f"{runtime.config.snapshot_path}")
-    counters = tracer.metrics_snapshot()["counters"]
+    counters = runtime.tracer.metrics_snapshot()["counters"]
     counter_rows = [
         [name.removeprefix("serve/"), int(value)]
         for name, value in sorted(counters.items())

@@ -155,7 +155,7 @@ class OnlineModelSelection(SelectionPolicy):
         """The block ``select(t)`` would have to open, or ``None``.
 
         No code in the program calls this: both batch drivers, the
-        vectorized simulator and the shard worker's slot loop, group
+        vectorized simulator and the serve tier's shard slot kernel, group
         coinciding block openings with :func:`block_openings`.  It is kept
         only because the benchmark's layer profiler (``perf/layers.py``)
         wraps it by name.

@@ -12,15 +12,16 @@ works unchanged.
 
 The adapter also owns the slot-stats lifecycle: ``next_item`` parks the
 router's provisional stats under the slot index, and the runtime calls
-:meth:`IngressAdapter.resolve_slot` with the edge's
-:class:`~repro.sim.kernel.EdgeSlotOutcome` row once it is known (shed and
-offline slots turn releases into deadline misses).  A shard worker
-resolves its kernels' rows before they join the slot's
+:meth:`IngressAdapter.resolve_slot` with the ``shed`` and ``offline``
+flags of the edge's row once it is known (shed and offline slots turn
+releases into deadline misses).  A shard worker resolves each edge from
+the shed and offline columns of the slot's
 :class:`~repro.sim.kernel.SlotOutcomes` record; the serve parent resolves
 the offline rows of an edge reconfigured out of the fleet, whose router
-it keeps stepping, so the requests parked there still resolve.  During a shard worker's silent
-catch-up the runtime calls :meth:`IngressAdapter.discard_slot` instead —
-queue state advances, already-merged stats are not re-reported.
+it keeps stepping, so the requests parked there still resolve.  During a
+shard worker's silent catch-up the runtime calls
+:meth:`IngressAdapter.discard_slot` instead — queue state advances,
+already-merged stats are not re-reported.
 
 Sampled obs events (``request_admit`` / ``request_defer`` /
 ``request_drop`` / ``deadline_miss``) are emitted at resolution, only on
@@ -45,7 +46,6 @@ from repro.obs.events import (
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.serve.adapters import StreamAdapter
 from repro.serve.queues import WorkItem
-from repro.sim.kernel import EdgeSlotOutcome
 from repro.sim.scenario import Scenario
 
 __all__ = ["IngressAdapter", "wrap_with_ingress"]
@@ -84,13 +84,15 @@ class IngressAdapter(StreamAdapter):
         self._pending[t] = provisional
         return WorkItem(t=t, count=released)
 
-    def resolve_slot(self, outcome: EdgeSlotOutcome) -> dict[str, object]:
-        """Finalize slot ``outcome.t``'s stats; emits sampled obs events."""
-        provisional = self._pending.pop(outcome.t)
-        payload = resolve_payload(provisional, outcome)
+    def resolve_slot(
+        self, t: int, *, shed: bool = False, offline: bool = False
+    ) -> dict[str, object]:
+        """Finalize slot ``t``'s stats from its row's flags; emits sampled events."""
+        provisional = self._pending.pop(t)
+        payload = resolve_payload(provisional, shed=shed, offline=offline)
         tracer = self.tracer
-        if tracer.enabled and outcome.t % self.config.sample_every == 0:
-            t, edge = outcome.t, self.edge
+        if tracer.enabled and t % self.config.sample_every == 0:
+            edge = self.edge
             admitted = payload["in"] - payload["dropped"]
             if admitted:
                 tracer.emit(RequestAdmitEvent(t=t, edge=edge, count=admitted))

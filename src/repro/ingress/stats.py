@@ -2,12 +2,13 @@
 
 Per-slot stats are produced *provisionally* by the router (it cannot know
 whether the slot it released into will actually serve), then **resolved**
-against the edge's :class:`~repro.sim.kernel.EdgeSlotOutcome`: if the
-slot was shed at the work queue or the edge was offline, every release
-that slot becomes a deadline miss regardless of timing.  Resolved
-payloads are plain dicts of ints — picklable, mergeable, and safe to ship
-over the shard frame protocol — and :class:`IngressStats` folds any
-number of them (any edge, any order) into run totals.
+against the shed and offline flags of the edge's row in the slot's
+:class:`~repro.sim.kernel.SlotOutcomes`: if the slot was shed at the work
+queue or the edge was offline, every release that slot becomes a deadline
+miss regardless of timing.  Resolved payloads are plain dicts of ints —
+picklable, mergeable, and safe to ship over the shard frame protocol —
+and :class:`IngressStats` folds any number of them (any edge, any order)
+into run totals.
 
 The run-level accounting identity, checked by ``repro soak --ingress``::
 
@@ -22,20 +23,18 @@ outcome.
 
 from __future__ import annotations
 
-from repro.sim.kernel import EdgeSlotOutcome
-
 __all__ = ["IngressStats", "resolve_payload"]
 
 
 def resolve_payload(
-    provisional: dict[str, object], outcome: EdgeSlotOutcome
+    provisional: dict[str, object], *, shed: bool = False, offline: bool = False
 ) -> dict[str, object]:
-    """Finalize one slot's provisional router stats against its outcome.
+    """Finalize one slot's provisional router stats against its row's flags.
 
     A release only counts as a deadline *hit* if the slot actually served
-    (not shed, not offline) **and** the release was on time.
+    (not ``shed``, not ``offline``) **and** the release was on time.
     """
-    served = not (outcome.shed or outcome.offline)
+    served = not (shed or offline)
     per_class: dict[str, list[int]] = {}
     hits = 0
     for name, (released, on_time) in provisional["per_class"].items():

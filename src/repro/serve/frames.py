@@ -16,11 +16,14 @@ type                   dir     payload
 ``release``            p -> w  ``upto``: run slots through this index
 ``slot``               w -> p  ``record``: the shard's one-slot
                                :class:`~repro.sim.kernel.SlotOutcomes`
-                               (slot ``record.t``, rows in edge order);
-                               ``queue_s``/``serve_s`` per-edge stage
-                               latencies in seconds; ``ingress`` resolved
-                               request stats per edge when ingress is on;
-                               the run's last slot also carries ``queues``
+                               (slot ``record.t``, rows in edge order), as
+                               its shard step wrote it; ``queue_s`` per-edge
+                               feed-to-step latencies and ``serve_s`` the
+                               step's wall time over the edge count, once
+                               per edge, in seconds; ``ingress`` request
+                               stats per edge, resolved from the record's
+                               ``shed``/``offline`` columns, when ingress is
+                               on; the run's last slot also carries ``queues``
 ``heartbeat``          w -> p  liveness proof while slots are long;
                                ``queues``: per-edge queue depth/peak/rejected
 ``snapshot_request``   p -> w  capture kernel/adapter state at the (quiescent)

@@ -4,10 +4,10 @@ Topology (one run): the fleet's edges are partitioned contiguously across
 workers.  Each worker runs one **slot loop** on its own asyncio loop: per
 slot it feeds every released slot whose start time has passed from the
 stream adapters into the edges' bounded queues (blocking or shedding on
-backpressure), opens every shard block that starts at the slot with one
-batched Tsallis solve (:func:`~repro.core.model_selection.open_blocks`),
-steps each edge's :class:`~repro.sim.kernel.EdgeSlotKernel` on its slot
-item in edge order, and sends the shard's one-slot
+backpressure), telling its :class:`~repro.sim.kernel.ShardSlotKernel` how
+many events each edge queued; makes one shard step on the edges' slot
+items (the slot's batched block openings, then one columnar pass over a
+clean shard or the per-edge kernel steps); and sends the shard's one-slot
 :class:`~repro.sim.kernel.SlotOutcomes` record.  The parent owns the
 :class:`~repro.sim.kernel.TradingSlotKernel`, the result arrays, the
 release schedule, and snapshot persistence.  The two sides exchange frames
@@ -71,14 +71,14 @@ slot boundaries, which is what the soak harness gates recovery on.
 
 Telemetry: the runtime's tracer holds its counters and five stage-latency
 :class:`~repro.obs.metrics.Timer` histograms.  Workers ship each slot's
-per-edge ``queue_s`` (feed to step) and ``serve_s`` (kernel step)
-lists in its SLOT frame, and the parent folds each list into
-``serve/stage/queue`` or ``serve/stage/serve`` in one numpy pass per
-frame.  The parent itself records ``serve/stage/trade`` (fold + trading
-step) and ``serve/stage/slot`` (release to fold) once per folded slot, and
-``serve/stage/recovery`` (worker death to its first live outcome after a
-supervised restart).  ``GET /metrics`` serves the same summaries that
-``repro soak`` reports.
+per-edge ``queue_s`` (feed to step) and ``serve_s`` (the shard step's wall
+time over its edge count) lists in its SLOT frame, and the parent folds
+each list into ``serve/stage/queue`` or ``serve/stage/serve`` in one numpy
+pass per frame.  The parent itself records ``serve/stage/trade`` (fold +
+trading step) and ``serve/stage/slot`` (release to fold) once per folded
+slot, and ``serve/stage/recovery`` (worker death to its first live outcome
+after a supervised restart).  ``GET /metrics`` serves the same summaries
+that ``repro soak`` reports.
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.model_selection import block_openings, open_blocks
 from repro.faults.plan import FaultPlan
 from repro.obs.events import (
     ArrivalEvent,
@@ -134,7 +133,12 @@ from repro.serve.queues import BoundedWorkQueue, WorkItem
 from repro.serve.reconfig import ReconfigPlan, apply_op
 from repro.serve.runtime import build_serve_kernels
 from repro.serve.snapshot import load_snapshot, save_snapshot
-from repro.sim.kernel import SlotAggregator, SlotOutcomes, offline_outcome
+from repro.sim.kernel import (
+    ShardSlotKernel,
+    SlotAggregator,
+    SlotOutcomes,
+    offline_outcome,
+)
 from repro.sim.results import SimulationResult
 
 __all__ = [
@@ -299,22 +303,22 @@ async def _worker_async(
     trace = tracer if tracer is not None else NULL_TRACER
     loop = asyncio.get_running_loop()
     control: asyncio.Queue = asyncio.Queue()
-    shutdown = asyncio.Event()
 
     stop_listening = end.listen(loop, control.put_nowait)
 
-    def _slot_frame(t: int, outcomes: list, queue_s: list, serve_s: list) -> dict:
+    def _slot_frame(record: SlotOutcomes, queue_s: list, serve_s: list) -> dict:
         frame = {
             "type": SLOT,
             "worker": index,
-            "record": SlotOutcomes.from_rows(outcomes),
+            "record": record,
             "queue_s": queue_s,
             "serve_s": serve_s,
         }
         if has_ingress:
+            rows = zip(record.edge.tolist(), record.shed[:, 0], record.offline[:, 0])
             frame["ingress"] = {
-                outcome.edge: my_adapters[outcome.edge].resolve_slot(outcome)
-                for outcome in outcomes
+                e: my_adapters[e].resolve_slot(record.t, shed=shed, offline=offline)
+                for e, shed, offline in rows
             }
         return frame
 
@@ -330,13 +334,15 @@ async def _worker_async(
             outcomes.append(kernels[e].step_offline(t, item.count))
             if delay:
                 kernels[e].deliver_due(t - delay)
-        end.send(_slot_frame(t, outcomes, [], []))
+        end.send(_slot_frame(SlotOutcomes.from_rows(outcomes), [], []))
+
+    shard = ShardSlotKernel([kernels[e] for e in edges])  # binds the restored policies
 
     def _state_frame() -> dict:
         return {
             "type": STATE,
             "worker": index,
-            "edges": {e: kernels[e].state_dict() for e in edges},
+            "edges": shard.state_dicts(),
             "adapters": {e: my_adapters[e].state_dict() for e in edges},
         }
 
@@ -353,6 +359,8 @@ async def _worker_async(
         }
 
     async def _control() -> None:
+        # Returns on DRAIN or after the RECONFIG checkpoint; a state
+        # capture that fails raises out of it and ends the worker.
         while True:
             frame = await control.get()
             kind = frame["type"]
@@ -366,10 +374,8 @@ async def _worker_async(
                 # Reconfig barrier: checkpoint at the (quiescent) barrier
                 # and exit; the parent respawns the reshaped fleet.
                 end.send(_state_frame())
-                shutdown.set()
                 return
             elif kind == DRAIN:
-                shutdown.set()
                 return
 
     async def _heartbeat() -> None:
@@ -389,12 +395,13 @@ async def _worker_async(
         Admission is per edge: ``shed`` turns a burst that does not fit a
         non-empty queue into a zero-weight marker; ``block`` stops drawing
         the edge at that burst and offers it again after the next step.
-        Slot ``t`` itself has been paced already.
+        Slot ``t`` is paced already; the shard kernel learns what queued.
         """
         last = min(clock.released, stop - 1)
         while last > t and not clock.started(last):
             last -= 1
         now = loop.time()
+        fed = dict.fromkeys(edges, 0)
         for e in edges:
             queue = queues[e]
             if e in held:
@@ -402,6 +409,7 @@ async def _worker_async(
                 if not queue.put(item, fed_at):
                     continue
                 del held[e]
+                fed[e] += item.count
             adapter = my_adapters[e]
             s = next_draw[e]
             while s <= last:
@@ -410,6 +418,7 @@ async def _worker_async(
                 if trace.enabled:
                     trace.emit(ArrivalEvent(t=item.t, edge=e, count=item.count))
                 if queue.put(item, now, block=not shed_mode):
+                    fed[e] += item.count
                     continue
                 if not shed_mode:
                     held[e] = (item, now)
@@ -418,34 +427,24 @@ async def _worker_async(
                     trace.emit(QueueShedEvent(t=item.t, edge=e, count=item.count))
                 queue.put(WorkItem(t=item.t, count=item.count, shed=True), now)
             next_draw[e] = s
+        shard.feed(list(fed.values()))
 
     async def _slots() -> None:
         kill_slots = frozenset(chaos.kills) if chaos is not None else frozenset()
         stall_slots = dict(chaos.stalls) if chaos is not None else {}
         drop_slots = dict(chaos.drops) if chaos is not None else {}
-        # One solve opens the blocks that start at t; read after any restore.
-        openings = block_openings([kernels[e].policy for e in edges], by_slot=True)
         for t in range(start, stop):
             await clock.wait_for_slot(t)
             await clock.pace(t)
             _feed(t)
-            if t in openings:
-                open_blocks(openings[t])
-            outcomes = []
-            queue_s = []
-            serve_s = []
-            for e in edges:
-                item, fed_at = queues[e].pop()
-                began = loop.time()
-                outcomes.append(kernels[e].step(item.t, item.count, shed=item.shed))
-                stepped = loop.time()
-                queue_s.append(began - fed_at)
-                serve_s.append(stepped - began)
-                if delay:
-                    kernels[e].deliver_due(t - delay)
+            popped = [queues[e].pop() for e in edges]
+            began = loop.time()
+            record = shard.step(t, [item for item, _ in popped])
+            serve_s = [(loop.time() - began) / len(edges)] * len(edges)
+            queue_s = [began - fed_at for _, fed_at in popped]
             # Ingress resolves before the checkpoint capture below, so
             # restart checkpoints never carry provisional slot stats.
-            slot_frame = _slot_frame(t, outcomes, queue_s, serve_s)
+            slot_frame = _slot_frame(record, queue_s, serve_s)
             # Captured before anything hits the wire: releases are capped
             # at the checkpoint boundary, so every shard kernel is
             # quiescent at state t+1, and a chaos kill below can never
@@ -481,17 +480,16 @@ async def _worker_async(
                 kernels[e].deliver_due(horizon)
 
     end.send({"type": READY, "worker": index})
+    control_task = asyncio.create_task(_control(), name=f"shard{index}-control")
+    slot_task = asyncio.create_task(_slots(), name=f"shard{index}-slots")
     tasks = [
-        asyncio.create_task(_control(), name=f"shard{index}-control"),
+        control_task,
+        slot_task,
         asyncio.create_task(_heartbeat(), name=f"shard{index}-heartbeat"),
     ]
-    slot_task = asyncio.create_task(_slots(), name=f"shard{index}-slots")
-    shutdown_task = asyncio.create_task(
-        shutdown.wait(), name=f"shard{index}-shutdown"
-    )
     try:
         await asyncio.wait(
-            {slot_task, shutdown_task}, return_when=asyncio.FIRST_COMPLETED
+            {slot_task, control_task}, return_when=asyncio.FIRST_COMPLETED
         )
         if slot_task.done():
             slot_task.result()  # re-raises the slot loop's exception
@@ -500,12 +498,14 @@ async def _worker_async(
                 # boundary: the parent still needs this worker's STATE
                 # frame after the last SLOT, so hold the control channel
                 # open until it says DRAIN.
-                await shutdown_task
+                await control_task
+        if control_task.done():
+            control_task.result()  # re-raises a failed state capture
     finally:
-        for task in [slot_task, shutdown_task, *tasks]:
+        for task in tasks:
             if not task.done():
                 task.cancel()
-        await asyncio.gather(slot_task, shutdown_task, *tasks, return_exceptions=True)
+        await asyncio.gather(*tasks, return_exceptions=True)
         stop_listening()
 
 
@@ -1523,7 +1523,7 @@ class ShardRuntime:
             count = adapter.next_item(t).count
             rows.append(offline_outcome(t, e, self._last_models[e], arrivals=count))
             if self.ingress is not None:
-                payload = adapter.resolve_slot(rows[-1])
+                payload = adapter.resolve_slot(t, offline=True)
                 self._pending_ingress.setdefault(t, {})[e] = payload
         if rows:
             parts.append(SlotOutcomes.from_rows(rows))

@@ -4,15 +4,15 @@
 deterministic load shapes of :mod:`repro.serve.load` and reports, per
 shape:
 
-* per-stage latency — count, mean, max and p50/p95/p99 of ``queue``
-  (feed to step inside a worker), ``serve`` (kernel step),
-  ``trade`` (parent fold + allowance-trading step) and ``slot`` (release
-  to fold, end-to-end).  Each stage is the summary of the runtime's
-  ``serve/stage/<stage>`` tracer :class:`~repro.obs.metrics.Timer`, the
-  same numbers ``GET /metrics`` serves: count, mean and max are exact, and
-  a quantile is the upper edge of the log bucket that holds the exact
-  quantile, capped at the max, so a p99 gate never passes a run whose true
-  p99 breaches it;
+* per-stage latency — count, mean, max and p50/p95/p99 of ``queue`` (feed
+  to step inside a worker), ``serve`` (one sample per edge-slot: the
+  worker's shard step over its edge count), ``trade`` (parent fold +
+  allowance-trading step) and ``slot`` (release to fold, end-to-end).  Each
+  stage is the summary of the runtime's ``serve/stage/<stage>`` tracer
+  :class:`~repro.obs.metrics.Timer`, the same numbers ``GET /metrics``
+  serves: count, mean and max are exact, and a quantile is the upper edge
+  of the log bucket that holds the exact quantile, capped at the max, so a
+  p99 gate never passes a run whose true p99 breaches it;
 * throughput (served events per wall second);
 * the accounting equation ``in == served + shed + offline``, checked
   *exactly* — a soak that leaks or double-counts events fails its run;

@@ -15,6 +15,14 @@ floating-point operation order, the serve runtime's virtual-clock mode is
 bit-identical to ``Simulator.run`` by construction (locked by the golden
 digests).
 
+A serve worker steps its shard through :class:`ShardSlotKernel`, one call
+per slot over the shard's edge kernels.  A clean shard of plain
+Algorithm-1 edges runs as one columnar pass that writes the record's
+columns directly and draws each edge's pool indices once per fed run of
+slots; any other shard runs the per-edge :meth:`EdgeSlotKernel.step`
+loop, which stays the reference.  :meth:`SlotOutcomes.from_columns` prices
+the columnar pass's rows and the vectorized path's whole horizon alike.
+
 State is explicit: each kernel exposes ``state_dict()`` / ``load_state()``
 so a serve snapshot can capture a quiescent slot boundary and a restored
 process can resume mid-horizon without replaying.
@@ -27,6 +35,11 @@ from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
+from repro.core.model_selection import (
+    OnlineModelSelection,
+    block_openings,
+    open_blocks,
+)
 from repro.faults.injector import FaultInjector
 from repro.market.ledger import AllowanceLedger
 from repro.market.market import CarbonMarket
@@ -47,6 +60,7 @@ from repro.sim.scenario import Scenario
 __all__ = [
     "EdgeSlotKernel",
     "EdgeSlotOutcome",
+    "ShardSlotKernel",
     "SlotAggregator",
     "SlotOutcomes",
     "TradingSlotKernel",
@@ -130,9 +144,10 @@ class SlotOutcomes(namedtuple("SlotOutcomes", EdgeSlotOutcome._fields)):
     The columnar form of :class:`EdgeSlotOutcome` rows, with the same
     fields: ``edge`` holds the rows' edge ids in ascending order, and every
     other field after ``t`` is an ``(edges, slots)`` numpy column.  The
-    scalar loop and a shard worker build one-slot records from kernel rows;
-    the vectorized simulator builds one for the whole horizon from views of
-    its matrices.
+    scalar loop builds one-slot records from kernel rows, a
+    :class:`ShardSlotKernel` writes its one-slot record column by column
+    (or from rows on its per-edge body), and the vectorized simulator
+    builds one for the whole horizon from views of its matrices.
     """
 
     __slots__ = ()
@@ -158,6 +173,51 @@ class SlotOutcomes(namedtuple("SlotOutcomes", EdgeSlotOutcome._fields)):
         order = np.argsort(np.concatenate(fields[0]))
         return cls(t[0], *(np.concatenate(field)[order] for field in fields))
 
+    @classmethod
+    def from_columns(
+        cls,
+        t: int,
+        edge: np.ndarray,
+        scenario: Scenario,
+        switch_costs: np.ndarray,
+        *,
+        model: np.ndarray,
+        switched: np.ndarray,
+        offline: np.ndarray,
+        shed: np.ndarray,
+        arrivals: np.ndarray,
+        served: np.ndarray,
+        slot_loss: np.ndarray,
+        correct: np.ndarray,
+    ) -> "SlotOutcomes":
+        """A record from its primary columns, with its four cost columns derived.
+
+        ``switch_costs`` holds each row's cost per switch.  Expected loss,
+        latency and emissions come from the scenario's tables by the
+        kernel step's arithmetic, element by element
+        (:meth:`~repro.energy.model.EnergyModel.slot_emissions_kg_batch`),
+        and a row pays its switch cost where it switched.  Offline and
+        shed rows cost nothing: the caller serves and switches nothing
+        there, which zeroes their emissions and switch cost, and their
+        expected loss and latency are zeroed here.
+        """
+        rows = edge[:, None]
+        energy = scenario.energy
+        expected = scenario.expected_losses[model]
+        latency = scenario.latencies[rows, model]
+        idle = offline | shed
+        expected[idle] = 0.0
+        latency[idle] = 0.0
+        emissions = energy.slot_emissions_kg_batch(
+            model, served, switched, energy.transfer_table_kwh()[rows, model]
+        )
+        return cls(
+            t, edge, model, switched, offline, shed, arrivals, served,
+            expected_loss=expected, slot_loss=slot_loss, latency=latency,
+            switch_cost=np.where(switched, switch_costs[:, None], 0.0),
+            emissions_kg=emissions, correct=correct,
+        )
+
 
 def offline_outcome(
     t: int, edge: int, model: int, *, arrivals: int = 0
@@ -180,8 +240,8 @@ class EdgeSlotKernel:
 
     Owns everything the simulator used to keep per edge — the selection
     policy, the data-draw RNG stream, download-retry state, and the delayed
-    feedback queue — so the simulator loop and a serve worker's slot loop
-    execute identical logic.
+    feedback queue — so the simulator loop, a serve shard's per-edge body
+    and a respawned worker's catch-up execute identical logic.
     """
 
     def __init__(
@@ -417,6 +477,198 @@ class EdgeSlotKernel:
         self.retry_backoff = int(state["retry_backoff"])
         self.retry_attempts = int(state["retry_attempts"])
         self.pending_feedback = list(state["pending_feedback"])
+
+
+class ShardSlotKernel:
+    """One shard's slot step: every edge of the shard in one call per slot.
+
+    Built over the shard's :class:`EdgeSlotKernel` objects, in ascending
+    edge order, after any ``load_state`` on them: it binds their policies.
+    All state stays in those kernels and their policies, so their
+    ``state_dict``/``load_state`` are the shard's.  Each :meth:`step` first
+    opens every block that starts at the slot with one batched solve
+    (:func:`~repro.core.model_selection.open_blocks`), then runs one of two
+    bodies, chosen once from the kernels:
+
+    * the *columnar* body, when every policy is exactly
+      :class:`~repro.core.model_selection.OnlineModelSelection` and no
+      kernel has a fault injector, an enabled tracer, a label delay, live
+      inference or class-mix draws.  It makes one array pass for the whole
+      shard and writes the record's columns directly, bit for bit what the
+      per-edge steps write, and leaves every kernel and policy in the state
+      they leave.  Pool indices are drawn at :meth:`feed` time, once per
+      edge for every run of slots fed together;
+    * otherwise the per-edge :meth:`EdgeSlotKernel.step` loop, the
+      reference, which draws at each step and delivers due labels right
+      after each edge's step.
+    """
+
+    def __init__(self, kernels: Sequence[EdgeSlotKernel]) -> None:
+        self.kernels = list(kernels)
+        self._edges = np.array([kernel.edge for kernel in self.kernels])
+        self._policies = [kernel.policy for kernel in self.kernels]
+        self._openings = block_openings(self._policies, by_slot=True)
+        self.columnar = all(
+            type(kernel.policy) is OnlineModelSelection
+            and kernel.injector is None
+            and not kernel.tracer.enabled
+            and kernel.label_delay == 0
+            and not kernel.live_inference
+            and kernel.class_indices is None
+            for kernel in self.kernels
+        )
+        self._scenario = scenario = self.kernels[0].scenario
+        self._pool_size = self.kernels[0].pool_size
+        self._switch_costs = np.array([kernel.switch_cost for kernel in self.kernels])
+        # Every model's per-sample table end to end: model ``n``'s entry
+        # for pool index ``k`` sits at ``n * pool_size + k``.
+        self._losses = np.concatenate([p.loss_per_sample for p in scenario.profiles])
+        self._correct = np.concatenate(
+            [p.correct_per_sample for p in scenario.profiles]
+        )
+        # Per edge: the pool indices drawn at feed time, and how many of
+        # them the steps have taken so far.
+        self._drawn = [np.empty(0, dtype=np.int64) for _ in self.kernels]
+        self._taken = [0] * len(self.kernels)
+
+    def feed(self, counts: Sequence[int]) -> None:
+        """Draw the pool indices of the events just queued on each edge.
+
+        ``counts`` holds, aligned with :attr:`kernels`, how many events
+        were queued on each edge for steps to come; shed markers count
+        none.  The columnar body draws each edge's events with one
+        ``integers`` call on its data stream, and its steps take them in
+        FIFO order.  One call for ``a + b`` indices returns the ``a`` and
+        ``b`` of two per-slot calls, concatenated, and leaves the stream in
+        the same state, so each edge sees exactly the per-slot draws.  The
+        per-edge body draws at its steps and ignores this.
+        """
+        if not self.columnar:
+            return
+        for i, count in enumerate(counts):
+            if count:
+                kernel = self.kernels[i]
+                fresh = kernel.data_rng.integers(0, kernel.pool_size, size=count)
+                drawn, taken = self._drawn[i], self._taken[i]
+                if taken < drawn.size:
+                    fresh = np.concatenate((drawn[taken:], fresh))
+                self._drawn[i] = fresh
+                self._taken[i] = 0
+
+    def state_dicts(self) -> dict[int, dict[str, object]]:
+        """Each edge kernel's ``state_dict``, keyed by edge.
+
+        Raises ``RuntimeError`` when an edge still holds draws fed but not
+        yet stepped: its data stream would be captured ahead of its kernel.
+        The serve tier captures state only at quiescent slot boundaries,
+        where every fed event has been stepped.
+        """
+        held = [
+            kernel.edge
+            for kernel, drawn, taken in zip(self.kernels, self._drawn, self._taken)
+            if taken < drawn.size
+        ]
+        if held:
+            raise RuntimeError(
+                f"edges {held} hold pool draws fed but not stepped; "
+                "their state can only be captured at a quiescent slot boundary"
+            )
+        return {kernel.edge: kernel.state_dict() for kernel in self.kernels}
+
+    def step(self, t: int, items: Sequence) -> SlotOutcomes:
+        """Step every edge through slot ``t``; return the shard's one-slot record.
+
+        ``items`` holds each edge's work for the slot, aligned with
+        :attr:`kernels`: anything with ``count`` and ``shed``, such as a
+        serve :class:`~repro.serve.queues.WorkItem`.
+        """
+        group = self._openings.get(t)
+        if group is not None:
+            open_blocks(group)
+        if self.columnar:
+            return self._step_columns(t, items)
+        rows = []
+        for kernel, item in zip(self.kernels, items):
+            rows.append(kernel.step(t, item.count, shed=item.shed))
+            if kernel.label_delay:
+                kernel.deliver_due(t - kernel.label_delay)
+        return SlotOutcomes.from_rows(rows)
+
+    def _step_columns(self, t: int, items: Sequence) -> SlotOutcomes:
+        """The columnar body: the per-edge steps of a clean shard in one pass.
+
+        A shed row draws nothing, records a lost slot, costs zero and never
+        switches.  Any other row serves its block's model and may switch;
+        with zero arrivals it pays only the switch, and records a lost slot
+        too.  Slot losses are ``np.add.reduce`` over each edge's contiguous
+        segment of one shard-wide gather, divided by the count: the same
+        pairwise sum, over the same values, as the step's ``mean``.
+        Correct counts sum 0/1 indicators, exact integers in any order, so
+        one ``reduceat`` over the non-empty segments gives them.  Each
+        policy's own ``select`` and ``observe``/``observe_lost`` keep its
+        Algorithm-1 bookkeeping, as in the per-edge step.
+        """
+        kernels = self.kernels
+        policies = self._policies
+        models = [policy.select(t) for policy in policies]
+        counts = [item.count for item in items]
+        shed = [item.shed for item in items]
+        switched = [False] * len(kernels)
+        spans = []
+        drawn_rows = []
+        for i, kernel in enumerate(kernels):
+            if shed[i]:
+                continue
+            switched[i] = models[i] != kernel.previous_model
+            kernel.previous_model = models[i]
+            count = counts[i]
+            if count:
+                taken = self._taken[i]
+                drawn = self._drawn[i]
+                if taken + count > drawn.size:
+                    raise RuntimeError(
+                        f"edge {kernel.edge} steps {count} events at slot {t} "
+                        f"but holds {drawn.size - taken} fed draws"
+                    )
+                self._taken[i] = taken + count
+                spans.append(drawn[taken : taken + count])
+                drawn_rows.append(i)
+        model = np.array(models)
+        is_shed = np.array(shed)
+        arrivals = np.array(counts)
+        served = np.where(is_shed, 0, arrivals)
+        slot_loss = np.zeros(len(kernels))
+        correct = np.zeros(len(kernels))
+        if spans:
+            sizes = served[drawn_rows]
+            ends = np.cumsum(sizes)
+            flat = np.repeat(model[drawn_rows] * self._pool_size, sizes)
+            flat += np.concatenate(spans)
+            correct[drawn_rows] = np.add.reduceat(self._correct[flat], ends - sizes)
+            losses = self._losses[flat]
+            reduce_add = np.add.reduce
+            bounds = [0, *ends.tolist()]
+            slot_loss[drawn_rows] = [
+                reduce_add(losses[lo:hi]) / (hi - lo)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+        record = SlotOutcomes.from_columns(
+            t, self._edges, self._scenario, self._switch_costs,
+            model=model[:, None], switched=np.array(switched)[:, None],
+            offline=np.zeros((len(kernels), 1), dtype=bool),
+            shed=is_shed[:, None], arrivals=arrivals[:, None],
+            served=served[:, None], slot_loss=slot_loss[:, None],
+            correct=correct[:, None],
+        )
+        feedback = (record.slot_loss + record.latency)[:, 0].tolist()
+        for policy, model, loss, seen in zip(
+            policies, models, feedback, (served > 0).tolist()
+        ):
+            if seen:
+                policy.observe(t, model, loss)
+            else:
+                policy.observe_lost(t, model)
+        return record
 
 
 class TradingSlotKernel:

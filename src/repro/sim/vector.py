@@ -33,13 +33,15 @@ The fast path runs in two phases:
   Offline, still-hosted and feedback-lost slots are passed to
   ``observe_block`` as lost slots.  Market outages and trade rejections
   need nothing here: the trading kernel the fold steps holds the injector.
-* **Phase B (the record)**: selection does not depend on trading, so every
-  edge-slot's emissions come from one
-  :meth:`EnergyModel.slot_emissions_kg_batch` call.  The whole horizon
-  becomes one :class:`~repro.sim.kernel.SlotOutcomes` of views of Phase
-  A's matrices, folded once by the scalar loop's own
-  :class:`~repro.sim.kernel.SlotAggregator`, which steps the (stateful,
-  order-dependent) trading kernel once per slot.
+* **Phase B (the record)**: selection does not depend on trading, so the
+  whole horizon becomes one :class:`~repro.sim.kernel.SlotOutcomes` of
+  views of Phase A's matrices.
+  :meth:`~repro.sim.kernel.SlotOutcomes.from_columns`, which prices the
+  serve tier's columnar shard step too, derives its cost columns, every
+  edge-slot's emissions from one
+  :meth:`EnergyModel.slot_emissions_kg_batch` call.  The scalar loop's own
+  :class:`~repro.sim.kernel.SlotAggregator` folds it once, stepping the
+  (stateful, order-dependent) trading kernel once per slot.
 
 Why digests are preserved (the full argument is in DESIGN.md):
 
@@ -166,10 +168,7 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     profiles = scenario.profiles
     loss_tables = [profile.loss_per_sample for profile in profiles]
     correct_tables = [profile.correct_per_sample for profile in profiles]
-    expected_losses = np.array([float(p.expected_loss) for p in profiles])
-    latencies = scenario.latencies
-    latency_rows = [[float(v) for v in latencies[i]] for i in range(num_edges)]
-    switch_costs = np.array([kernel.switch_cost for kernel in edge_kernels])
+    latency_rows = [[float(v) for v in row] for row in scenario.latencies]
 
     live = sim.live_inference
     losses_for: Callable[[int, np.ndarray], np.ndarray]
@@ -194,10 +193,6 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
 
         def losses_for(model: int, idx: np.ndarray) -> np.ndarray:
             return loss_tables[model][idx]
-
-    energy = scenario.energy
-    transfer_table = energy.transfer_table_kwh()
-    edge_range = np.arange(num_edges)
 
     # Pre-draw every stream for the whole horizon.  Each edge's arrival and
     # data streams are consumed in slot order within one vectorized call —
@@ -369,8 +364,9 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
     del flat_indices, slot_indices, offsets
 
     # Phase B — the whole horizon as one record, folded once.  Selections
-    # are fully known, so every edge-slot's emissions come from one batch
-    # call; the fold sums the columns across edges and steps the stateful,
+    # are fully known, so the record's cost columns, emissions included,
+    # are priced in one pass by the helper the shard step uses too; the
+    # fold sums the columns across edges and steps the stateful,
     # order-dependent trading kernel slot by slot.
     served = counts_mat
     if offline is not None:
@@ -379,26 +375,14 @@ def run_vectorized(sim: "Simulator") -> SimulationResult:
         served = np.where(offline, 0, counts_mat)
         loss_mat[offline] = 0.0
         correct_mat[offline] = 0.0
-    edge_column = edge_range[:, None]
-    emissions_mat = energy.slot_emissions_kg_batch(
-        selections,
-        served,
-        switches,
-        transfer_table[edge_column, selections],
-    )
-    expected = expected_losses[selections]
-    latency = latencies[edge_column, selections]
-    if offline is not None:
-        expected[offline] = 0.0
-        latency[offline] = 0.0
     never = np.broadcast_to(False, selections.shape)
-    record = SlotOutcomes(
-        0, edge_range, model=selections, switched=switches,
+    record = SlotOutcomes.from_columns(
+        0, np.arange(num_edges), scenario,
+        np.array([kernel.switch_cost for kernel in edge_kernels]),
+        model=selections, switched=switches,
         offline=never if offline is None else offline, shed=never,
-        arrivals=counts_mat, served=served, expected_loss=expected,
-        slot_loss=loss_mat, latency=latency,
-        switch_cost=np.where(switches, switch_costs[:, None], 0.0),
-        emissions_kg=emissions_mat, correct=correct_mat,
+        arrivals=counts_mat, served=served, slot_loss=loss_mat,
+        correct=correct_mat,
     )
     aggregator = SlotAggregator(scenario, trading_kernel)
     aggregator.fold(0, record)

@@ -272,16 +272,6 @@ class TestRouter:
             assert ra == rb
 
 
-def _served_outcome(t=0, shed=False, offline=False):
-    from repro.sim.kernel import EdgeSlotOutcome
-
-    return EdgeSlotOutcome(
-        t=t, edge=0, model=0, switched=False, offline=offline, shed=shed,
-        expected_loss=0.0, slot_loss=0.0, latency=0.0, switch_cost=0.0,
-        emissions_kg=0.0, correct=0.0, arrivals=0, served=0,
-    )
-
-
 class TestStatsLifecycle:
     def provisional(self):
         return {
@@ -291,19 +281,19 @@ class TestStatsLifecycle:
         }
 
     def test_served_slot_keeps_hits(self):
-        payload = resolve_payload(self.provisional(), _served_outcome())
+        payload = resolve_payload(self.provisional())
         assert payload["hits"] == 5 and payload["misses"] == 1
         assert payload["per_class"]["fast"] == [4, 4]
 
     @pytest.mark.parametrize("kwargs", [{"shed": True}, {"offline": True}])
     def test_shed_or_offline_slot_zeroes_hits(self, kwargs):
-        payload = resolve_payload(self.provisional(), _served_outcome(**kwargs))
+        payload = resolve_payload(self.provisional(), **kwargs)
         assert payload["hits"] == 0 and payload["misses"] == 6
         assert payload["per_class"]["fast"] == [4, 0]
 
     def test_absorb_and_accounting(self):
         stats = IngressStats(["fast", "slow"])
-        stats.absorb(resolve_payload(self.provisional(), _served_outcome()))
+        stats.absorb(resolve_payload(self.provisional()))
         # A final slot that drains the 3 queued requests plus 2 new ones;
         # the conservation identity only closes once the queues are empty.
         drain = {
@@ -311,7 +301,7 @@ class TestStatsLifecycle:
             "queued": 0, "per_class": {"fast": [2, 2], "slow": [3, 3]},
             "waits": {2: 3},
         }
-        stats.absorb(resolve_payload(drain, _served_outcome(t=1)))
+        stats.absorb(resolve_payload(drain))
         assert stats.requests_in == 12 and stats.requests_dropped == 1
         assert stats.requests_released == 11
         # served + shed + offline must cover every non-dropped request.

@@ -22,6 +22,14 @@ import numpy as np
 import pytest
 
 from repro.core import model_selection
+from repro.faults.plan import (
+    DownloadFailure,
+    EdgeOutage,
+    FaultPlan,
+    FeedbackLoss,
+    MarketOutage,
+    TradeRejection,
+)
 from repro.obs import JsonlSink, Tracer, summarize_trace
 from repro.serve import (
     SNAPSHOT_VERSION,
@@ -291,6 +299,43 @@ class TestShardedParity:
             inline.event_counts()["trade"] == sharded.event_counts()["trade"]
         )
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize(
+        "selection,faulted",
+        [
+            ("Ours", True),
+            ("UCB", False),
+            ("UCB", True),
+            ("EXP3", False),
+            ("EXP3", True),
+        ],
+    )
+    def test_shards_the_columnar_step_declines_match_the_simulator(
+        self, selection, faulted, workers
+    ):
+        # A fault plan or a policy other than plain Algorithm 1 sends the
+        # shard step down its per-edge body, which must stay bit-identical
+        # to the simulator at any worker count.
+        from repro.sim.scenario import build_scenario
+        from repro.sim.simulator import Simulator
+
+        plan = FaultPlan(
+            (
+                EdgeOutage(edge=0, start=10, end=20),
+                FeedbackLoss(0.1),
+                DownloadFailure(0.2),
+                MarketOutage(15, 25),
+                TradeRejection(0.1),
+            )
+            if faulted
+            else ()
+        )
+        spec = RunSpec(selection=selection, seed=0, label="Ours-Ours", faults=plan)
+        expected = Simulator.from_spec(build_scenario(SCENARIO_CONFIGS["A"]), spec)
+        config = serve_config("A", 0, selection=selection, num_workers=workers)
+        served = ShardRuntime(config, faults=plan, heartbeat_interval=0.05).run()
+        assert result_digest(served) == result_digest(expected.run())
+
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_noop_reconfig_plan_matches_golden_digests(self, workers):
         # A plan whose only op re-asserts the current worker count moves no
@@ -558,7 +603,7 @@ class TestSlotLoop:
         assert (
             self._worker_task_names(monkeypatch, 2)
             == self._worker_task_names(monkeypatch, 16)
-            == ["shard0-control", "shard0-heartbeat", "shard0-shutdown", "shard0-slots"]
+            == ["shard0-control", "shard0-heartbeat", "shard0-slots"]
         )
 
     def test_block_openings_share_one_solve_per_slot(self, monkeypatch):
@@ -639,6 +684,38 @@ class TestWorkerFailures:
         monkeypatch.setattr(PoissonAdapter, "next_item", broken)
         runtime = ShardRuntime(serve_config("A", 0))
         with pytest.raises(RuntimeError, match="stream died"):
+            runtime.run()
+
+    @pytest.mark.parametrize("capture", ["snapshot", "reconfig"])
+    def test_state_capture_with_buffered_draws_fails_the_run(
+        self, capture, tmp_path, monkeypatch
+    ):
+        # Release capping leaves no fed draw unstepped at a state capture.
+        # If one were, the worker's STATE answer must end it with an ERROR
+        # the parent raises, not leave the parent waiting on a worker that
+        # still sends heartbeats.
+        from repro.serve import Rebalance, ReconfigPlan
+        from repro.sim.kernel import ShardSlotKernel
+
+        feed = ShardSlotKernel.feed
+
+        def overfed(shard, counts):
+            feed(shard, [counts[0] + 3, *counts[1:]])
+
+        monkeypatch.setattr(ShardSlotKernel, "feed", overfed)
+        if capture == "snapshot":
+            config = serve_config(
+                "A", 0, snapshot_every=8, snapshot_path=str(tmp_path / "s.pkl")
+            )
+            runtime = ShardRuntime(config, stall_timeout=10.0)
+        else:
+            runtime = ShardRuntime(
+                serve_config("A", 0, num_workers=1),
+                reconfig=ReconfigPlan((Rebalance(at=8, num_workers=1),)),
+                heartbeat_interval=0.05,
+                stall_timeout=10.0,
+            )
+        with pytest.raises(RuntimeError, match=r"edges \[0\] hold pool draws fed"):
             runtime.run()
 
     def test_max_slots_validated(self):
@@ -751,6 +828,27 @@ class TestServeCli:
         assert "Served: Ours-Ours" in out
         assert "events_in" in out
         assert log.exists()
+
+    def test_untraced_serve_command_steps_shards_in_columns(
+        self, monkeypatch, capsys
+    ):
+        # Without --trace-output the command hands the runtime no tracer,
+        # so the default in-process worker takes the columnar shard step;
+        # the counters still print.
+        from repro.cli import main
+        from repro.sim.kernel import ShardSlotKernel
+
+        bodies = []
+        init = ShardSlotKernel.__init__
+
+        def recording(shard, kernels):
+            init(shard, kernels)
+            bodies.append(shard.columnar)
+
+        monkeypatch.setattr(ShardSlotKernel, "__init__", recording)
+        assert main(["serve", "--edges", "2", "--horizon", "8"]) == 0
+        assert bodies == [True]
+        assert "events_in" in capsys.readouterr().out
 
     def test_serve_snapshot_resume_cycle(self, tmp_path, capsys):
         from repro.cli import main
