@@ -192,8 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--snapshot-path", metavar="PATH", default=None,
                        help="where snapshots are written (atomic replace)")
     serve.add_argument("--resume", metavar="SNAPSHOT", default=None,
-                       help="resume a killed run from its snapshot file "
-                            "(ignores --config and scenario flags)")
+                       help="resume a killed run from its snapshot file, "
+                            "reconfig plan included (ignores --config and "
+                            "scenario flags; serve flags that would change "
+                            "the run are an error)")
     _add_shared_run_options(serve, "faults", "trace-output")
     serve.add_argument("--health-port", type=int, default=None, metavar="PORT",
                        help="serve /healthz and /metrics JSON on this port "
@@ -218,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--reconfig", metavar="PLAN.json", default=None,
                        help="apply a live reconfiguration plan "
                             "(add_edge/remove_edge/rebalance ops at slot "
-                            "barriers; runs at least one worker process)")
+                            "barriers)")
     serve.add_argument("--chaos", metavar="PLAN.json", default=None,
                        help="inject a deterministic chaos plan (worker "
                             "kills, stalls, transport drops; runs at least "
@@ -431,6 +433,47 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import AsyncQueueSink, JsonlSink, Tracer
     from repro.serve import ServeConfig, ShardRuntime, load_snapshot
 
+    # (config field, flag, value) of every flag that overrides the config.
+    override_flags = (
+        ("virtual_clock", "--virtual-clock/--wall-clock", args.clock),
+        ("selection", "--selection", args.selection),
+        ("trading", "--trading", args.trading),
+        ("label", "--label", args.label),
+        ("label_delay", "--label-delay", args.label_delay),
+        ("adapter", "--adapter", args.adapter),
+        ("replay_log", "--replay-log", args.replay_log),
+        ("slot_duration", "--slot-duration", args.slot_duration),
+        ("queue_capacity", "--queue-capacity", args.queue_capacity),
+        ("backpressure", "--backpressure", args.backpressure),
+        ("pipeline_depth", "--pipeline-depth", args.pipeline_depth),
+        ("snapshot_every", "--snapshot-every", args.snapshot_every),
+        ("snapshot_path", "--snapshot-path", args.snapshot_path),
+        ("health_port", "--health-port", args.health_port),
+        ("shape", "--shape", args.shape),
+        ("shape_total_events", "--shape-events", args.shape_events),
+        ("shape_seed", "--shape-seed", args.shape_seed),
+        ("num_workers", "--workers", args.serve_workers),
+        ("on_worker_death", "--on-worker-death", args.on_worker_death),
+        ("max_restarts", "--max-restarts", args.max_restarts),
+    )
+    if args.resume is not None:
+        # A resumed run is the snapshot's run: its config and reconfig plan.
+        refused = [
+            flag
+            for _, flag, value in (
+                *override_flags,
+                ("ingress", "--ingress", args.ingress),
+                ("reconfig", "--reconfig", args.reconfig),
+                ("chaos", "--chaos", args.chaos),
+            )
+            if value is not None
+        ]
+        if refused:
+            print("serve --resume continues the snapshot's config and "
+                  f"reconfig plan; it cannot take {', '.join(refused)}",
+                  file=sys.stderr)
+            return 2
+
     plan = None
     if args.faults is not None:
         from repro.faults import load_plan
@@ -452,7 +495,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.resume is not None:
         state = load_snapshot(args.resume)
-        config = ServeConfig.from_dict(state["config"])
+        config = ServeConfig.from_dict(state.config)
         runtime = ShardRuntime.from_state(
             state, tracer=traced(config), faults=plan,
             shard_trace_paths=_shard_trace_paths(args.trace_output, config),
@@ -475,31 +518,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         overrides = {
             name: value
-            for name, value in (
-                ("selection", args.selection),
-                ("trading", args.trading),
-                ("label", args.label),
-                ("label_delay", args.label_delay),
-                ("adapter", args.adapter),
-                ("replay_log", args.replay_log),
-                ("slot_duration", args.slot_duration),
-                ("queue_capacity", args.queue_capacity),
-                ("backpressure", args.backpressure),
-                ("pipeline_depth", args.pipeline_depth),
-                ("snapshot_every", args.snapshot_every),
-                ("snapshot_path", args.snapshot_path),
-                ("health_port", args.health_port),
-                ("shape", args.shape),
-                ("shape_total_events", args.shape_events),
-                ("shape_seed", args.shape_seed),
-                ("num_workers", args.serve_workers),
-                ("on_worker_death", args.on_worker_death),
-                ("max_restarts", args.max_restarts),
-            )
+            for name, _, value in override_flags
             if value is not None
         }
-        if args.clock is not None:
-            overrides["virtual_clock"] = args.clock
         if args.ingress is not None:
             from repro.ingress.config import IngressConfig
 
@@ -520,10 +541,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             from repro.serve import load_reconfig_plan
 
             shard_kwargs["reconfig"] = load_reconfig_plan(args.reconfig)
-        if (
-            shard_kwargs.get("chaos") or shard_kwargs.get("reconfig")
-        ) and config.num_workers == 0:
-            # Chaos and reconfig plans act on worker processes.
+        if shard_kwargs.get("chaos") and config.num_workers == 0:
+            # Chaos plans kill worker processes.
             config = config.with_overrides(num_workers=1)
         runtime = ShardRuntime(
             config, tracer=traced(config), faults=plan,

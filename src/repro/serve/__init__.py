@@ -46,7 +46,12 @@ from repro.serve.reconfig import (
 )
 from repro.serve.runtime import build_serve_kernels
 from repro.serve.shard import ShardRuntime, shard_edges
-from repro.serve.snapshot import SNAPSHOT_VERSION, load_snapshot, save_snapshot
+from repro.serve.snapshot import (
+    SNAPSHOT_VERSION,
+    RunState,
+    load_snapshot,
+    save_snapshot,
+)
 from repro.serve.soak import SoakReport, run_soak
 
 __all__ = [
@@ -61,6 +66,7 @@ __all__ = [
     "Rebalance",
     "ReconfigPlan",
     "RemoveEdge",
+    "RunState",
     "ServeConfig",
     "ShapeAdapter",
     "ShardRuntime",

@@ -202,8 +202,11 @@ class ReconfigPlan:
         self, *, capacity: int, num_workers: int, upto_slot: int
     ) -> tuple[tuple[int, ...], int]:
         """The (active edges, worker count) after every op with ``at <=
-        upto_slot`` — how a resumed or freshly constructed runtime derives
-        its initial fleet shape without a snapshot-format change."""
+        upto_slot``, from all ``capacity`` edges on ``num_workers`` workers.
+
+        A run derives the fleet it starts with this way, fresh or resumed:
+        a snapshot records the plan and its slot, and no fleet of its own.
+        """
         active = set(range(capacity))
         workers = num_workers
         for op in self.ops:

@@ -52,8 +52,9 @@ already-folded slots to recover the exact kernel state, reports the
 accounting equation — and ``events_in == total_events`` — survive a full
 recovery), and goes live at the release frontier.  Surviving shards are
 bit-identical to an unfaulted run.  ``max_restarts`` exhaustion falls back
-to ``degrade`` for that worker.  An inline worker takes no checkpoints; its
-respawn re-steps the run from its start state.
+to ``degrade`` for that worker.  An inline worker takes no restart
+checkpoints; its respawn re-steps from the newest state the parent's
+per-edge book holds (the run's start, a snapshot or a reconfig barrier).
 
 Live reconfiguration: a :class:`~repro.serve.reconfig.ReconfigPlan` applies
 ``add_edge``/``remove_edge``/``rebalance`` ops at slot barriers — the
@@ -62,7 +63,10 @@ checkpoints and exits), applies the ops, rescales the trading kernel by
 the active-count ratio, repartitions, and respawns.  The parent folds an
 inactive edge as offline rows that carry the arrivals its own copy of the
 edge's adapter still offers, so the offered load survives the change; a
-no-op plan is bit-identical to an unreconfigured run.
+no-op plan is bit-identical to an unreconfigured run.  Plans run at any
+worker count.  A snapshot (one :class:`~repro.serve.snapshot.RunState`) at
+a barrier's slot is taken after the barrier, and a run resumed from it
+continues the plan and the whole run's accounting.
 
 Deterministic chaos: a :class:`~repro.serve.chaos.ChaosPlan` realizes —
 as a pure function of ``(plan, fleet, horizon, seed)`` — into per-worker
@@ -90,7 +94,7 @@ import os
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -132,7 +136,7 @@ from repro.serve.http import StatusServer
 from repro.serve.queues import BoundedWorkQueue, WorkItem
 from repro.serve.reconfig import ReconfigPlan, apply_op
 from repro.serve.runtime import build_serve_kernels
-from repro.serve.snapshot import load_snapshot, save_snapshot
+from repro.serve.snapshot import EdgeState, RunState, load_snapshot, save_snapshot
 from repro.sim.kernel import (
     ShardSlotKernel,
     SlotAggregator,
@@ -235,7 +239,7 @@ async def _worker_async(
     start: int,
     stop: int,
     faults: FaultPlan | None,
-    resume: dict | None,
+    book: dict[int, EdgeState | None],
     heartbeat_interval: float,
     chaos: WorkerChaos | None,
     replay_from: int,
@@ -248,13 +252,14 @@ async def _worker_async(
     that builds it: each send is synchronous, so no two can interleave on
     the single-threaded loop.
 
-    A respawned incarnation runs three phases before going live at
-    ``start``: a silent *catch-up* re-steps each edge from its restored
-    checkpoint up to ``replay_from`` (rows discarded — the parent
-    already folded them, and the deterministic kernels reproduce the exact
-    same state); an *offline replay* reports ``[replay_from, start)`` as
-    offline outcomes with the real arrival counts; then the slot loop
-    takes over.
+    Each edge starts from its entry in the parent's per-edge ``book``
+    (fresh kernels at slot 0 without one).  A (re)spawned incarnation runs
+    three phases before going live at ``start``: a silent *catch-up*
+    re-steps each edge from its entry's slot up to ``replay_from`` (rows
+    discarded — the parent already folded them, and the deterministic
+    kernels reproduce the exact same state); an *offline replay* reports
+    ``[replay_from, start)`` as offline outcomes with the real arrival
+    counts; then the slot loop takes over.
     """
     scenario, adapters, edge_kernels, _ = build_serve_kernels(
         config, tracer=tracer, faults=faults
@@ -264,24 +269,21 @@ async def _worker_async(
     my_adapters = {e: adapters[e] for e in edges}
     has_ingress = config.ingress is not None
     delay = config.label_delay
-    catchup: dict[int, tuple[int, str]] = {}
-    if resume is not None:
-        for e, state in resume["edges"].items():
-            kernels[e].load_state(state)
-            my_adapters[e].load_state(resume["adapters"][e])
-        catchup = dict(resume.get("catchup", {}))
-        if tracer is not None:
-            for e in edges:
-                kernels[e].policy.bind_tracer(tracer, edge=e)
 
     # Phase A — silent catch-up: advance each edge from its checkpoint to
     # the replay point.  ``live`` re-steps already-folded real slots (the
     # deterministic kernels reproduce the folded outcomes bit-exactly);
     # ``offline`` covers stretches the parent folded as inactive.
     for e in edges:
-        as_of, mode = catchup.get(e, (replay_from, "live"))
         kernel = kernels[e]
         adapter = my_adapters[e]
+        entry = book.get(e) or EdgeState(None, None, 0)
+        if entry.kernel is not None:
+            kernel.load_state(entry.kernel)
+            adapter.load_state(entry.adapter)
+            if tracer is not None:
+                kernel.policy.bind_tracer(tracer, edge=e)
+        as_of, mode = entry.as_of, entry.mode
         for t in range(as_of, replay_from):
             item = adapter.next_item(t)
             if mode == "live":
@@ -616,11 +618,11 @@ class ShardRuntime:
     always describes this run alone.
 
     ``chaos`` takes a :class:`~repro.serve.chaos.ChaosPlan` realized
-    deterministically against the fleet at construction; ``reconfig``
-    takes a :class:`~repro.serve.reconfig.ReconfigPlan` applied at slot
-    barriers (incompatible with periodic snapshots — a barrier changes the
-    fleet shape mid-file).  Both act on worker processes, so both need
-    ``num_workers >= 1``.
+    deterministically against the fleet a run starts with; it kills worker
+    processes, so it needs ``num_workers >= 1``.  ``reconfig`` takes a
+    :class:`~repro.serve.reconfig.ReconfigPlan` applied at slot barriers,
+    at any worker count.  A snapshot records the plan, and a run resumed
+    from it continues the plan.
     """
 
     def __init__(
@@ -654,12 +656,9 @@ class ShardRuntime:
             reconfig if reconfig is not None and not reconfig.is_empty else None
         )
         self._inline = config.num_workers == 0
-        if self._inline and (
-            self._reconfig is not None or (chaos is not None and not chaos.is_empty)
-        ):
+        if self._inline and chaos is not None and not chaos.is_empty:
             raise ValueError(
-                "chaos and reconfig plans act on worker processes; "
-                "set num_workers >= 1"
+                "chaos plans kill worker processes; set num_workers >= 1"
             )
         #: The event loop inline workers run on, open for the span of a run.
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -667,32 +666,23 @@ class ShardRuntime:
         #: a respawned worker process from re-stepping the run so far.  An
         #: inline worker dies only by raising and takes none: copying the
         #: state in-process would cost as much as the slots themselves, so
-        #: its respawn re-steps from the run's start state instead.
+        #: its respawn re-steps from the newest state in the book instead.
         self._restart_every = (
             config.restart_state_every
             if config.on_worker_death == "restart" and not self._inline
             else 0
         )
-        self._active: tuple[int, ...] = tuple(range(self.num_edges))
-        self._num_workers = max(config.num_workers, 1)
         if self._reconfig is not None:
-            if config.snapshot_every:
-                raise ValueError(
-                    "reconfiguration and periodic snapshots cannot be "
-                    "combined: a reconfig barrier changes the fleet shape "
-                    "mid-file"
-                )
             for op in self._reconfig.ops:
                 if op.at >= self.horizon:
                     raise ValueError(
                         f"reconfig op at slot {op.at} is outside the "
                         f"horizon of {self.horizon}"
                     )
-            self._active, self._num_workers = self._reconfig.fleet_at(
-                capacity=self.num_edges,
-                num_workers=config.num_workers,
-                upto_slot=0,
-            )
+        # The fleet without a plan; :meth:`run` derives a plan's fleet at
+        # the slot it starts from.
+        self._active: tuple[int, ...] = tuple(range(self.num_edges))
+        self._num_workers = max(config.num_workers, 1)
         self.shards = self._partition(self._active, self._num_workers)
         if shard_trace_paths is not None and len(shard_trace_paths) != len(
             self.shards
@@ -707,12 +697,8 @@ class ShardRuntime:
         self._heartbeat_interval = heartbeat_interval
         self._stall_timeout = stall_timeout
         self._start_timeout = start_timeout
-        self._chaos = realize(
-            chaos,
-            num_workers=len(self.shards),
-            horizon=self.horizon,
-            seed=config.seed,
-        )
+        self._chaos_plan = chaos
+        self._chaos: dict[int, WorkerChaos] = {}
         self.aggregator = SlotAggregator(self.scenario, self.trading_kernel)
         self.completed_slot = -1
         self._edge_state_slot = 0  # slot the (fresh/restored) edge state is at
@@ -730,11 +716,10 @@ class ShardRuntime:
         self._stop_slot = self.horizon
         self._state_frames: dict[int, dict] = {}
         self._barriers: list[int] = []
-        # Last-good per-edge state: edge -> (kernel, adapter, as_of, mode).
-        # ``mode`` records how the stretch since ``as_of`` was folded
-        # ("live" = real outcomes, "offline" = parent-synthesized), which
-        # tells a respawned worker how to catch its kernels up.
-        self._edge_payloads: dict[int, tuple] = {}
+        #: The per-edge book: each edge's last-good state.  Restart
+        #: checkpoints, reconfig drains and snapshots fill it; (re)spawned
+        #: workers restore from it.
+        self._edge_states: dict[int, EdgeState] = {}
         self._restart_due: dict[int, float] = {}
         self._restart_backoff: dict[int, float] = {}
         self._restarts_used: dict[int, int] = {}
@@ -805,7 +790,9 @@ class ShardRuntime:
         """Rebuild a runtime mid-horizon from a persisted snapshot.
 
         Snapshots are worker-agnostic: the file's config decides the
-        worker count of the resumed run, whatever count wrote it.
+        worker count the resumed run starts with, whatever count wrote it,
+        as changed by the plan's ``rebalance`` ops up to the file's slot;
+        the plan goes on from there.
         """
         return cls.from_state(
             load_snapshot(path), tracer=tracer, faults=faults, **kwargs
@@ -814,46 +801,79 @@ class ShardRuntime:
     @classmethod
     def from_state(
         cls,
-        state: dict,
+        state: RunState,
         *,
         tracer: Tracer | None = None,
         faults: FaultPlan | None = None,
         **kwargs,
     ) -> "ShardRuntime":
-        """Rebuild a runtime from a state dict :func:`load_snapshot` read."""
-        config = ServeConfig.from_dict(state["config"])
-        runtime = cls(config, tracer=tracer, faults=faults, **kwargs)
+        """Rebuild a runtime from a record :func:`load_snapshot` read."""
+        if "reconfig" in kwargs:
+            raise ValueError(
+                "a resumed run continues the reconfig plan its snapshot "
+                "carries; pass no reconfig="
+            )
+        reconfig = state.reconfig
+        plan = None if reconfig is None else ReconfigPlan.from_dict(reconfig)
+        config = ServeConfig.from_dict(state.config)
+        runtime = cls(config, tracer=tracer, faults=faults, reconfig=plan, **kwargs)
         runtime._restore(state)
         return runtime
 
-    def _restore(self, state: dict) -> None:
-        if state["label"] != self.label:
+    def _run_state(self, next_slot: int) -> RunState:
+        """This run as one record, at the quiescent boundary ``next_slot``."""
+        counters = self.tracer.metrics_snapshot()["counters"]
+        return RunState(
+            label=self.label,
+            config=self.config.to_dict(),
+            next_slot=next_slot,
+            trading=self.trading_kernel.state_dict(),
+            arrays=self.aggregator.partial_arrays(next_slot),
+            edges=dict(self._edge_states),
+            parent_adapters={
+                e: self._adapters[e].state_dict()
+                for e in range(self.num_edges)
+                if e not in self._active
+            },
+            ingress=self.ingress,
+            counters={
+                name: value
+                for name, value in counters.items()
+                if name.startswith(("serve/", "ingress/"))
+            },
+            reconfig=None if self._reconfig is None else self._reconfig.to_dict(),
+        )
+
+    def _restore(self, state: RunState) -> None:
+        if state.label != self.label:
             raise ValueError(
-                f"snapshot is for run {state['label']!r}, "
+                f"snapshot is for run {state.label!r}, "
                 f"this runtime serves {self.label!r}"
             )
-        next_slot = int(state["next_slot"])
+        next_slot = int(state.next_slot)
         if not 0 <= next_slot <= self.horizon:
             raise ValueError(
                 f"snapshot resumes at slot {next_slot}, "
                 f"horizon is {self.horizon}"
             )
-        self.trading_kernel.load_state(state["trading"])
+        self.trading_kernel.load_state(state.trading)
         if self._rebind_tracer:
             self.trading_kernel.policy.bind_tracer(self.tracer)
             self.trading_kernel.market.bind_tracer(self.tracer)
             self.trading_kernel.ledger.bind_tracer(self.tracer)
-        self.aggregator.load_arrays(state["arrays"])
+        self.aggregator.load_arrays(state.arrays)
         self.completed_slot = next_slot - 1
         self._edge_state_slot = next_slot
-        # Per-edge kernel/adapter states are handed to the workers, which
-        # rebuild and then restore their own shard.
-        for e in range(self.num_edges):
-            self._edge_payloads[e] = (
-                state["edges"][e], state["adapters"][e], next_slot, "live"
-            )
+        # Workers rebuild their shard and restore it from the book.
+        self._edge_states = dict(state.edges)
+        for e, adapter_state in state.parent_adapters.items():
+            self._adapters[e].load_state(adapter_state)
+        if state.ingress is not None:
+            self.ingress = state.ingress
+        for name, value in state.counters.items():
+            self.tracer.counter(name).increment(value)
         if next_slot > 0:
-            self._last_models[:] = state["arrays"]["selections"][-1]
+            self._last_models[:] = state.arrays["selections"][-1]
 
     # -- public surface ----------------------------------------------------
 
@@ -940,29 +960,35 @@ class ShardRuntime:
         if self._reconfig is not None:
             self._active, self._num_workers = self._reconfig.fleet_at(
                 capacity=self.num_edges,
-                num_workers=self.config.num_workers,
+                num_workers=self._num_workers,
                 upto_slot=start,
             )
             self.shards = self._partition(self._active, self._num_workers)
+            # A barrier at the stop slot still applies, so that a snapshot
+            # there records the fleet after its ops.
             self._barriers = [
-                b for b in self._reconfig.barriers() if start < b < stop
+                b for b in self._reconfig.barriers() if start < b <= stop
             ]
-            self._pin_inactive_offline(start)
-            if len(self._active) != self.num_edges:
-                self.trading_kernel.rescale_fleet(
-                    len(self._active) / self.num_edges
-                )
+            if start == 0:
+                # A resumed run's record already holds the effects of every
+                # op up to its slot: the offline book entries, the parent's
+                # adapters and the rescaled trading state.
+                self._pin_inactive_offline(0)
+                if len(self._active) != self.num_edges:
+                    self.trading_kernel.rescale_fleet(
+                        len(self._active) / self.num_edges
+                    )
+        self._chaos = realize(
+            self._chaos_plan,
+            num_workers=len(self.shards),
+            horizon=self.horizon,
+            seed=self.config.seed,
+        )
         self._stop_slot = stop
         self._released = start - 1
         if self._inline:
             self._loop = asyncio.new_event_loop()
-        handles = [
-            self._spawn_worker(
-                w, edges, start=start, stop=stop, replay_from=start, generation=0
-            )
-            for w, edges in enumerate(self.shards)
-        ]
-        self._handles = handles
+        handles = self._handles = self._spawn_fleet(start)
         if self.config.health_port is not None:
             self.status_thread = _StatusThread(
                 {"/healthz": self.health, "/metrics": self.metrics},
@@ -999,23 +1025,22 @@ class ShardRuntime:
         edges: Sequence[int],
         *,
         start: int,
-        stop: int,
         replay_from: int,
-        generation: int,
+        generation: int = 0,
     ) -> _Shard:
-        """Start one worker and return its bookkeeping handle."""
-        resume = self._resume_payload(edges, replay_from)
+        """Start one worker for ``[start, stop slot)`` and return its handle."""
+        book = {e: self._edge_states.get(e) for e in edges}
         if self._inline:
             # Kernels adopt the objects they restore from: each incarnation
             # gets its own copy, as a forked process would.
-            resume = copy.deepcopy(resume)
+            book = copy.deepcopy(book)
         args = (
             self.config,
             list(edges),
             start,
-            stop,
+            self._stop_slot,
             self._faults,
-            resume,
+            book,
             self._heartbeat_interval,
             self._chaos.get(w),
             replay_from,
@@ -1060,6 +1085,13 @@ class ShardRuntime:
             )
         return handle
 
+    def _spawn_fleet(self, start: int) -> list[_Shard]:
+        """A fresh worker per shard, each live from ``start``."""
+        return [
+            self._spawn_worker(w, edges, start=start, replay_from=start)
+            for w, edges in enumerate(self.shards)
+        ]
+
     def _trace_path_for(self, w: int) -> str | None:
         """The worker's JSONL trace target; respawns get a fresh suffix.
 
@@ -1072,26 +1104,6 @@ class ShardRuntime:
         self._spawn_counts[w] = count + 1
         base = self._shard_trace_paths[w]
         return base if count == 0 else f"{base}.respawn{count}"
-
-    def _resume_payload(
-        self, edges: Sequence[int], replay_from: int
-    ) -> dict | None:
-        """The pickled state a (re)spawned worker restores and catches up from."""
-        entries = {e: self._edge_payloads.get(e) for e in edges}
-        if all(p is None for p in entries.values()) and replay_from == 0:
-            return None
-        resume: dict = {"edges": {}, "adapters": {}, "catchup": {}}
-        for e, payload in entries.items():
-            if payload is None:
-                # Never checkpointed: fresh kernels, re-step from slot 0.
-                resume["catchup"][e] = (0, "live")
-                continue
-            kernel_state, adapter_state, as_of, mode = payload
-            if kernel_state is not None:
-                resume["edges"][e] = kernel_state
-                resume["adapters"][e] = adapter_state
-            resume["catchup"][e] = (as_of, mode)
-        return resume
 
     def _await_ready(self, handles: list[_Shard]) -> None:
         deadline = time.monotonic() + self._start_timeout
@@ -1289,9 +1301,9 @@ class ShardRuntime:
         backoff = self._restart_backoff.pop(w, 0.0)
         old.conn.close()
         as_of = [
-            payload[2]
-            for payload in (self._edge_payloads.get(e) for e in old.edges)
-            if payload is not None
+            entry.as_of
+            for entry in (self._edge_states.get(e) for e in old.edges)
+            if entry is not None
         ]
         replay_from = max([self.completed_slot + 1, *as_of])
         start = self._released + 1
@@ -1299,7 +1311,6 @@ class ShardRuntime:
             w,
             old.edges,
             start=start,
-            stop=self._stop_slot,
             replay_from=replay_from,
             generation=old.generation + 1,
         )
@@ -1350,11 +1361,14 @@ class ShardRuntime:
                 except (BrokenPipeError, OSError):
                     pass
 
-    def _request_states(self, frame: dict, *, abort_on_death: bool = False) -> bool:
-        """Broadcast ``frame`` and wait for every running worker's STATE.
+    def _request_states(
+        self, frame: dict, *, as_of: int, abort_on_death: bool = False
+    ) -> bool:
+        """Broadcast ``frame``; adopt every running worker's STATE answer.
 
-        Answers land in ``_state_frames``.  With ``abort_on_death``, a
-        worker death while waiting returns ``False`` instead of waiting on.
+        The answers enter the per-edge book as of slot ``as_of``, all at
+        once.  With ``abort_on_death``, a worker death while waiting
+        returns ``False`` instead of waiting on, and adopts nothing.
         """
         self._state_frames = {}
         handles = self._handles
@@ -1367,6 +1381,8 @@ class ShardRuntime:
                 if h.running and h.index not in self._state_frames
             ]
             if not waiting:
+                for answer in self._state_frames.values():
+                    self._checkpoint(answer, as_of=as_of)
                 return True
             if abort_on_death and any(h.failed or h.restarting for h in handles):
                 return False
@@ -1380,23 +1396,22 @@ class ShardRuntime:
     def _checkpoint(self, frame: dict, *, as_of: int) -> None:
         """Adopt a worker's per-edge state as its edges' last-good state."""
         for e, kernel_state in frame["edges"].items():
-            adapter_state = frame["adapters"][e]
-            self._edge_payloads[e] = (kernel_state, adapter_state, as_of, "live")
+            self._edge_states[e] = EdgeState(kernel_state, frame["adapters"][e], as_of)
 
     def _pin_inactive_offline(self, at: int) -> None:
         """Mark every inactive edge's stretch from ``at`` as parent-folded.
 
         The parent's adapter takes over an edge's arrivals from its
         checkpoint, copied: adapters adopt the objects they restore, and
-        the payload goes back to a worker if the edge is re-added.
+        the entry goes back to a worker if the edge is re-added.
         """
         for e in range(self.num_edges):
             if e in self._active:
                 continue
-            payload = self._edge_payloads.get(e, (None, None, at, "offline"))
-            if payload[3] == "live":
-                self._adapters[e].load_state(copy.deepcopy(payload[1]))
-            self._edge_payloads[e] = (*payload[:3], "offline")
+            entry = self._edge_states.get(e, EdgeState(None, None, at, "offline"))
+            if entry.mode == "live":
+                self._adapters[e].load_state(copy.deepcopy(entry.adapter))
+            self._edge_states[e] = replace(entry, mode="offline")
 
     def _join_all(self, handles: list[_Shard]) -> None:
         deadline = time.monotonic() + 10.0
@@ -1428,13 +1443,10 @@ class ShardRuntime:
         self._death_ts.clear()
         self._reconfiguring = True
         try:
-            self._request_states({"type": RECONFIG, "barrier": barrier})
+            self._request_states({"type": RECONFIG, "barrier": barrier}, as_of=barrier)
             self._join_all(handles)
         finally:
             self._reconfiguring = False
-        for frame in self._state_frames.values():
-            self._checkpoint(frame, as_of=barrier)
-        self._state_frames = {}
         active = set(self._active)
         workers = self._num_workers
         old_count = len(active)
@@ -1462,19 +1474,8 @@ class ShardRuntime:
             # of 1.0 short-circuits, keeping no-op plans bit-exact.
             self.trading_kernel.rescale_fleet(len(active) / old_count)
         self.shards = self._partition(self._active, workers)
-        new_handles = [
-            self._spawn_worker(
-                w,
-                edges,
-                start=barrier,
-                stop=self._stop_slot,
-                replay_from=barrier,
-                generation=0,
-            )
-            for w, edges in enumerate(self.shards)
-        ]
-        self._handles[:] = new_handles
-        self._await_ready(new_handles)
+        self._handles[:] = self._spawn_fleet(barrier)
+        self._await_ready(self._handles)
 
     # -- the slot fold -----------------------------------------------------
 
@@ -1555,11 +1556,12 @@ class ShardRuntime:
                 self._stage_slot.add(folded - released_at)
             self.completed_slot = t
             self._slots_completed.increment()
+            # A snapshot records the fleet after the barrier at its slot.
+            if self._barriers and self._barriers[0] == t + 1:
+                self._apply_reconfig(self._barriers.pop(0))
             every = self.config.snapshot_every
             if every and (t + 1) % every == 0 and t + 1 < self.horizon:
                 self._take_snapshot(t)
-            if self._barriers and self._barriers[0] == t + 1:
-                self._apply_reconfig(self._barriers.pop(0))
             self._release_through(self._release_target_for(t))
 
     def _merge_ingress(self, t: int) -> None:
@@ -1583,7 +1585,7 @@ class ShardRuntime:
             self._deadline_misses.increment(payload["misses"])
 
     def _take_snapshot(self, t: int) -> None:
-        """Gather worker states at the quiescent boundary, persist one file.
+        """Checkpoint the workers at the quiescent boundary, persist the run.
 
         Degraded runs are not resumable — once any shard is dead, snapshots
         are skipped (the run still completes under ``degrade``).  Boundaries
@@ -1597,15 +1599,14 @@ class ShardRuntime:
         if any(h.live_from > t + 1 for h in self._handles):
             return  # a respawned worker is still past-due; skip this boundary
         if not self._request_states(
-            {"type": SNAPSHOT_REQUEST}, abort_on_death=True
+            {"type": SNAPSHOT_REQUEST}, as_of=t + 1, abort_on_death=True
         ):
             return  # a death raced the snapshot; skip persisting
-        edges: list[object] = [None] * self.num_edges
-        adapters: list[object] = [None] * self.num_edges
-        for frame in self._state_frames.values():
-            for e, kernel_state in frame["edges"].items():
-                edges[e], adapters[e] = kernel_state, frame["adapters"][e]
-        missing = [e for e in range(self.num_edges) if edges[e] is None]
+        missing = [
+            e
+            for e in self._active
+            if e not in self._edge_states or self._edge_states[e].as_of != t + 1
+        ]
         if missing:
             # Never persist a torn snapshot — resuming one would silently
             # corrupt the run.
@@ -1613,18 +1614,10 @@ class ShardRuntime:
                 f"snapshot at slot {t + 1} is missing state for edges "
                 f"{missing}; a worker exited before answering"
             )
-        state = {
-            "label": self.label,
-            "config": self.config.to_dict(),
-            "next_slot": t + 1,
-            "edges": edges,
-            "adapters": adapters,
-            "trading": self.trading_kernel.state_dict(),
-            "arrays": self.aggregator.partial_arrays(t + 1),
-        }
         path = self.config.snapshot_path
         assert path is not None  # enforced by ServeConfig validation
-        save_snapshot(path, state)
+        # Counted first: the record covers the run up to its own boundary.
         self._snapshots_taken.increment()
+        save_snapshot(path, self._run_state(t + 1))
         if self.tracer.enabled:
             self.tracer.emit(SnapshotEvent(t=t, path=str(path)))

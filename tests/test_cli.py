@@ -336,6 +336,63 @@ class TestCacheCommand:
         assert len(cache) == 0
 
 
+class TestServeResume:
+    @staticmethod
+    def serve(*flags):
+        return main(["serve", "--edges", "3", "--horizon", "16", *flags])
+
+    @staticmethod
+    def table_rows(out, *names):
+        """Rows of the printed tables whose first cell is one of ``names``."""
+        return [
+            line.split()
+            for line in out.splitlines()
+            if line.split() and line.split()[0] in names
+        ]
+
+    def test_resume_refuses_flags_it_would_ignore(self, capsys, tmp_path):
+        snap = tmp_path / "s.pkl"
+        self.serve("--snapshot-every", "4", "--snapshot-path", str(snap),
+                   "--max-slots", "4")
+        capsys.readouterr()
+        code = main([
+            "serve", "--resume", str(snap),
+            "--reconfig", "/nonexistent/plan.json",
+            "--chaos", "/nonexistent/chaos.json",
+            "--workers", "3",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "resuming" not in captured.out
+        for flag in ("--reconfig", "--chaos", "--workers"):
+            assert flag in captured.err
+
+    def test_resume_continues_the_reconfig_plan_with_whole_run_books(
+        self, capsys, tmp_path
+    ):
+        # The plan runs in-process, and the resumed run's served table and
+        # counters equal the uninterrupted run's.
+        plan = tmp_path / "readd.json"
+        plan.write_text(
+            '{"reconfig": [{"kind": "remove_edge", "at": 2, "edge": 1},'
+            ' {"kind": "add_edge", "at": 8, "edge": 1}]}'
+        )
+        run = ("--ingress", "--reconfig", str(plan), "--snapshot-every", "4")
+        assert self.serve(*run, "--snapshot-path", str(tmp_path / "f.pkl")) == 0
+        full = capsys.readouterr().out
+        snap = tmp_path / "s.pkl"
+        assert self.serve(*run, "--snapshot-path", str(snap),
+                          "--max-slots", "10") == 0
+        assert main(["serve", "--resume", str(snap)]) == 0
+        resumed = capsys.readouterr().out.split("resuming", 1)[1]
+        names = ("events_in", "events_served", "events_dropped_offline",
+                 "reconfigs", "slots_completed", "snapshots", "requests_in",
+                 "deadline_hits", "deadline_misses", "total_cost")
+        rows = self.table_rows(full, *names)
+        assert len(rows) == len(names)
+        assert self.table_rows(resumed, *names) == rows
+
+
 class TestExperimentFaultsPassthrough:
     def test_faults_reach_the_engine(self, tmp_path, monkeypatch):
         from repro.experiments import run_all

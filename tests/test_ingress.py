@@ -381,26 +381,48 @@ class TestServeIntegration:
         assert result_digest(resumed.run()) == GOLDEN_DIGESTS[("A", 0)]
 
     def test_deferral_resume_with_parked_cohorts_preserves_digest(self, tmp_path):
-        # Requests parked in the routers at the snapshot go on from there.
-        # Request accounting is not asserted across the resume: a snapshot
-        # does not carry the run's IngressStats.
+        # Requests parked in the routers at the snapshot go on from there,
+        # and the resumed run's books cover the whole run, in-process and
+        # at 2 workers alike.
         ingress = IngressConfig(slot_capacity=4)
-        uninterrupted = ShardRuntime(
-            ingress_serve_config("A", 0, ingress=ingress), tracer=Tracer()
-        ).run()
-        path = tmp_path / "state.pkl"
-        config = ingress_serve_config(
-            "A", 0, ingress=ingress, snapshot_every=8, snapshot_path=str(path)
-        )
-        ShardRuntime(config, tracer=Tracer()).run(max_slots=8)
-        parked = 0
-        for edge, adapter in enumerate(load_snapshot(path)["adapters"]):
-            router = IngressRouter(edge, ingress, SCENARIO_CONFIGS["A"].horizon)
-            router.load_state(adapter["router"])
-            parked += router.depth
-        assert parked > 0
-        resumed = ShardRuntime.from_snapshot(path, tracer=Tracer())
-        assert result_digest(resumed.run()) == result_digest(uninterrupted)
+
+        def books(runtime):
+            counters = runtime.tracer.metrics_snapshot()["counters"]
+            return runtime.ingress.summary(), {
+                name: value
+                for name, value in counters.items()
+                if name.startswith(("serve/events_", "ingress/"))
+            }
+
+        for workers in (0, 2):
+            whole = ShardRuntime(
+                ingress_serve_config("A", 0, ingress=ingress, num_workers=workers),
+                tracer=Tracer(),
+            )
+            uninterrupted = whole.run()
+            path = tmp_path / f"state{workers}.pkl"
+            config = ingress_serve_config(
+                "A", 0, ingress=ingress, num_workers=workers,
+                snapshot_every=8, snapshot_path=str(path),
+            )
+            ShardRuntime(config, tracer=Tracer()).run(max_slots=8)
+            state = load_snapshot(path)
+            resumed = ShardRuntime.from_state(state, tracer=Tracer())
+            assert result_digest(resumed.run()) == result_digest(uninterrupted)
+            counters = books(resumed)[1]
+            resolved = sum(
+                counters[f"serve/events_{kind}"]
+                for kind in ("served", "shed", "dropped_offline")
+            )
+            assert (counters["ingress/requests_in"], resolved) == (4867, 4867)
+            assert counters["serve/events_in"] == 4867
+            assert books(resumed) == books(whole)
+            parked = 0
+            for edge, entry in state.edges.items():
+                router = IngressRouter(edge, ingress, SCENARIO_CONFIGS["A"].horizon)
+                router.load_state(entry.adapter["router"])
+                parked += router.depth
+            assert parked > 0
 
 
 class TestSoakDeterminism:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -58,6 +59,28 @@ def serve_config(scenario_name="A", seed=0, **overrides):
         label="Ours-Ours",
         **overrides,
     )
+
+
+def rewrite_as_version_2(snap) -> dict:
+    """Rewrite a snapshot file in the version-2 layout; returns its payload.
+
+    Version 2 held positional per-edge kernel and adapter lists and no
+    book modes, parent adapters, counters, ingress stats or plan.
+    """
+    record = load_snapshot(snap)
+    entries = [record.edges[e] for e in sorted(record.edges)]
+    payload = {
+        "version": 2,
+        "label": record.label,
+        "config": record.config,
+        "next_slot": record.next_slot,
+        "edges": [entry.kernel for entry in entries],
+        "adapters": [entry.adapter for entry in entries],
+        "trading": record.trading,
+        "arrays": record.arrays,
+    }
+    snap.write_bytes(pickle.dumps(payload))
+    return payload
 
 
 class TestServeConfig:
@@ -377,13 +400,14 @@ class TestSnapshotRestore:
             "A", 0, snapshot_every=8, snapshot_path=str(snap)
         )
         ShardRuntime(config).run(max_slots=8)
-        state = load_snapshot(snap)
-        state["config"]["adapter"] = "dataset"
-        state["adapters"] = [
+        # Only version-2 files can name it: the adapter went first.
+        payload = rewrite_as_version_2(snap)
+        payload["config"]["adapter"] = "dataset"
+        payload["adapters"] = [
             {"arrivals": adapter["arrivals"], "data_rng": kernel["data_rng"]}
-            for adapter, kernel in zip(state["adapters"], state["edges"])
+            for adapter, kernel in zip(payload["adapters"], payload["edges"])
         ]
-        save_snapshot(snap, state)
+        snap.write_bytes(pickle.dumps(payload))
         resumed = ShardRuntime.from_snapshot(snap)
         assert resumed.config.adapter == "poisson"
         assert result_digest(resumed.run()) == GOLDEN_DIGESTS[("A", 0)]
@@ -414,42 +438,53 @@ class TestSnapshotRestore:
         )
         ShardRuntime(config).run(max_slots=8)
         state = load_snapshot(snap)
-        state["label"] = "someone-else"
+        state.label = "someone-else"
         save_snapshot(snap, state)
         with pytest.raises(ValueError, match="someone-else"):
             ShardRuntime.from_snapshot(snap)
 
     def test_snapshot_version_checked(self, tmp_path):
         snap = tmp_path / "state.pkl"
-        save_snapshot(snap, {"label": "x"})
-        raw = load_snapshot(snap)
-        raw["version"] = 999
-        import pickle
-
-        snap.write_bytes(pickle.dumps(raw))
+        snap.write_bytes(pickle.dumps({"version": 999, "label": "x"}))
         with pytest.raises(ValueError, match="version"):
             load_snapshot(snap)
 
     def test_version_1_snapshot_resumes_in_process(self, tmp_path):
         # Version 1 wrote num_workers=1 for an in-process run; it loads as
         # 0 and resumes in-process to the same digest.
-        import pickle
-
         snap = tmp_path / "state.pkl"
         config = serve_config(
             "A", 0, snapshot_every=8, snapshot_path=str(snap)
         )
         ShardRuntime(config).run(max_slots=8)
-        raw = pickle.loads(snap.read_bytes())
+        raw = rewrite_as_version_2(snap)
         raw["version"] = 1
         raw["config"]["num_workers"] = 1
         snap.write_bytes(pickle.dumps(raw))
         state = load_snapshot(snap)
-        assert state["version"] == SNAPSHOT_VERSION
-        assert state["config"]["num_workers"] == 0
+        assert state.config["num_workers"] == 0
         resumed = ShardRuntime.from_snapshot(snap)
         assert resumed.config.num_workers == 0
         assert result_digest(resumed.run()) == GOLDEN_DIGESTS[("A", 0)]
+
+    def test_version_2_snapshot_resumes_and_counts_from_its_slot(self, tmp_path):
+        # Version 2 carried no counters: the resumed run reaches the same
+        # digest and counts the slots and events from its resume slot on.
+        snap = tmp_path / "state.pkl"
+        config = serve_config(
+            "A", 0, snapshot_every=8, snapshot_path=str(snap)
+        )
+        ShardRuntime(config).run(max_slots=8)
+        rewrite_as_version_2(snap)
+        state = load_snapshot(snap)
+        assert SNAPSHOT_VERSION == 3 and state.counters == {}
+        assert {entry.as_of for entry in state.edges.values()} == {8}
+        tracer = Tracer()
+        result = ShardRuntime.from_state(state, tracer=tracer).run()
+        assert result_digest(result) == GOLDEN_DIGESTS[("A", 0)]
+        counters = tracer.metrics_snapshot()["counters"]
+        assert counters["serve/slots_completed"] == 32
+        assert counters["serve/events_in"] == int(result.arrivals[8:].sum())
 
     def test_snapshot_event_and_counter_emitted(self, tmp_path):
         tracer = Tracer()

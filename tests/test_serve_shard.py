@@ -26,8 +26,12 @@ import pytest
 from repro.ingress import IngressConfig
 from repro.obs import JsonlSink, Tracer, summarize_trace, summarize_traces
 from repro.serve import (
+    AddEdge,
     ChaosPlan,
     RandomKills,
+    Rebalance,
+    ReconfigPlan,
+    RemoveEdge,
     ServeConfig,
     ShardRuntime,
     TransportDrop,
@@ -65,6 +69,26 @@ def shard_config(scenario_name="A", seed=0, **overrides):
 
 def kill_plan(worker: int, at: int) -> ChaosPlan:
     return ChaosPlan((WorkerKill(worker=worker, at=at),))
+
+
+#: Deferral with a 4-request slot budget: the routers park requests.
+SLOT_CAPACITY_4 = IngressConfig(slot_capacity=4).to_dict()
+#: Edge 1 leaves at 4 and comes back at 16 with a second worker; 16 is
+#: also a snapshot boundary of ``snapshot_every=8``.
+READD_PLAN = ReconfigPlan((
+    RemoveEdge(at=4, edge=1),
+    AddEdge(at=16, edge=1),
+    Rebalance(at=16, num_workers=2),
+))
+#: Scenario A, seed 0, ``SLOT_CAPACITY_4`` under ``READD_PLAN``.
+READD_DIGEST = "78e2cb9efe1a2e6f62cb96e3b069639fe53744c096c2bb3206341dcfadc27692"
+
+
+def run_books(runtime: ShardRuntime) -> dict:
+    """A finished run's counters (heartbeats move with speed) and request stats."""
+    counters = runtime.tracer.metrics_snapshot()["counters"]
+    counters.pop("serve/heartbeats", None)
+    return {"counters": counters, "ingress": runtime.ingress.summary()}
 
 
 class TestShardEdges:
@@ -239,7 +263,7 @@ class TestShardedSnapshots:
     @staticmethod
     def _set_snapshot_workers(snap, num_workers):
         state = load_snapshot(snap)
-        state["config"]["num_workers"] = num_workers
+        state.config["num_workers"] = num_workers
         save_snapshot(snap, state)
 
     def test_sharded_snapshot_resumes_in_process(self, tmp_path):
@@ -822,37 +846,89 @@ class TestReconfig:
             assert summary["requests_in"] == 4000
             assert summary["deadline_misses"] >= report.events_dropped_offline
 
-    def test_reconfig_rejects_snapshots_and_out_of_horizon_ops(self, tmp_path):
-        from repro.serve import Rebalance, ReconfigPlan
-
-        plan = ReconfigPlan((Rebalance(at=8, num_workers=1),))
-        with pytest.raises(ValueError, match="snapshot"):
-            ShardRuntime(
-                shard_config(
-                    "A",
-                    0,
-                    num_workers=2,
-                    snapshot_every=8,
-                    snapshot_path=str(tmp_path / "s.pkl"),
-                ),
-                reconfig=plan,
-            )
+    def test_reconfig_rejects_out_of_horizon_ops(self):
         late = ReconfigPlan((Rebalance(at=400, num_workers=1),))
         with pytest.raises(ValueError, match="horizon"):
             ShardRuntime(shard_config("A", 0, num_workers=2), reconfig=late)
 
-    def test_plans_need_worker_processes(self):
-        from repro.serve import Rebalance, ReconfigPlan
-
-        plan = ReconfigPlan((Rebalance(at=8, num_workers=1),))
+    def test_chaos_plans_need_worker_processes(self):
+        # A chaos kill ends its process, which inline is the parent's.
         in_process = shard_config("A", 0)
         with pytest.raises(ValueError, match="num_workers >= 1"):
-            ShardRuntime(in_process, reconfig=plan)
-        with pytest.raises(ValueError, match="num_workers >= 1"):
             ShardRuntime(in_process, chaos=kill_plan(0, 35))
-        one_worker = shard_config("A", 0, num_workers=1)
-        ShardRuntime(one_worker, reconfig=plan)
-        ShardRuntime(one_worker, chaos=kill_plan(0, 35))
+        ShardRuntime(in_process, reconfig=ReconfigPlan((Rebalance(at=8),)))
+        ShardRuntime(shard_config("A", 0, num_workers=1), chaos=kill_plan(0, 35))
+
+    @staticmethod
+    def readd_config(workers, snap):
+        return shard_config(
+            "A", 0, num_workers=workers, ingress=SLOT_CAPACITY_4,
+            snapshot_every=8, snapshot_path=str(snap),
+        )
+
+    @pytest.fixture(scope="class")
+    def readd_books(self, tmp_path_factory):
+        """The books of the uninterrupted in-process run under the plan."""
+        snap = tmp_path_factory.mktemp("readd") / "full.pkl"
+        runtime = ShardRuntime(
+            self.readd_config(0, snap), tracer=Tracer(), reconfig=READD_PLAN
+        )
+        assert result_digest(runtime.run()) == READD_DIGEST
+        return run_books(runtime)
+
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_a_plan_gives_one_digest_and_exact_books_at_any_worker_count(
+        self, workers, readd_books, tmp_path
+    ):
+        runtime = ShardRuntime(
+            self.readd_config(workers, tmp_path / "s.pkl"),
+            tracer=Tracer(),
+            reconfig=READD_PLAN,
+            **FAST,
+        )
+        result = runtime.run()
+        assert result_digest(result) == READD_DIGEST
+        books = run_books(runtime)
+        assert books == readd_books
+        counters = books["counters"]
+        assert counters["serve/reconfigs"] == 3
+        assert counters["serve/events_served"] == int(result.arrivals.sum())
+        assert counters["serve/events_in"] == books["ingress"]["requests_in"] == 4867
+        assert runtime.ingress.accounting_ok(
+            counters["serve/events_served"],
+            counters["serve/events_shed"],
+            counters["serve/events_dropped_offline"],
+        )
+
+    @pytest.mark.parametrize("stop", [8, 16, 24, 32])
+    def test_a_snapshot_mid_plan_resumes_to_the_whole_run(
+        self, stop, readd_books, tmp_path
+    ):
+        # The record carries the plan, the book of every edge (the removed
+        # one too), the parent's adapter of the removed edge and the whole
+        # run's counters and request stats.  A stop at 16 applies that
+        # slot's barrier before its snapshot.
+        snap = tmp_path / "state.pkl"
+        ShardRuntime(self.readd_config(0, snap), reconfig=READD_PLAN).run(
+            max_slots=stop
+        )
+        written = snap.read_bytes()
+        for workers in (0, 1, 2):
+            snap.write_bytes(written)  # the resumed run snapshots on
+            state = load_snapshot(snap)
+            assert state.next_slot == stop
+            assert state.reconfig == READD_PLAN.to_dict()
+            state.config["num_workers"] = workers
+            runtime = ShardRuntime.from_state(state, tracer=Tracer(), **FAST)
+            assert result_digest(runtime.run()) == READD_DIGEST
+            assert run_books(runtime) == readd_books
+
+    def test_a_resume_refuses_a_second_plan(self, tmp_path):
+        snap = tmp_path / "state.pkl"
+        config = shard_config("A", 0, snapshot_every=8, snapshot_path=str(snap))
+        ShardRuntime(config, reconfig=READD_PLAN).run(max_slots=8)
+        with pytest.raises(ValueError, match="reconfig"):
+            ShardRuntime.from_snapshot(snap, reconfig=READD_PLAN)
 
 
 class TestSoakCli:
