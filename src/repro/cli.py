@@ -413,22 +413,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shard_trace_paths(
-    trace_output: str | None, config: ServeConfig
-) -> list[str] | None:
-    """One log per worker process beside the parent's ``trace_output``.
-
-    Merge them back with ``repro trace --replay out.jsonl out.jsonl.shard*``.
-    In-process runs trace their edges into the parent's log and need none.
-    """
-    from repro.serve import shard_edges
-
-    if trace_output is None or config.num_workers == 0:
-        return None
-    shards = shard_edges(config.scenario.num_edges, config.num_workers)
-    return [f"{trace_output}.shard{w}" for w in range(len(shards))]
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs import AsyncQueueSink, JsonlSink, Tracer
     from repro.serve import ServeConfig, ShardRuntime, load_snapshot
@@ -498,7 +482,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = ServeConfig.from_dict(state.config)
         runtime = ShardRuntime.from_state(
             state, tracer=traced(config), faults=plan,
-            shard_trace_paths=_shard_trace_paths(args.trace_output, config),
+            shard_trace_base=args.trace_output,
         )
         print(f"resuming {runtime.label} from {args.resume} "
               f"at slot {runtime.completed_slot + 1}/{runtime.horizon}")
@@ -546,7 +530,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             config = config.with_overrides(num_workers=1)
         runtime = ShardRuntime(
             config, tracer=traced(config), faults=plan,
-            shard_trace_paths=_shard_trace_paths(args.trace_output, config),
+            shard_trace_base=args.trace_output,
             **shard_kwargs,
         )
 

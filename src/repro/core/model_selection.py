@@ -154,9 +154,9 @@ class OnlineModelSelection(SelectionPolicy):
     def pending_block(self, t: int) -> int | None:
         """The block ``select(t)`` would have to open, or ``None``.
 
-        No code in the program calls this: both batch drivers, the
-        vectorized simulator and the serve tier's shard slot kernel, group
-        coinciding block openings with :func:`block_openings`.  It is kept
+        No code in the program calls this: the columnar engine
+        (:class:`~repro.sim.kernel.ShardSlotKernel`) opens blocks in rounds
+        and the per-slot drivers with :func:`block_openings`.  It is kept
         only because the benchmark's layer profiler (``perf/layers.py``)
         wraps it by name.
         """
@@ -220,36 +220,41 @@ class OnlineModelSelection(SelectionPolicy):
             )
         return model
 
+    def block_model(self, block: int) -> int:
+        """The model an opened ``block`` hosts; counts no selection."""
+        if block > self._latest_block:
+            raise RuntimeError(f"block {block} has not been opened")
+        return self._models[block]
+
     def observe_block(
         self, block: int, slot_losses: list[float], lost: int = 0
     ) -> None:
-        """Fold one whole block's feedback in a single call (line 7, bulk).
+        """Fold a piece of one block's feedback in a single call (line 7, bulk).
 
-        ``slot_losses`` are the block's observed slot losses in slot order
+        The piece is consecutive slots of ``block`` that no earlier call
+        covered: ``slot_losses`` are its observed slot losses in slot order
         and ``lost`` counts its slots whose feedback never arrived.  This is
         bitwise-identical to the per-slot :meth:`observe` /
-        :meth:`observe_lost` calls on a freshly opened block, in any
-        interleaving that keeps the observed losses in slot order: the loss
-        sum accumulates left to right as Python floats, the block closes
-        (folding into the estimator) on ``observed + lost``, an all-lost
-        block folds nothing, and :attr:`feedback_losses` grows by ``lost``.
-        Because this replaces the per-slot ``select`` calls too, it also
-        accounts the block's slots in :attr:`selection_counts`.  Batch
-        drivers pair it with :meth:`open_block_with`; a block that already
-        received partial per-slot feedback must finish through
-        :meth:`observe`.
+        :meth:`observe_lost` calls over those slots, and pieces mix with
+        such calls on the same block: the loss sum keeps accumulating left
+        to right as Python floats, :attr:`feedback_losses` grows by ``lost``
+        and, because a piece replaces the per-slot ``select`` calls too,
+        :attr:`selection_counts` by the piece's length.  The block closes
+        (folding into the estimator) once its observed plus lost slots reach
+        its length, and an all-lost block folds nothing.  A piece that
+        overruns the block raises ``ValueError``.  Batch drivers pair it
+        with :meth:`open_block_with`.
         """
         if block > self._latest_block:
             raise RuntimeError(f"observed block {block} before it was opened")
         record = self._open.get(block)
-        if record is None or record.observed or record.lost:
-            raise RuntimeError(
-                f"block {block} already has slot feedback; finish it through "
-                "observe()"
-            )
-        if lost < 0 or len(slot_losses) + lost != record.length:
+        if record is None:
+            raise RuntimeError(f"block {block} already received all its losses")
+        size = len(slot_losses) + lost
+        if lost < 0 or record.observed + record.lost + size > record.length:
             raise ValueError(
-                f"block {block} spans {record.length} slots, got "
+                f"block {block} spans {record.length} slots, "
+                f"{record.observed + record.lost} seen, got "
                 f"{len(slot_losses)} losses and {lost} lost slots"
             )
         total = record.loss_sum
@@ -258,11 +263,12 @@ class OnlineModelSelection(SelectionPolicy):
                 raise ValueError(f"loss must be finite, got {loss!r}")
             total += float(loss)
         record.loss_sum = total
-        record.observed = len(slot_losses)
-        record.lost = lost
+        record.observed += len(slot_losses)
+        record.lost += lost
         self.feedback_losses += lost
-        self._selection_counts[record.model] += record.length
-        self._close_block(record)
+        self._selection_counts[record.model] += size
+        if record.observed + record.lost == record.length:
+            self._close_block(record)
 
     def observe(self, t: int, model: int, loss: float) -> None:
         """Accumulate a (possibly delayed) slot loss into its block (line 7)."""
@@ -344,28 +350,22 @@ class OnlineModelSelection(SelectionPolicy):
 BlockOpening = tuple[int, OnlineModelSelection, int, int]
 
 
-def block_openings(policies: list, *, by_slot: bool) -> dict[int, list[BlockOpening]]:
-    """Every block opening of the plain Algorithm-1 edges, grouped for batching.
+def block_openings(policies: list) -> dict[int, list[BlockOpening]]:
+    """Every block opening of the plain Algorithm-1 edges, grouped by start slot.
 
     Block boundaries are fixed by the Theorem-1 schedule, so every opening
-    and its start slot are known up front.  ``by_slot=False`` groups them
-    into rounds — round ``k`` holds block ``k`` of every edge whose
-    schedule has more than ``k`` blocks; ``by_slot=True`` groups the
-    openings that coincide at a slot.  Each group lists edges in ascending
-    order of their index in ``policies``.  Only exact
-    :class:`OnlineModelSelection` instances participate — subclasses may
-    override the opening logic and fall back to their own ``select``.
+    and its start slot are known up front.  Each group lists the openings
+    that coincide at a slot, edges in ascending order of their index in
+    ``policies``.  Only exact :class:`OnlineModelSelection` instances
+    participate — subclasses may override the opening logic and fall back
+    to their own ``select``.
     """
     groups: dict[int, list[BlockOpening]] = {}
     for i, policy in enumerate(policies):
         if type(policy) is not OnlineModelSelection:
             continue
-        start = 0
-        for block, length in enumerate(policy.schedule.lengths):
-            groups.setdefault(start if by_slot else block, []).append(
-                (i, policy, block, start)
-            )
-            start += int(length)
+        for block, start in enumerate(policy.schedule.starts.tolist()):
+            groups.setdefault(start, []).append((i, policy, block, start))
     return groups
 
 

@@ -23,10 +23,12 @@ mirrors :mod:`repro.faults.plan` — frozen spec dataclasses with stable
 :func:`realize` resolves a plan against a concrete fleet into one
 :class:`WorkerChaos` schedule per worker — a pure function of
 ``(plan, num_workers, horizon, seed)``, so a chaos run is bit-reproducible
-and an empty plan realizes to nothing.  Schedules are keyed by the worker
-indices of the fleet at run start; a respawned worker incarnation inherits
-its predecessor's schedule but only *live* slots trigger injections, so a
-kill consumed before a restart does not re-fire during replay.
+and an empty plan realizes to nothing.  Schedules are keyed by worker
+index; the serve runtime realizes a plan against the largest worker count
+its reconfig plan reaches, so a worker a ``rebalance`` adds gets its
+schedule too.  A respawned worker incarnation inherits its predecessor's
+schedule but only *live* slots trigger injections, so a kill consumed
+before a restart does not re-fire during replay.
 """
 
 from __future__ import annotations
@@ -254,9 +256,12 @@ def realize(
 ) -> dict[int, WorkerChaos]:
     """Resolve ``plan`` into one :class:`WorkerChaos` per targeted worker.
 
-    Deterministic in ``(plan, num_workers, horizon, seed)``; specs naming
-    workers outside ``range(num_workers)`` are ignored (a plan written for
-    a larger fleet stays loadable on a smaller one).
+    Deterministic in ``(plan, num_workers, horizon, seed)``.  Pass the
+    largest worker count the run reaches: :class:`RandomKills` draws one
+    row per worker, so a larger count leaves the other workers' draws
+    unmoved.  Specs naming a worker the run never has (outside
+    ``range(num_workers)``) are still ignored, so a plan written for a
+    larger fleet stays loadable on a smaller one.
     """
     if plan is None or plan.is_empty:
         return {}

@@ -1,19 +1,24 @@
 """The serve runtime: a trading parent over a sharded edge tier.
 
 Topology (one run): the fleet's edges are partitioned contiguously across
-workers.  Each worker runs one **slot loop** on its own asyncio loop: per
-slot it feeds every released slot whose start time has passed from the
+workers.  Each worker runs one **slot loop** on its own asyncio loop.  Each
+iteration feeds every released slot whose start time has passed from the
 stream adapters into the edges' bounded queues (blocking or shedding on
-backpressure), telling its :class:`~repro.sim.kernel.ShardSlotKernel` how
-many events each edge queued; makes one shard step on the edges' slot
-items (the slot's batched block openings, then one columnar pass over a
-clean shard or the per-edge kernel steps); and sends the shard's one-slot
-:class:`~repro.sim.kernel.SlotOutcomes` record.  The parent owns the
+backpressure), then steps the *span* of slots from the current one that
+every edge has queued with one call of its
+:class:`~repro.sim.kernel.ShardSlotKernel` (the columnar Algorithm-1
+engine, or the per-edge kernel steps slot by slot), and sends the span's
+one :class:`~repro.sim.kernel.SlotOutcomes` record in one SLOT frame.  A
+span ends at the run's stop, before a block-mode edge's held burst, at the
+next restart checkpoint, and around a chaos slot, which is stepped alone;
+snapshots and reconfig barriers end it because releases stop there.  Under
+a virtual clock the parent releases one slot at a time, so every span is
+one slot.  The parent owns the
 :class:`~repro.sim.kernel.TradingSlotKernel`, the result arrays, the
 release schedule, and snapshot persistence.  The two sides exchange frames
 (:mod:`repro.serve.frames`): the parent broadcasts slot releases, workers
-report per-slot records, heartbeats prove liveness during long slots, and
-a drain handshake ends the run with the ledger intact.
+report span records, heartbeats prove liveness during long slots, and a
+drain handshake ends the run with the ledger intact.
 
 ``num_workers=0`` is the in-process mode: one inline worker runs as a task
 on an event loop the parent pumps between folds, over an inline link that
@@ -29,7 +34,10 @@ else's.  The parent merges each slot's shard records into one record in
 global edge order, counts its events with array sums, and folds it through
 the :class:`~repro.sim.kernel.SlotAggregator` every simulator path folds
 through too, so a virtual-clock run at any worker count is bit-identical to
-``Simulator.run`` and is locked against the same golden digests.
+``Simulator.run`` and is locked against the same golden digests.  The
+parent splits each span record into its slots on receipt and folds one
+slot per ``fold`` call: a slot folds once every worker has reported it,
+and per-slot folds keep each slot's release-to-fold latency measurable.
 
 Worker death: the parent multiplexes pipe reads and process sentinels in
 one ``multiprocessing.connection.wait`` call, so a crashed worker surfaces
@@ -71,14 +79,16 @@ continues the plan and the whole run's accounting.
 Deterministic chaos: a :class:`~repro.serve.chaos.ChaosPlan` realizes —
 as a pure function of ``(plan, fleet, horizon, seed)`` — into per-worker
 kill/stall/transport-drop schedules that fire inside the workers at exact
-slot boundaries, which is what the soak harness gates recovery on.
+slot boundaries, which is what the soak harness gates recovery on.  It is
+realized against the largest worker count the run's reconfig plan reaches,
+so a kill aimed at a worker a ``rebalance`` adds fires too.
 
 Telemetry: the runtime's tracer holds its counters and five stage-latency
-:class:`~repro.obs.metrics.Timer` histograms.  Workers ship each slot's
-per-edge ``queue_s`` (feed to step) and ``serve_s`` (the shard step's wall
-time over its edge count) lists in its SLOT frame, and the parent folds
-each list into ``serve/stage/queue`` or ``serve/stage/serve`` in one numpy
-pass per frame.  The parent itself records ``serve/stage/trade`` (fold +
+:class:`~repro.obs.metrics.Timer` histograms.  Workers ship one
+``queue_s`` (feed to step) and one ``serve_s`` (the span step's wall time
+over its edge-slots) sample per edge-slot in each SLOT frame, and the
+parent folds each list into ``serve/stage/queue`` or ``serve/stage/serve``
+in one numpy pass per frame.  The parent itself records ``serve/stage/trade`` (fold +
 trading step) and ``serve/stage/slot`` (release to fold) once per folded
 slot, and ``serve/stage/recovery`` (worker death to its first live outcome
 after a supervised restart).  ``GET /metrics`` serves the same summaries
@@ -88,6 +98,7 @@ that ``repro soak`` reports.
 from __future__ import annotations
 
 import asyncio
+import bisect
 import copy
 import multiprocessing
 import os
@@ -317,10 +328,15 @@ async def _worker_async(
             "serve_s": serve_s,
         }
         if has_ingress:
-            rows = zip(record.edge.tolist(), record.shed[:, 0], record.offline[:, 0])
+            # Each slot's requests resolve in slot order: ``slot -> {edge -> payload}``.
             frame["ingress"] = {
-                e: my_adapters[e].resolve_slot(record.t, shed=shed, offline=offline)
-                for e, shed, offline in rows
+                part.t: {
+                    e: my_adapters[e].resolve_slot(part.t, shed=shed, offline=offline)
+                    for e, shed, offline in zip(
+                        edges, part.shed[:, 0].tolist(), part.offline[:, 0].tolist()
+                    )
+                }
+                for part in record.split()
             }
         return frame
 
@@ -391,19 +407,19 @@ async def _worker_async(
     next_draw = dict.fromkeys(edges, start)
     held: dict[int, tuple[WorkItem, float]] = {}
 
-    def _feed(t: int) -> None:
+    def _feed(t: int) -> int:
         """Draw every released slot from ``t`` whose start time has passed.
 
         Admission is per edge: ``shed`` turns a burst that does not fit a
         non-empty queue into a zero-weight marker; ``block`` stops drawing
         the edge at that burst and offers it again after the next step.
-        Slot ``t`` is paced already; the shard kernel learns what queued.
+        Slot ``t`` is paced already.  Returns the first slot that some edge
+        has not queued: every edge has queued ``t`` up to it.
         """
         last = min(clock.released, stop - 1)
         while last > t and not clock.started(last):
             last -= 1
         now = loop.time()
-        fed = dict.fromkeys(edges, 0)
         for e in edges:
             queue = queues[e]
             if e in held:
@@ -411,7 +427,6 @@ async def _worker_async(
                 if not queue.put(item, fed_at):
                     continue
                 del held[e]
-                fed[e] += item.count
             adapter = my_adapters[e]
             s = next_draw[e]
             while s <= last:
@@ -420,7 +435,6 @@ async def _worker_async(
                 if trace.enabled:
                     trace.emit(ArrivalEvent(t=item.t, edge=e, count=item.count))
                 if queue.put(item, now, block=not shed_mode):
-                    fed[e] += item.count
                     continue
                 if not shed_mode:
                     held[e] = (item, now)
@@ -429,34 +443,47 @@ async def _worker_async(
                     trace.emit(QueueShedEvent(t=item.t, edge=e, count=item.count))
                 queue.put(WorkItem(t=item.t, count=item.count, shed=True), now)
             next_draw[e] = s
-        shard.feed(list(fed.values()))
+        return min(held[e][0].t if e in held else next_draw[e] for e in edges)
 
     async def _slots() -> None:
         kill_slots = frozenset(chaos.kills) if chaos is not None else frozenset()
         stall_slots = dict(chaos.stalls) if chaos is not None else {}
         drop_slots = dict(chaos.drops) if chaos is not None else {}
-        for t in range(start, stop):
+        # A chaos slot is stepped as a span of its own, so exactly the
+        # slots it names go unreported, stalled or dropped.
+        chaos_slots = sorted(kill_slots | stall_slots.keys() | drop_slots.keys())
+        t = start
+        while t < stop:
             await clock.wait_for_slot(t)
             await clock.pace(t)
-            _feed(t)
-            popped = [queues[e].pop() for e in edges]
+            until = min(_feed(t), stop)
+            if restart_every:
+                until = min(until, (t // restart_every + 1) * restart_every)
+            nearest = bisect.bisect_left(chaos_slots, t)
+            if nearest < len(chaos_slots):
+                until = min(until, max(chaos_slots[nearest], t + 1))
+            popped = [[queues[e].pop() for _ in range(t, until)] for e in edges]
+            counts = np.array(
+                [[item.count for item, _ in row] for row in popped], dtype=np.int64
+            )
+            shed = np.array([[item.shed for item, _ in row] for row in popped])
             began = loop.time()
-            record = shard.step(t, [item for item, _ in popped])
-            serve_s = [(loop.time() - began) / len(edges)] * len(edges)
-            queue_s = [began - fed_at for _, fed_at in popped]
+            record = shard.step(t, counts, shed)
+            serve_s = [(loop.time() - began) / counts.size] * counts.size
+            queue_s = [began - fed_at for row in popped for _, fed_at in row]
             # Ingress resolves before the checkpoint capture below, so
             # restart checkpoints never carry provisional slot stats.
             slot_frame = _slot_frame(record, queue_s, serve_s)
             # Captured before anything hits the wire: releases are capped
             # at the checkpoint boundary, so every shard kernel is
-            # quiescent at state t+1, and a chaos kill below can never
+            # quiescent at state ``until``, and a chaos kill below can never
             # orphan a checkpoint whose slot was not reported.
             state_frame = None
-            if restart_every and (t + 1) % restart_every == 0 and t + 1 < stop:
+            if restart_every and until % restart_every == 0 and until < stop:
                 state_frame = {
                     **_state_frame(),
                     "type": RESTART_STATE,
-                    "next_slot": t + 1,
+                    "next_slot": until,
                 }
             drop = drop_slots.get(t)
             if drop:
@@ -470,13 +497,14 @@ async def _worker_async(
                 # Abrupt, SIGKILL-like death with this slot unreported —
                 # the parent sees a raw EOF and the process sentinel.
                 os._exit(1)
-            if t == stop - 1:
+            if until == stop:
                 # Every edge has stepped its last item: the final queue
                 # stats, so health reports the drain, not a stale beat.
                 slot_frame["queues"] = _queue_report()
             end.send(slot_frame)
             if state_frame is not None:
                 end.send(state_frame)
+            t = until
         if delay and stop == horizon:
             for e in edges:
                 kernels[e].deliver_due(horizon)
@@ -618,8 +646,10 @@ class ShardRuntime:
     always describes this run alone.
 
     ``chaos`` takes a :class:`~repro.serve.chaos.ChaosPlan` realized
-    deterministically against the fleet a run starts with; it kills worker
-    processes, so it needs ``num_workers >= 1``.  ``reconfig`` takes a
+    deterministically against the largest fleet the run reaches; it kills
+    worker processes, so it needs ``num_workers >= 1``.  With
+    ``shard_trace_base``, worker ``w`` writes its events to
+    ``{base}.shard{w}``.  ``reconfig`` takes a
     :class:`~repro.serve.reconfig.ReconfigPlan` applied at slot barriers,
     at any worker count.  A snapshot records the plan, and a run resumed
     from it continues the plan.
@@ -631,7 +661,7 @@ class ShardRuntime:
         *,
         tracer: Tracer | None = None,
         faults: FaultPlan | None = None,
-        shard_trace_paths: Sequence[str | Path] | None = None,
+        shard_trace_base: str | Path | None = None,
         heartbeat_interval: float = 0.5,
         stall_timeout: float = 120.0,
         start_timeout: float = 120.0,
@@ -684,15 +714,8 @@ class ShardRuntime:
         self._active: tuple[int, ...] = tuple(range(self.num_edges))
         self._num_workers = max(config.num_workers, 1)
         self.shards = self._partition(self._active, self._num_workers)
-        if shard_trace_paths is not None and len(shard_trace_paths) != len(
-            self.shards
-        ):
-            raise ValueError(
-                f"{len(shard_trace_paths)} shard trace paths for "
-                f"{len(self.shards)} shards"
-            )
-        self._shard_trace_paths = (
-            [str(p) for p in shard_trace_paths] if shard_trace_paths else None
+        self._shard_trace_base = (
+            None if shard_trace_base is None else str(shard_trace_base)
         )
         self._heartbeat_interval = heartbeat_interval
         self._stall_timeout = stall_timeout
@@ -978,9 +1001,19 @@ class ShardRuntime:
                     self.trading_kernel.rescale_fleet(
                         len(self._active) / self.num_edges
                     )
+        # Chaos targets every worker index the run will have: up to the
+        # largest fleet its reconfig barriers reach.
+        num_shards = len(self.shards)
+        for barrier in self._barriers:
+            active, workers = self._reconfig.fleet_at(
+                capacity=self.num_edges,
+                num_workers=max(self.config.num_workers, 1),
+                upto_slot=barrier,
+            )
+            num_shards = max(num_shards, len(self._partition(active, workers)))
         self._chaos = realize(
             self._chaos_plan,
-            num_workers=len(self.shards),
+            num_workers=num_shards,
             horizon=self.horizon,
             seed=self.config.seed,
         )
@@ -1093,17 +1126,18 @@ class ShardRuntime:
         ]
 
     def _trace_path_for(self, w: int) -> str | None:
-        """The worker's JSONL trace target; respawns get a fresh suffix.
+        """Worker ``w``'s JSONL trace target, ``{base}.shard{w}``, for any ``w``.
 
         :class:`~repro.obs.sinks.JsonlSink` truncates on open, so a
-        respawned incarnation must not reuse its predecessor's file.
+        respawned incarnation (a restart, or a reconfig barrier's new
+        fleet) writes ``{base}.shard{w}.respawnN`` instead.
         """
-        if self._shard_trace_paths is None or w >= len(self._shard_trace_paths):
+        if self._shard_trace_base is None:
             return None
         count = self._spawn_counts.get(w, 0)
         self._spawn_counts[w] = count + 1
-        base = self._shard_trace_paths[w]
-        return base if count == 0 else f"{base}.respawn{count}"
+        path = f"{self._shard_trace_base}.shard{w}"
+        return path if count == 0 else f"{path}.respawn{count}"
 
     def _await_ready(self, handles: list[_Shard]) -> None:
         deadline = time.monotonic() + self._start_timeout
@@ -1180,22 +1214,23 @@ class ShardRuntime:
         kind = frame["type"]
         if kind == SLOT:
             record = frame["record"]
-            t = record.t
-            # A restart's replay replaces the dead incarnation's record.
-            self._pending.setdefault(t, {})[handle.index] = record
+            # Split into slots, each folded once every worker reported it;
+            # a restart's replay replaces the dead incarnation's record.
+            for part in record.split():
+                self._pending.setdefault(part.t, {})[handle.index] = part
+            last = record.t + record.num_slots - 1
             self._last_models[record.edge] = record.model[:, -1]
             if "queues" in frame:
                 self._queue_stats.update(frame["queues"])
-            ingress_payloads = frame.get("ingress")
-            if ingress_payloads:
-                # Stored, not merged: merging happens once at fold time so
-                # a restart replay overwriting this slot cannot double-count.
-                self._pending_ingress.setdefault(t, {}).update(ingress_payloads)
-            handle.last_slot = max(handle.last_slot, t)
+            # Stored, not merged: merging happens once at fold time so a
+            # restart replay overwriting a slot cannot double-count.
+            for t, payloads in frame.get("ingress", {}).items():
+                self._pending_ingress.setdefault(t, {}).update(payloads)
+            handle.last_slot = max(handle.last_slot, last)
             if (
                 handle.restarted
                 and not handle.recovered
-                and t >= handle.live_from
+                and last >= handle.live_from
             ):
                 handle.recovered = True
                 died = self._death_ts.pop(handle.index, None)

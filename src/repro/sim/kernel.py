@@ -15,13 +15,15 @@ floating-point operation order, the serve runtime's virtual-clock mode is
 bit-identical to ``Simulator.run`` by construction (locked by the golden
 digests).
 
-A serve worker steps its shard through :class:`ShardSlotKernel`, one call
-per slot over the shard's edge kernels.  A clean shard of plain
-Algorithm-1 edges runs as one columnar pass that writes the record's
-columns directly and draws each edge's pool indices once per fed run of
-slots; any other shard runs the per-edge :meth:`EdgeSlotKernel.step`
-loop, which stays the reference.  :meth:`SlotOutcomes.from_columns` prices
-the columnar pass's rows and the vectorized path's whole horizon alike.
+:class:`ShardSlotKernel` is the one columnar Algorithm-1 engine: one call
+steps a span of slots ``[a, b)`` of a set of edge kernels and returns the
+span's record.  The vectorized simulator steps its whole horizon as one
+span, and a serve worker each run of released slots.  Over a plain
+Algorithm-1 fleet it draws each edge's pool indices once per span, opens
+the span's blocks in batched rounds and folds each piece of a block with
+one call; any other fleet runs the per-edge :meth:`EdgeSlotKernel.step`
+loop slot by slot, which stays the reference.
+:meth:`SlotOutcomes.from_columns` prices the engine's spans.
 
 State is explicit: each kernel exposes ``state_dict()`` / ``load_state()``
 so a serve snapshot can capture a quiescent slot boundary and a restored
@@ -30,6 +32,7 @@ process can resume mid-horizon without replaying.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from typing import NamedTuple, Sequence, get_type_hints
 
@@ -144,10 +147,10 @@ class SlotOutcomes(namedtuple("SlotOutcomes", EdgeSlotOutcome._fields)):
     The columnar form of :class:`EdgeSlotOutcome` rows, with the same
     fields: ``edge`` holds the rows' edge ids in ascending order, and every
     other field after ``t`` is an ``(edges, slots)`` numpy column.  The
-    scalar loop builds one-slot records from kernel rows, a
-    :class:`ShardSlotKernel` writes its one-slot record column by column
-    (or from rows on its per-edge body), and the vectorized simulator
-    builds one for the whole horizon from views of its matrices.
+    scalar loop builds one-slot records from kernel rows, and a
+    :class:`ShardSlotKernel` writes a span's record column by column (the
+    whole horizon's, for the vectorized simulator) or, on its per-edge
+    body, concatenates one-slot records.
     """
 
     __slots__ = ()
@@ -172,6 +175,23 @@ class SlotOutcomes(namedtuple("SlotOutcomes", EdgeSlotOutcome._fields)):
         t, *fields = zip(*parts)
         order = np.argsort(np.concatenate(fields[0]))
         return cls(t[0], *(np.concatenate(field)[order] for field in fields))
+
+    @classmethod
+    def concat(cls, parts: Sequence["SlotOutcomes"]) -> "SlotOutcomes":
+        """One record from records of the same edges over consecutive slots."""
+        if len(parts) == 1:
+            return parts[0]
+        columns = zip(*(part[2:] for part in parts))
+        return cls(
+            parts[0].t, parts[0].edge, *(np.concatenate(c, axis=1) for c in columns)
+        )
+
+    def split(self) -> list["SlotOutcomes"]:
+        """The record's one-slot records in slot order; undoes :meth:`concat`."""
+        return [
+            type(self)(self.t + j, self.edge, *(c[:, j : j + 1] for c in self[2:]))
+            for j in range(self.num_slots)
+        ]
 
     @classmethod
     def from_columns(
@@ -334,7 +354,7 @@ class EdgeSlotKernel:
             self.pool_size, self.class_indices,
         )
         profile = self.scenario.profiles[serve]
-        losses = self._sample_losses(profile, idx)
+        losses = self.sample_losses(profile, idx)
         slot_loss = float(losses.mean()) if idx.size else 0.0
         latency = float(self.scenario.latencies[self.edge, serve])
         if serve != model:
@@ -378,9 +398,9 @@ class EdgeSlotKernel:
         exponential backoff.  Initial provisioning never fails, and serving
         the chosen model clears the retry state.  This is the one retry
         machine: :meth:`step` runs it on every online slot of a faulted
-        run, and the vectorized simulator walks it over a block's slots
-        until the block's model first serves.  The caller records the
-        served model as :attr:`previous_model`.
+        run, and the columnar engine (:class:`ShardSlotKernel`) walks it
+        over a block's slots until the block's model first serves.  The
+        caller records the served model as :attr:`previous_model`.
         """
         hosted = self.previous_model
         if hosted >= 0 and model != hosted:
@@ -438,7 +458,7 @@ class EdgeSlotKernel:
             slot, model, loss = pending.pop(0)
             self.policy.observe(slot, model, loss)
 
-    def _sample_losses(self, profile, idx: np.ndarray) -> np.ndarray:
+    def sample_losses(self, profile, idx: np.ndarray) -> np.ndarray:
         """Per-sample losses for the drawn pool indices.
 
         The memoized table lookup is exact; ``live_inference=True``
@@ -479,196 +499,280 @@ class EdgeSlotKernel:
         self.pending_feedback = list(state["pending_feedback"])
 
 
+def _first_serving_slot(
+    kernel: EdgeSlotKernel, model: int, a: int, lo: int, hi: int, idle: np.ndarray
+) -> int:
+    """The first column of ``[lo, hi)`` where the block's ``model`` serves, or ``hi``.
+
+    Column ``j`` is slot ``a + j``.  Walks the edge's download retry machine
+    (:meth:`EdgeSlotKernel.resolve_download`) from the piece's first slot,
+    exactly as the per-edge step runs it on each online slot: a
+    ``retry_wait`` left over from an earlier block or span can delay the
+    switch even where the failure mask has no hit.  Idle (shed or offline)
+    slots leave the retry state untouched, because the step returns before
+    its download logic.  Once the model serves, the rest of the block
+    serves it with no further switch, so the walk stops there.
+    """
+    for j in range(lo, hi):
+        if not idle[j] and kernel.resolve_download(a + j, model) == model:
+            return j
+    return hi
+
+
 class ShardSlotKernel:
-    """One shard's slot step: every edge of the shard in one call per slot.
+    """A set of edges stepped over spans of slots: the columnar Algorithm-1 engine.
 
-    Built over the shard's :class:`EdgeSlotKernel` objects, in ascending
-    edge order, after any ``load_state`` on them: it binds their policies.
-    All state stays in those kernels and their policies, so their
-    ``state_dict``/``load_state`` are the shard's.  Each :meth:`step` first
-    opens every block that starts at the slot with one batched solve
-    (:func:`~repro.core.model_selection.open_blocks`), then runs one of two
-    bodies, chosen once from the kernels:
+    Built over :class:`EdgeSlotKernel` objects in ascending edge order.  All
+    state stays in those kernels and their policies, so their
+    ``state_dict``/``load_state`` are the shard's, and an edge can pass
+    between this class and its own :meth:`EdgeSlotKernel.step` at any slot,
+    mid-block included.  One :meth:`step` call steps the slots ``[a, b)``
+    of every edge and returns their one record: the vectorized simulator
+    steps its whole horizon as one span, a serve worker each run of
+    released slots.  One of two bodies runs, chosen once from the kernels:
 
-    * the *columnar* body, when every policy is exactly
+    * the *engine*, when every policy is exactly
       :class:`~repro.core.model_selection.OnlineModelSelection` and no
-      kernel has a fault injector, an enabled tracer, a label delay, live
-      inference or class-mix draws.  It makes one array pass for the whole
-      shard and writes the record's columns directly, bit for bit what the
-      per-edge steps write, and leaves every kernel and policy in the state
-      they leave.  Pool indices are drawn at :meth:`feed` time, once per
-      edge for every run of slots fed together;
-    * otherwise the per-edge :meth:`EdgeSlotKernel.step` loop, the
-      reference, which draws at each step and delivers due labels right
-      after each edge's step.
+      kernel has an enabled tracer or a label delay.  Theorem-1 block
+      lengths are fixed before the run, so it draws each edge's pool
+      indices for the span with one call (offline slots draw, shed slots
+      do not; class mixes draw slot by slot), opens the span's blocks in
+      rounds — round ``r`` holds each edge's ``r``-th opening, one batched
+      solve (:func:`~repro.core.model_selection.open_blocks`) — and
+      gathers and folds each piece of a block inside the span once
+      (``observe_block``).  An edge's earlier block closes inside the span
+      before its next opening reads the estimator, so the rounds reorder
+      nothing it observes.  Rows follow the step's rules: shed before
+      offline; a shed row draws nothing, records a lost slot, never
+      switches and leaves the retry state alone; an offline row draws,
+      keeps the chosen model and serves nothing; an online row serves the
+      hosted model until a failed download's retry succeeds; zero-arrival
+      and feedback-lost rows record lost slots.  DESIGN.md §10.1 gives the
+      argument for bit equality;
+    * otherwise the per-edge loop, the reference: at each slot of the span,
+      the slot's batched block openings, then each edge's
+      :meth:`EdgeSlotKernel.step`, delivering its due labels right after.
     """
 
     def __init__(self, kernels: Sequence[EdgeSlotKernel]) -> None:
         self.kernels = list(kernels)
         self._edges = np.array([kernel.edge for kernel in self.kernels])
-        self._policies = [kernel.policy for kernel in self.kernels]
-        self._openings = block_openings(self._policies, by_slot=True)
+        policies = [kernel.policy for kernel in self.kernels]
         self.columnar = all(
             type(kernel.policy) is OnlineModelSelection
-            and kernel.injector is None
             and not kernel.tracer.enabled
             and kernel.label_delay == 0
-            and not kernel.live_inference
-            and kernel.class_indices is None
             for kernel in self.kernels
         )
         self._scenario = scenario = self.kernels[0].scenario
-        self._pool_size = self.kernels[0].pool_size
-        self._switch_costs = np.array([kernel.switch_cost for kernel in self.kernels])
-        # Every model's per-sample table end to end: model ``n``'s entry
-        # for pool index ``k`` sits at ``n * pool_size + k``.
-        self._losses = np.concatenate([p.loss_per_sample for p in scenario.profiles])
-        self._correct = np.concatenate(
-            [p.correct_per_sample for p in scenario.profiles]
-        )
-        # Per edge: the pool indices drawn at feed time, and how many of
-        # them the steps have taken so far.
-        self._drawn = [np.empty(0, dtype=np.int64) for _ in self.kernels]
-        self._taken = [0] * len(self.kernels)
-
-    def feed(self, counts: Sequence[int]) -> None:
-        """Draw the pool indices of the events just queued on each edge.
-
-        ``counts`` holds, aligned with :attr:`kernels`, how many events
-        were queued on each edge for steps to come; shed markers count
-        none.  The columnar body draws each edge's events with one
-        ``integers`` call on its data stream, and its steps take them in
-        FIFO order.  One call for ``a + b`` indices returns the ``a`` and
-        ``b`` of two per-slot calls, concatenated, and leaves the stream in
-        the same state, so each edge sees exactly the per-slot draws.  The
-        per-edge body draws at its steps and ignores this.
-        """
         if not self.columnar:
+            # The per-edge loop binds the policies it opens blocks for.
+            self._openings = block_openings(policies)
             return
-        for i, count in enumerate(counts):
-            if count:
-                kernel = self.kernels[i]
-                fresh = kernel.data_rng.integers(0, kernel.pool_size, size=count)
-                drawn, taken = self._drawn[i], self._taken[i]
-                if taken < drawn.size:
-                    fresh = np.concatenate((drawn[taken:], fresh))
-                self._drawn[i] = fresh
-                self._taken[i] = 0
+        # Each edge's block boundaries: block ``k`` is ``[bounds[k], bounds[k + 1])``.
+        self._bounds = [
+            [*policy.schedule.starts.tolist(), scenario.horizon] for policy in policies
+        ]
+        self._faulted = [
+            kernel.injector is not None and kernel.injector.has_edge_faults
+            for kernel in self.kernels
+        ]
+        self._switch_costs = np.array([kernel.switch_cost for kernel in self.kernels])
+        self._latency_rows = [
+            scenario.latencies[kernel.edge].tolist() for kernel in self.kernels
+        ]
+        self._loss_tables = [p.loss_per_sample for p in scenario.profiles]
+        self._correct_tables = [p.correct_per_sample for p in scenario.profiles]
+        # Draws are held in the smallest dtype that indexes the pool.
+        self._index_dtype = np.min_scalar_type(self.kernels[0].pool_size - 1)
 
     def state_dicts(self) -> dict[int, dict[str, object]]:
-        """Each edge kernel's ``state_dict``, keyed by edge.
-
-        Raises ``RuntimeError`` when an edge still holds draws fed but not
-        yet stepped: its data stream would be captured ahead of its kernel.
-        The serve tier captures state only at quiescent slot boundaries,
-        where every fed event has been stepped.
-        """
-        held = [
-            kernel.edge
-            for kernel, drawn, taken in zip(self.kernels, self._drawn, self._taken)
-            if taken < drawn.size
-        ]
-        if held:
-            raise RuntimeError(
-                f"edges {held} hold pool draws fed but not stepped; "
-                "their state can only be captured at a quiescent slot boundary"
-            )
+        """Each edge kernel's ``state_dict``, keyed by edge."""
         return {kernel.edge: kernel.state_dict() for kernel in self.kernels}
 
-    def step(self, t: int, items: Sequence) -> SlotOutcomes:
-        """Step every edge through slot ``t``; return the shard's one-slot record.
+    def step(self, a: int, counts: np.ndarray, shed: np.ndarray) -> SlotOutcomes:
+        """Step every edge through the slots from ``a``; return the span's record.
 
-        ``items`` holds each edge's work for the slot, aligned with
-        :attr:`kernels`: anything with ``count`` and ``shed``, such as a
-        serve :class:`~repro.serve.queues.WorkItem`.
+        ``counts`` and ``shed`` are ``(edges, slots)`` arrays aligned with
+        :attr:`kernels`: each edge-slot's arrivals, and whether its payload
+        was shed at the queue.  The record covers ``counts.shape[1]`` slots.
         """
-        group = self._openings.get(t)
-        if group is not None:
-            open_blocks(group)
         if self.columnar:
-            return self._step_columns(t, items)
-        rows = []
-        for kernel, item in zip(self.kernels, items):
-            rows.append(kernel.step(t, item.count, shed=item.shed))
-            if kernel.label_delay:
-                kernel.deliver_due(t - kernel.label_delay)
-        return SlotOutcomes.from_rows(rows)
+            return self._engine(a, counts, shed)
+        records = []
+        for t, row, marks in zip(range(a, a + counts.shape[1]), counts.T, shed.T):
+            group = self._openings.get(t)
+            if group is not None:
+                open_blocks(group)
+            outcomes = []
+            for kernel, count, mark in zip(self.kernels, row.tolist(), marks.tolist()):
+                outcomes.append(kernel.step(t, count, shed=mark))
+                if kernel.label_delay:
+                    kernel.deliver_due(t - kernel.label_delay)
+            records.append(SlotOutcomes.from_rows(outcomes))
+        return SlotOutcomes.concat(records)
 
-    def _step_columns(self, t: int, items: Sequence) -> SlotOutcomes:
-        """The columnar body: the per-edge steps of a clean shard in one pass.
-
-        A shed row draws nothing, records a lost slot, costs zero and never
-        switches.  Any other row serves its block's model and may switch;
-        with zero arrivals it pays only the switch, and records a lost slot
-        too.  Slot losses are ``np.add.reduce`` over each edge's contiguous
-        segment of one shard-wide gather, divided by the count: the same
-        pairwise sum, over the same values, as the step's ``mean``.
-        Correct counts sum 0/1 indicators, exact integers in any order, so
-        one ``reduceat`` over the non-empty segments gives them.  Each
-        policy's own ``select`` and ``observe``/``observe_lost`` keep its
-        Algorithm-1 bookkeeping, as in the per-edge step.
-        """
-        kernels = self.kernels
-        policies = self._policies
-        models = [policy.select(t) for policy in policies]
-        counts = [item.count for item in items]
-        shed = [item.shed for item in items]
-        switched = [False] * len(kernels)
-        spans = []
-        drawn_rows = []
-        for i, kernel in enumerate(kernels):
-            if shed[i]:
-                continue
-            switched[i] = models[i] != kernel.previous_model
-            kernel.previous_model = models[i]
-            count = counts[i]
-            if count:
-                taken = self._taken[i]
-                drawn = self._drawn[i]
-                if taken + count > drawn.size:
-                    raise RuntimeError(
-                        f"edge {kernel.edge} steps {count} events at slot {t} "
-                        f"but holds {drawn.size - taken} fed draws"
-                    )
-                self._taken[i] = taken + count
-                spans.append(drawn[taken : taken + count])
-                drawn_rows.append(i)
-        model = np.array(models)
-        is_shed = np.array(shed)
-        arrivals = np.array(counts)
-        served = np.where(is_shed, 0, arrivals)
-        slot_loss = np.zeros(len(kernels))
-        correct = np.zeros(len(kernels))
-        if spans:
-            sizes = served[drawn_rows]
-            ends = np.cumsum(sizes)
-            flat = np.repeat(model[drawn_rows] * self._pool_size, sizes)
-            flat += np.concatenate(spans)
-            correct[drawn_rows] = np.add.reduceat(self._correct[flat], ends - sizes)
-            losses = self._losses[flat]
-            reduce_add = np.add.reduce
-            bounds = [0, *ends.tolist()]
-            slot_loss[drawn_rows] = [
-                reduce_add(losses[lo:hi]) / (hi - lo)
-                for lo, hi in zip(bounds, bounds[1:])
-            ]
-        record = SlotOutcomes.from_columns(
-            t, self._edges, self._scenario, self._switch_costs,
-            model=model[:, None], switched=np.array(switched)[:, None],
-            offline=np.zeros((len(kernels), 1), dtype=bool),
-            shed=is_shed[:, None], arrivals=arrivals[:, None],
-            served=served[:, None], slot_loss=slot_loss[:, None],
-            correct=correct[:, None],
+    def _draw(self, kernel: EdgeSlotKernel, counts, shed, total: int) -> np.ndarray:
+        """The edge's pool indices for the span's non-shed slots, in slot order."""
+        if kernel.class_indices is None:
+            if not total:
+                return np.empty(0, dtype=self._index_dtype)
+            draws = kernel.data_rng.integers(0, kernel.pool_size, size=total)
+            return draws.astype(self._index_dtype)
+        parts = [
+            draw_pool_indices(
+                self._scenario, kernel.edge, count, kernel.data_rng,
+                kernel.pool_size, kernel.class_indices,
+            )
+            for count, gone in zip(counts.tolist(), shed.tolist())
+            if not gone
+        ]
+        return np.concatenate([np.empty(0, dtype=int), *parts]).astype(
+            self._index_dtype
         )
-        feedback = (record.slot_loss + record.latency)[:, 0].tolist()
-        for policy, model, loss, seen in zip(
-            policies, models, feedback, (served > 0).tolist()
-        ):
-            if seen:
-                policy.observe(t, model, loss)
-            else:
-                policy.observe_lost(t, model)
-        return record
+
+    def _engine(self, a: int, counts: np.ndarray, shed: np.ndarray) -> SlotOutcomes:
+        """The columnar body: every edge's pieces of blocks in the span."""
+        kernels = self.kernels
+        num_edges, width = counts.shape
+        b = a + width
+        offline = feedback_lost = None
+        if any(self._faulted):
+            offline = np.zeros((num_edges, width), dtype=bool)
+            feedback_lost = np.zeros((num_edges, width), dtype=bool)
+            for i, kernel in enumerate(kernels):
+                if self._faulted[i]:
+                    offline[i] = kernel.injector.offline_mask[a:b, kernel.edge]
+                    feedback_lost[i] = kernel.injector.feedback_lost_mask[
+                        a:b, kernel.edge
+                    ]
+            # Shed is checked before offline: a shed row is not offline.
+            offline &= ~shed
+        idle = shed if offline is None else shed | offline
+        # Columns without draws (shed, or no arrivals), and columns with no
+        # loss to observe (those, offline ones and dropped feedback).
+        empty = shed | (counts == 0)
+        unheard = empty if offline is None else empty | offline | feedback_lost
+        idle_rows, sparse, deaf = (
+            mask.any(axis=1).tolist() for mask in (idle, empty, unheard)
+        )
+        # Column ``j`` of edge ``i``'s draws is ``offsets[i, j]:offsets[i, j + 1]``.
+        offsets = np.zeros((num_edges, width + 1), dtype=np.int64)
+        np.cumsum(np.where(shed, 0, counts), axis=1, out=offsets[:, 1:])
+        draws = [
+            self._draw(kernel, counts[i], shed[i], int(offsets[i, -1]))
+            for i, kernel in enumerate(kernels)
+        ]
+        model = np.empty((num_edges, width), dtype=np.int64)
+        switched = np.zeros((num_edges, width), dtype=bool)
+        slot_loss = np.zeros((num_edges, width))
+        correct = np.zeros((num_edges, width))
+        profiles = self._scenario.profiles
+        loss_tables, correct_tables = self._loss_tables, self._correct_tables
+        # ``np.add.reduce`` is the routine inside ``ndarray.sum``/``mean``
+        # minus layers of Python wrapper.
+        reduce_add = np.add.reduce
+
+        def fill(i: int, n: int, lo: int, hi: int) -> None:
+            """Edge ``i``'s slot losses and correct counts over columns ``[lo, hi)``.
+
+            Model ``n`` serves them.  A slot loss is ``np.add.reduce`` over
+            the slot's contiguous slice of one gather, divided by the count:
+            the step's ``mean``, the same pairwise sum over the same values.
+            Correct counts sum 0/1 indicators, exact integers in any order,
+            so ``reduceat`` gives them.  Offline columns are computed too and
+            zeroed with the span, except under live inference, whose forward
+            passes are worth skipping.
+            """
+            bounds = offsets[i, lo : hi + 1]
+            base, stop = int(bounds[0]), int(bounds[-1])
+            if stop == base:
+                return
+            # Gathers index fastest with intp: widen the piece's draws once.
+            idx = draws[i][base:stop].astype(np.intp)
+            cuts = bounds - base
+            points = cuts.tolist()
+            row_loss, row_correct = slot_loss[i], correct[i]
+            kernel = kernels[i]
+            if kernel.live_inference:
+                for j, s, e in zip(range(lo, hi), points, points[1:]):
+                    if e > s and not idle[i, j]:
+                        sample = idx[s:e]
+                        losses = kernel.sample_losses(profiles[n], sample)
+                        row_loss[j] = reduce_add(losses) / losses.size
+                        row_correct[j] = reduce_add(correct_tables[n][sample])
+                return
+            filled, starts = slice(None), cuts[:-1]
+            if sparse[i]:
+                # Columns without draws keep their zeros.
+                filled = cuts[1:] > starts
+                starts = starts[filled]
+            row_correct[lo:hi][filled] = np.add.reduceat(correct_tables[n][idx], starts)
+            losses = loss_tables[n][idx]
+            row_loss[lo:hi] = [
+                reduce_add(losses[s:e]) / (e - s) if e > s else 0.0
+                for s, e in zip(points, points[1:])
+            ]
+
+        def piece(i: int, block: int, m: int, lo: int, hi: int) -> None:
+            """Step edge ``i`` over columns ``[lo, hi)`` of ``block``, hosting ``m``."""
+            kernel = kernels[i]
+            hosted = kernel.previous_model
+            first = lo
+            if self._faulted[i]:
+                first = _first_serving_slot(kernel, m, a, lo, hi, idle[i])
+            elif idle_rows[i]:
+                online = np.flatnonzero(~idle[i, lo:hi])
+                first = lo + int(online[0]) if online.size else hi
+            model[i, lo:hi] = m
+            if first > lo and hosted >= 0:
+                # Until ``first`` an online slot still serves the hosted
+                # model; an idle slot keeps the chosen one.
+                model[i, lo:first] = np.where(idle[i, lo:first], m, hosted)
+                fill(i, hosted, lo, first)
+            if first < hi:
+                # A switch is measured against the last *served* model.
+                kernel.previous_model = m
+                switched[i, first] = m != hosted
+                fill(i, m, first, hi)
+            observed = slot_loss[i, first:hi] + self._latency_rows[i][m]
+            if deaf[i]:
+                observed = observed[~unheard[i, first:hi]]
+            feedback = observed.tolist()
+            kernel.policy.observe_block(block, feedback, lost=hi - lo - len(feedback))
+
+        rounds: list[list] = []
+        for i, kernel in enumerate(kernels):
+            bounds = self._bounds[i]
+            block = bisect_right(bounds, a) - 1
+            if bounds[block] < a:
+                # The block open at ``a`` was opened by an earlier step.
+                end = min(bounds[block + 1], b)
+                piece(i, block, kernel.policy.block_model(block), 0, end - a)
+                block += 1
+            for r, k in enumerate(range(block, bisect_left(bounds, b))):
+                if r == len(rounds):
+                    rounds.append([])
+                rounds[r].append((i, kernel.policy, k, bounds[k]))
+        for group in rounds:
+            for m, (i, _, k, start) in zip(open_blocks(group), group):
+                end = min(self._bounds[i][k + 1], b)
+                piece(i, k, m, start - a, end - a)
+        served = np.where(idle, 0, counts) if any(idle_rows) else counts
+        if offline is not None:
+            slot_loss[offline] = 0.0
+            correct[offline] = 0.0
+        # Pricing reads neither the draws nor the masks: free them before
+        # it allocates.
+        del draws, offsets, idle, empty, unheard, feedback_lost
+        never = np.broadcast_to(False, counts.shape)
+        return SlotOutcomes.from_columns(
+            a, self._edges, self._scenario, self._switch_costs,
+            model=model, switched=switched,
+            offline=never if offline is None else offline,
+            shed=shed, arrivals=counts, served=served, slot_loss=slot_loss,
+            correct=correct,
+        )
 
 
 class TradingSlotKernel:

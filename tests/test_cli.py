@@ -393,6 +393,35 @@ class TestServeResume:
         assert self.table_rows(resumed, *names) == rows
 
 
+class TestServeTraceLogs:
+    def test_workers_a_rebalance_adds_write_their_own_logs(self, capsys, tmp_path):
+        # One worker at first, three after the slot-8 rebalance: every
+        # worker index writes ``LOG.shard<w>`` (a respawn ``.respawnN``), so
+        # the replay of all the logs counts all 3 x 16 arrivals.
+        plan = tmp_path / "rebalance.json"
+        plan.write_text(
+            '{"reconfig": [{"kind": "rebalance", "at": 8, "num_workers": 3}]}'
+        )
+        log = tmp_path / "tr.jsonl"
+        assert main([
+            "serve", "--edges", "3", "--horizon", "16", "--workers", "1",
+            "--reconfig", str(plan), "--trace-output", str(log),
+        ]) == 0
+        shard_logs = sorted(p.name for p in tmp_path.glob("tr.jsonl.shard*"))
+        assert shard_logs == [
+            "tr.jsonl.shard0", "tr.jsonl.shard0.respawn1",
+            "tr.jsonl.shard1", "tr.jsonl.shard2",
+        ]
+        capsys.readouterr()
+        assert main([
+            "trace", "--replay", str(log), *(str(tmp_path / n) for n in shard_logs)
+        ]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row for row in rows if row[:1] == ["arrival"]] == [
+            ["arrival", "|", "48"]
+        ]
+
+
 class TestExperimentFaultsPassthrough:
     def test_faults_reach_the_engine(self, tmp_path, monkeypatch):
         from repro.experiments import run_all

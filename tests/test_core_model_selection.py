@@ -182,7 +182,7 @@ class TestObserveBlock:
         assert policy.selection_counts[model] == length
         assert policy.pending_blocks == 0
 
-    @pytest.mark.parametrize("extra_losses,lost", [(1, 0), (-1, 0), (1, -1)])
+    @pytest.mark.parametrize("extra_losses,lost", [(1, 0), (1, -1)])
     def test_length_mismatch_raises(self, extra_losses, lost):
         policy = OnlineModelSelection(3, 40, 1.0, np.random.default_rng(4))
         self.open_next(policy, 0, 0)
@@ -190,6 +190,70 @@ class TestObserveBlock:
         with pytest.raises(ValueError, match="spans"):
             policy.observe_block(0, [1.0] * (length + extra_losses), lost=lost)
         assert policy.pending_blocks == 1
+
+    def test_a_short_piece_leaves_the_block_open(self):
+        policy = OnlineModelSelection(3, 40, 1.0, np.random.default_rng(4))
+        lengths = policy.schedule.lengths.tolist()
+        block = next(k for k, length in enumerate(lengths) if length >= 3)
+        for k in range(block):  # earlier blocks, whole and all lost
+            self.open_next(policy, k, sum(lengths[:k]))
+            policy.observe_block(k, [], lost=lengths[k])
+        model = self.open_next(policy, block, sum(lengths[:block]))
+        length = lengths[block]
+        counted = policy.selection_counts[model]
+        policy.observe_block(block, [1.0] * (length - 2), lost=1)
+        assert policy.pending_blocks == 1
+        assert not policy.cumulative_estimates().any()
+        assert policy.selection_counts[model] == counted + length - 1
+        with pytest.raises(ValueError, match="spans"):
+            policy.observe_block(block, [1.0], lost=1)  # one slot too many
+        policy.observe_block(block, [2.0])
+        assert policy.pending_blocks == 0
+        assert policy.cumulative_estimates().any()
+
+    def test_pieces_mix_with_per_slot_calls(self):
+        # Per-slot calls, then pieces, then per-slot calls again inside each
+        # block, against per-slot calls throughout.
+        horizon = 80
+        pieces, slotwise = (
+            OnlineModelSelection(4, horizon, 1.5, np.random.default_rng(21))
+            for _ in range(2)
+        )
+        gen = np.random.default_rng(9)
+        t = 0
+        for block, length in enumerate(pieces.schedule.lengths.tolist()):
+            losses = gen.uniform(0.0, 3.0, size=length).tolist()
+            lost = (gen.random(length) < 0.3).tolist()
+            for s in range(length):
+                model = slotwise.select(t + s)
+                if lost[s]:
+                    slotwise.observe_lost(t + s, model)
+                else:
+                    slotwise.observe(t + s, model, losses[s])
+            cuts = sorted({0, length, *gen.integers(0, length + 1, size=3).tolist()})
+            for k, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                if k % 2:
+                    for s in range(lo, hi):
+                        model = pieces.select(t + s)
+                        if lost[s]:
+                            pieces.observe_lost(t + s, model)
+                        else:
+                            pieces.observe(t + s, model, losses[s])
+                    continue
+                if lo == 0:
+                    self.open_next(pieces, block, t)
+                heard = [x for x, gone in zip(losses[lo:hi], lost[lo:hi]) if not gone]
+                pieces.observe_block(block, heard, lost=hi - lo - len(heard))
+            t += length
+            assert pieces.cumulative_estimates().tobytes() == (
+                slotwise.cumulative_estimates().tobytes()
+            )
+            assert pieces.feedback_losses == slotwise.feedback_losses
+            np.testing.assert_array_equal(
+                pieces.selection_counts, slotwise.selection_counts
+            )
+            assert pieces.pending_blocks == slotwise.pending_blocks == 0
+        assert t == horizon
 
 
 def drive_delayed(policy, slots, delay, pending, log, *, flush=False):
@@ -351,7 +415,7 @@ class TestPickledState:
             policy.observe_lost(0, (model + 1) % 3)
         with pytest.raises(RuntimeError, match="already received"):
             policy.observe_lost(0, model)
-        with pytest.raises(RuntimeError, match="already has slot feedback"):
+        with pytest.raises(RuntimeError, match="already received"):
             policy.observe_block(0, [1.0])
         with pytest.raises(RuntimeError, match="before it was opened"):
             policy.observe_block(1, [1.0])

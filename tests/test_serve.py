@@ -52,6 +52,19 @@ from repro.spec import RunSpec
 from tests.test_golden_digests import GOLDEN_DIGESTS, SCENARIO_CONFIGS
 
 
+#: Every fault kind at once: offline, feedback-lost and failed-download
+#: edge-slots, plus market outages and trade rejections.
+FIVE_FAULTS = FaultPlan(
+    (
+        EdgeOutage(edge=0, start=10, end=20),
+        FeedbackLoss(0.1),
+        DownloadFailure(0.2),
+        MarketOutage(15, 25),
+        TradeRejection(0.1),
+    )
+)
+
+
 def serve_config(scenario_name="A", seed=0, **overrides):
     return ServeConfig(
         scenario=SCENARIO_CONFIGS[scenario_name],
@@ -310,7 +323,7 @@ class TestShardedParity:
     def test_in_process_workers_trace_into_the_parent(self):
         # num_workers=0 steps the edges on the parent's own loop, so their
         # events land in the parent's tracer; worker processes keep theirs
-        # (merge them from shard_trace_paths instead).
+        # (merge them from the shard_trace_base logs instead).
         inline, sharded = Tracer(), Tracer()
         ShardRuntime(serve_config("A", 0), tracer=inline).run()
         ShardRuntime(
@@ -334,29 +347,63 @@ class TestShardedParity:
         ],
     )
     def test_shards_the_columnar_step_declines_match_the_simulator(
-        self, selection, faulted, workers
+        self, selection, faulted, workers, monkeypatch
     ):
-        # A fault plan or a policy other than plain Algorithm 1 sends the
-        # shard step down its per-edge body, which must stay bit-identical
-        # to the simulator at any worker count.
+        # A fault plan runs on the columnar engine and a policy other than
+        # plain Algorithm 1 on the per-edge body; each must stay
+        # bit-identical to the simulator at any worker count.
+        from repro.sim.kernel import EdgeSlotKernel
         from repro.sim.scenario import build_scenario
         from repro.sim.simulator import Simulator
 
-        plan = FaultPlan(
-            (
-                EdgeOutage(edge=0, start=10, end=20),
-                FeedbackLoss(0.1),
-                DownloadFailure(0.2),
-                MarketOutage(15, 25),
-                TradeRejection(0.1),
-            )
-            if faulted
-            else ()
-        )
+        steps = []
+        step = EdgeSlotKernel.step
+
+        def counted(kernel, *args, **kwargs):
+            steps.append(kernel.edge)
+            return step(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(EdgeSlotKernel, "step", counted)
+
+        plan = FIVE_FAULTS if faulted else FaultPlan()
         spec = RunSpec(selection=selection, seed=0, label="Ours-Ours", faults=plan)
         expected = Simulator.from_spec(build_scenario(SCENARIO_CONFIGS["A"]), spec)
         config = serve_config("A", 0, selection=selection, num_workers=workers)
         served = ShardRuntime(config, faults=plan, heartbeat_interval=0.05).run()
+        if workers == 0:
+            # The in-process worker's steps are this process's.
+            assert (steps == []) == (selection == "Ours")
+        assert result_digest(served) == result_digest(expected.run(vectorized=False))
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    @pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+    def test_pipelined_spans_match_the_simulator(self, faulted, workers, monkeypatch):
+        # Under the wall clock the parent releases up to 8 slots ahead and a
+        # worker steps each run of queued slots as one span of the engine.
+        from repro.sim.kernel import ShardSlotKernel
+        from repro.sim.scenario import build_scenario
+        from repro.sim.simulator import Simulator
+
+        spans = []
+        step = ShardSlotKernel.step
+
+        def recorded(shard, a, counts, shed):
+            spans.append(range(a, a + counts.shape[1]))
+            return step(shard, a, counts, shed)
+
+        monkeypatch.setattr(ShardSlotKernel, "step", recorded)
+        plan = FIVE_FAULTS if faulted else FaultPlan()
+        config = serve_config(
+            "A", 0, num_workers=workers, virtual_clock=False, slot_duration=0.0,
+            pipeline_depth=8, backpressure="block",
+        )
+        served = ShardRuntime(config, faults=plan, heartbeat_interval=0.05).run()
+        if workers == 0:
+            # The in-process worker's spans are this process's.
+            assert max(len(span) for span in spans) > 1
+            assert [t for span in spans for t in span] == list(range(served.horizon))
+        spec = RunSpec(seed=0, label="Ours-Ours", faults=plan)
+        expected = Simulator.from_spec(build_scenario(SCENARIO_CONFIGS["A"]), spec)
         assert result_digest(served) == result_digest(expected.run())
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -725,19 +772,17 @@ class TestWorkerFailures:
     def test_state_capture_with_buffered_draws_fails_the_run(
         self, capture, tmp_path, monkeypatch
     ):
-        # Release capping leaves no fed draw unstepped at a state capture.
-        # If one were, the worker's STATE answer must end it with an ERROR
+        # A worker whose STATE answer fails must end the run with an ERROR
         # the parent raises, not leave the parent waiting on a worker that
-        # still sends heartbeats.
+        # still sends heartbeats.  (The shard kernel once refused a capture
+        # while it held buffered draws; any failing capture takes this path.)
         from repro.serve import Rebalance, ReconfigPlan
         from repro.sim.kernel import ShardSlotKernel
 
-        feed = ShardSlotKernel.feed
+        def failing(shard):
+            raise RuntimeError(f"edges {shard._edges.tolist()} cannot be captured")
 
-        def overfed(shard, counts):
-            feed(shard, [counts[0] + 3, *counts[1:]])
-
-        monkeypatch.setattr(ShardSlotKernel, "feed", overfed)
+        monkeypatch.setattr(ShardSlotKernel, "state_dicts", failing)
         if capture == "snapshot":
             config = serve_config(
                 "A", 0, snapshot_every=8, snapshot_path=str(tmp_path / "s.pkl")
@@ -750,7 +795,7 @@ class TestWorkerFailures:
                 heartbeat_interval=0.05,
                 stall_timeout=10.0,
             )
-        with pytest.raises(RuntimeError, match=r"edges \[0\] hold pool draws fed"):
+        with pytest.raises(RuntimeError, match=r"edges \[0, 1, 2\] cannot be captured"):
             runtime.run()
 
     def test_max_slots_validated(self):

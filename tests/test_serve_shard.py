@@ -304,13 +304,16 @@ class TestShardTraceMerge:
         self, tmp_path
     ):
         config = shard_config("B", 1, num_workers=2)
-        shard_logs = [tmp_path / "shard0.jsonl", tmp_path / "shard1.jsonl"]
         parent_log = tmp_path / "parent.jsonl"
         tracer = Tracer([JsonlSink(parent_log)])
         ShardRuntime(
-            config, tracer=tracer, shard_trace_paths=shard_logs, **FAST
+            config, tracer=tracer, shard_trace_base=parent_log, **FAST
         ).run()
         tracer.close()
+        shard_logs = sorted(tmp_path.glob("parent.jsonl.shard*"))
+        assert [log.name for log in shard_logs] == [
+            "parent.jsonl.shard0", "parent.jsonl.shard1"
+        ]
 
         single_log = tmp_path / "single.jsonl"
         single_tracer = Tracer([JsonlSink(single_log)])
@@ -326,13 +329,6 @@ class TestShardTraceMerge:
         merged = dataclasses.replace(merged, events_total=merged.events_total - 2)
         single = dataclasses.replace(single, events_total=single.events_total - 1)
         assert merged == single
-
-    def test_shard_trace_path_count_must_match_shards(self):
-        with pytest.raises(ValueError, match="shards"):
-            ShardRuntime(
-                shard_config("A", 0, num_workers=2),
-                shard_trace_paths=["only-one.jsonl"],
-            )
 
 
 class TestFleetSmoke:
@@ -671,6 +667,30 @@ class TestWorkerRestart:
         # From the second death on, the shard's edge is pinned offline.
         assert (result.selections[13:, 1] == result.selections[12, 1]).all()
 
+    def test_a_kill_reaches_a_worker_a_rebalance_adds(self):
+        # The chaos plan is realized against the largest fleet the run
+        # reaches, so a kill aimed at the second worker of a 1 -> 2 worker
+        # rebalance fires, and the restart heals it.
+        plan = ReconfigPlan((Rebalance(at=8, num_workers=2),))
+        config = shard_config("A", 0, num_workers=1, **RESTART)
+
+        def books(chaos):
+            tracer = Tracer()
+            ShardRuntime(
+                config, tracer=tracer, reconfig=plan, chaos=chaos, **FAST
+            ).run()
+            return tracer.metrics_snapshot()["counters"]
+
+        healed, clean = books(kill_plan(1, 12)), books(None)
+        assert healed["serve/shard_deaths"] == 1
+        assert healed["serve/restarts"] == 1
+        assert healed["serve/events_in"] == (
+            healed["serve/events_served"]
+            + healed.get("serve/events_shed", 0)
+            + healed.get("serve/events_dropped_offline", 0)
+        )
+        assert healed["serve/events_in"] == clean["serve/events_in"]
+
     def test_lifecycle_events_emitted(self):
         from repro.obs import InMemorySink
 
@@ -689,15 +709,15 @@ class TestWorkerRestart:
         assert len(restarts) == 1 and restarts[0].attempt == 1
         assert restarts[0].replay_from <= restarts[0].t
 
-    def test_worker_traceback_travels_to_the_fail_exception(self):
+    def test_worker_traceback_travels_to_the_fail_exception(self, tmp_path):
         # A worker-side crash (a real exception, not a kill) surfaces with
         # the worker's traceback attached under on_worker_death='fail' —
-        # here, worker 1's trace sink points into a nonexistent directory.
+        # here, worker 1's trace log path is taken by a directory.
+        base = tmp_path / "run.jsonl"
+        (tmp_path / "run.jsonl.shard1").mkdir()
         runtime = ShardRuntime(
             shard_config("A", 0, num_workers=3, on_worker_death="fail"),
-            shard_trace_paths=[
-                "/dev/null", "/nonexistent-dir/shard1.jsonl", "/dev/null"
-            ],
+            shard_trace_base=base,
             **FAST,
         )
         with pytest.raises(RuntimeError) as excinfo:

@@ -1,27 +1,35 @@
-"""Parity of the shard slot kernel with the per-edge kernel steps.
+"""Parity of the columnar Algorithm-1 engine with the per-edge kernel steps.
 
-:class:`~repro.sim.kernel.ShardSlotKernel` steps a clean shard of plain
-Algorithm-1 edges in one columnar pass per slot and draws each edge's pool
-indices once per fed run of slots.  Its contract is the per-edge
-reference: every slot's record equal to ``SlotOutcomes.from_rows`` of the
-per-edge :meth:`~repro.sim.kernel.EdgeSlotKernel.step` calls, in values
-and dtypes, and every kernel and policy left in the state those steps
-leave.  Two kernel sets built from one config are bit-identical, so one
-steps through the shard kernel and the other through the reference.
+:class:`~repro.sim.kernel.ShardSlotKernel` steps a set of plain
+Algorithm-1 edges over a span of slots in one call: one pool draw per edge,
+one batched solve per round of block openings, one ``observe_block`` per
+piece of a block.  Its contract is the per-edge reference: the span's record
+equal, slot by slot, to ``SlotOutcomes.from_rows`` of the per-edge
+:meth:`~repro.sim.kernel.EdgeSlotKernel.step` calls, in values and dtypes,
+and every kernel and policy left in the state those steps leave, at any
+partition of the horizon into spans.  Two kernel sets built from one config
+are bit-identical, so one steps through the engine and the other through
+the reference.
 """
 
 from __future__ import annotations
 
 import pickle
-from collections import deque
 
 import numpy as np
 import pytest
 
 from repro.core.model_selection import block_openings, open_blocks
-from repro.faults.plan import FaultPlan, FeedbackLoss
+from repro.faults.plan import (
+    DownloadFailure,
+    EdgeOutage,
+    FaultPlan,
+    FeedbackLoss,
+    MarketOutage,
+    TradeRejection,
+)
 from repro.obs import Tracer
-from repro.serve import ServeConfig, WorkItem
+from repro.serve import ServeConfig
 from repro.serve.runtime import build_serve_kernels
 from repro.sim.config import ScenarioConfig
 from repro.sim.kernel import EdgeSlotKernel, ShardSlotKernel, SlotOutcomes
@@ -37,43 +45,55 @@ CONFIG = ServeConfig(
     seed=4,
 )
 
+#: The five-fault plan of the sharded parity tests, with a second outage
+#: across more block boundaries: offline, feedback-lost and failed-download
+#: rows, plus market faults the edges never see.
+FAULTS = FaultPlan(
+    (
+        EdgeOutage(edge=0, start=10, end=20),
+        EdgeOutage(edge=7, start=3, end=41),
+        FeedbackLoss(0.1),
+        DownloadFailure(0.2),
+        MarketOutage(15, 25),
+        TradeRejection(0.1),
+    )
+)
+
 
 def kernels(config=CONFIG, **kwargs) -> list[EdgeSlotKernel]:
     return build_serve_kernels(config, **kwargs)[2]
 
 
 class PerEdge:
-    """The reference: the slot's batched openings, then one step per edge."""
+    """The reference: each slot's batched openings, then one step per edge."""
 
     def __init__(self, edge_kernels: list[EdgeSlotKernel]) -> None:
         self.kernels = edge_kernels
-        self.openings = block_openings(
-            [kernel.policy for kernel in edge_kernels], by_slot=True
-        )
+        self.openings = block_openings([kernel.policy for kernel in edge_kernels])
 
-    def step(self, t: int, items: list[WorkItem]) -> SlotOutcomes:
+    def step(self, t: int, counts, shed) -> SlotOutcomes:
         if t in self.openings:
             open_blocks(self.openings[t])
-        pairs = zip(self.kernels, items)
+        rows = zip(self.kernels, counts.tolist(), shed.tolist())
         return SlotOutcomes.from_rows(
-            [kernel.step(t, item.count, shed=item.shed) for kernel, item in pairs]
+            [kernel.step(t, count, shed=mark) for kernel, count, mark in rows]
         )
 
 
-def fed_runs(seed: int, start: int = 0, stop: int = HORIZON):
-    """Runs of 1-8 slots: counts 0-9 (about 15% zeros), about 10% shed.
-
-    Each run also says how many of its last slots (0-2) wait for the next
-    feed, as queued slots do in a worker.
-    """
+def workload(seed: int):
+    """Counts 0-9 (about 15% zeros) and about 10% shed rows, ``(edges, slots)``."""
     rng = np.random.default_rng(seed)
-    t = start
-    while t < stop:
-        length = min(int(rng.integers(1, 9)), stop - t)
-        shape = (length, NUM_EDGES)
-        counts = np.where(rng.random(shape) < 0.15, 0, rng.integers(1, 10, shape))
-        yield t, counts, rng.random(shape) < 0.10, min(int(rng.integers(0, 3)), length)
-        t += length
+    shape = (NUM_EDGES, HORIZON)
+    counts = np.where(rng.random(shape) < 0.15, 0, rng.integers(1, 10, shape))
+    return counts, rng.random(shape) < 0.10
+
+
+def partition(seed: int, start: int = 0, stop: int = HORIZON) -> list[tuple[int, int]]:
+    """Random spans tiling ``[start, stop)``, of any length from one slot up."""
+    rng = np.random.default_rng(seed)
+    cuts = np.flatnonzero(rng.random(stop - start - 1) < rng.uniform(0.05, 0.9))
+    bounds = [start, *(start + 1 + cuts).tolist(), stop]
+    return list(zip(bounds, bounds[1:]))
 
 
 def assert_same_record(ours: SlotOutcomes, reference: SlotOutcomes) -> None:
@@ -88,65 +108,81 @@ def assert_same_state(ours: list, reference: list) -> None:
     for a, b in zip(ours, reference):
         assert a.data_rng.bit_generator.state == b.data_rng.bit_generator.state
         assert a.previous_model == b.previous_model
+        assert (a.retry_wait, a.retry_backoff, a.retry_attempts) == (
+            b.retry_wait, b.retry_backoff, b.retry_attempts,
+        )
         pa, pb = a.policy, b.policy
         estimates = pa.cumulative_estimates(), pb.cumulative_estimates()
         assert estimates[0].tobytes() == estimates[1].tobytes()
         assert pa.selection_counts.tolist() == pb.selection_counts.tolist()
         assert pa.feedback_losses == pb.feedback_losses
         assert pa._open == pb._open
+        assert len(pa.probability_history) == len(pb.probability_history)
 
 
-def step_runs(shard: ShardSlotKernel, reference: PerEdge, runs) -> None:
-    """Feed each run at once and step its slots through both bodies.
-
-    Slots a run holds over are stepped after the next run is fed, so
-    earlier draws are still buffered when the next ones are drawn.
-    Records must agree at every slot, and state whenever no slot waits.
-    """
-    waiting: deque = deque()
-
-    def step_until(left: int) -> None:
-        while len(waiting) > left:
-            t, items = waiting.popleft()
-            assert_same_record(shard.step(t, items), reference.step(t, items))
-        if not waiting:
-            assert_same_state(shard.kernels, reference.kernels)
-
-    for start, counts, shed, held_over in runs:
-        shard.feed(np.where(shed, 0, counts).sum(axis=0).tolist())
-        for k, (row, marks) in enumerate(zip(counts.tolist(), shed.tolist())):
-            items = [WorkItem(start + k, n, mark) for n, mark in zip(row, marks)]
-            waiting.append((start + k, items))
-        step_until(held_over)
-    step_until(0)
+def step_spans(engine, reference, counts, shed, spans) -> None:
+    """Step each span through both bodies; compare every slot and the state."""
+    for a, b in spans:
+        record = engine.step(a, counts[:, a:b], shed[:, a:b])
+        assert (record.t, record.num_slots) == (a, b - a)
+        for part, t in zip(record.split(), range(a, b)):
+            assert_same_record(part, reference.step(t, counts[:, t], shed[:, t]))
+        assert_same_state(engine.kernels, reference.kernels)
 
 
 def test_columnar_step_matches_the_per_edge_steps():
-    shard = ShardSlotKernel(kernels())
-    assert shard.columnar
-    step_runs(shard, PerEdge(kernels()), fed_runs(seed=11))
+    for faults in (None, FAULTS):
+        for seed in range(5):
+            counts, shed = workload(seed)
+            spans = [(0, HORIZON)] if seed == 0 else partition(seed)
+            engine = ShardSlotKernel(kernels(faults=faults))
+            assert engine.columnar
+            step_spans(engine, PerEdge(kernels(faults=faults)), counts, shed, spans)
+
+
+def test_the_fault_plan_reaches_every_row_kind():
+    # The parity test is only as strong as its rows: under FAULTS its
+    # workloads hold offline, feedback-lost, retried and shed-while-retrying
+    # rows.
+    offline = lost = retried = shed_while_retrying = 0
+    for seed in range(5):
+        counts, shed = workload(seed)
+        reference = PerEdge(kernels(faults=FAULTS))
+        injector = reference.kernels[0].injector
+        for t in range(HORIZON):
+            waiting = [kernel.retry_wait > 0 for kernel in reference.kernels]
+            shed_while_retrying += int((np.array(waiting) & shed[:, t]).sum())
+            record = reference.step(t, counts[:, t], shed[:, t])
+            served = ~(record.offline | record.shed)[:, 0]
+            offline += int(record.offline.sum())
+            lost += int((injector.feedback_lost_mask[t] & served).sum())
+            retried += sum(kernel.retry_attempts > 0 for kernel in reference.kernels)
+    assert offline and lost and retried and shed_while_retrying
 
 
 def test_state_captured_under_one_body_continues_under_the_other():
-    ours, theirs = kernels(), kernels()
-    shard = ShardSlotKernel(ours)
-    step_runs(shard, PerEdge(theirs), fed_runs(seed=12, stop=29))
-    columnar_states = pickle.dumps(shard.state_dicts())
-    per_edge_states = pickle.dumps([kernel.state_dict() for kernel in theirs])
-    for kernel, state in zip(ours, pickle.loads(per_edge_states)):
-        kernel.load_state(state)
-    for kernel, state in pickle.loads(columnar_states).items():
-        theirs[kernel].load_state(state)
-    step_runs(ShardSlotKernel(ours), PerEdge(theirs), fed_runs(seed=13, start=29))
-
-
-def test_state_capture_refuses_fed_but_unstepped_draws():
-    shard = ShardSlotKernel(kernels())
-    counts = [0] * NUM_EDGES
-    counts[5] = 3
-    shard.feed(counts)
-    with pytest.raises(RuntimeError, match=r"edges \[5\]"):
-        shard.state_dicts()
+    # Cut mid-block: each body's captured state continues under the other,
+    # the engine carrying the open blocks the per-edge steps left, and the
+    # per-edge steps those the engine left.
+    cut = 29
+    for faults in (None, FAULTS):
+        counts, shed = workload(7)
+        ours, theirs = kernels(faults=faults), kernels(faults=faults)
+        engine = ShardSlotKernel(ours)
+        step_spans(engine, PerEdge(theirs), counts, shed, partition(7, stop=cut))
+        assert any(
+            cut not in kernel.policy.schedule.starts.tolist() for kernel in ours
+        )
+        columnar_states = pickle.dumps(engine.state_dicts())
+        per_edge_states = pickle.dumps([kernel.state_dict() for kernel in theirs])
+        for kernel, state in zip(ours, pickle.loads(per_edge_states)):
+            kernel.load_state(state)
+        for edge, state in pickle.loads(columnar_states).items():
+            theirs[edge].load_state(state)
+        step_spans(
+            ShardSlotKernel(ours), PerEdge(theirs), counts, shed,
+            partition(8, start=cut),
+        )
 
 
 @pytest.mark.parametrize(
@@ -155,9 +191,8 @@ def test_state_capture_refuses_fed_but_unstepped_draws():
         lambda: kernels(tracer=Tracer()),
         lambda: kernels(CONFIG.with_overrides(label_delay=2)),
         lambda: kernels(CONFIG.with_overrides(selection="UCB")),
-        lambda: kernels(faults=FaultPlan((FeedbackLoss(0.1),))),
     ],
-    ids=["tracer", "label_delay", "UCB", "faults"],
+    ids=["tracer", "label_delay", "UCB"],
 )
 def test_other_shards_take_the_per_edge_body(build, monkeypatch):
     calls = []
@@ -170,8 +205,18 @@ def test_other_shards_take_the_per_edge_body(build, monkeypatch):
     monkeypatch.setattr(EdgeSlotKernel, "step", counted)
     shard = ShardSlotKernel(build())
     assert not shard.columnar
-    for t in range(6):
-        shard.feed([2] * NUM_EDGES)
-        shard.step(t, [WorkItem(t, 2)] * NUM_EDGES)
-    assert len(calls) == 6 * NUM_EDGES
+    record = shard.step(0, np.full((NUM_EDGES, 6), 2), np.zeros((NUM_EDGES, 6), bool))
+    assert record.num_slots == 6
+    # Slot by slot, each edge in order.
+    assert calls == [(t, e) for t in range(6) for e in range(NUM_EDGES)]
     assert shard.state_dicts().keys() == set(range(NUM_EDGES))
+
+
+def test_faulted_shards_run_the_engine(monkeypatch):
+    calls = []
+    monkeypatch.setattr(EdgeSlotKernel, "step", lambda *args, **kw: calls.append(1))
+    engine = ShardSlotKernel(kernels(faults=FAULTS))
+    assert engine.columnar
+    counts, shed = workload(3)
+    engine.step(0, counts, shed)
+    assert calls == []
