@@ -74,9 +74,16 @@ class ArrivalProcess:
         """
         if horizon <= 0:
             raise ValueError(f"horizon must be positive, got {horizon}")
-        # Tiled trace == [self.mean(t) for t in range(horizon)] (wrap-around).
-        reps = -(-horizon // self._means.size)
-        means = np.tile(self._means, reps)[:horizon]
+        return self.sample_span(0, horizon)
+
+    def sample_span(self, start: int, stop: int) -> np.ndarray:
+        """Draw ``M_i^t`` for slots ``start..stop-1`` in one call.
+
+        Draws as :meth:`sample_slots` does: the stream moves exactly as
+        ``stop - start`` scalar :meth:`sample` calls would move it.
+        """
+        # == [self.mean(t) for t in range(start, stop)] (wrap-around).
+        means = self._means[np.arange(start, stop) % self._means.size]
         return np.maximum(self._rng.poisson(means), 1).astype(np.int64)
 
 

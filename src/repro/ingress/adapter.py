@@ -1,42 +1,44 @@
-"""The aggregation seam: an ingress tier disguised as a stream adapter.
+"""The aggregation seam: an ingress tier disguised as a stream feed.
 
-:class:`IngressAdapter` wraps any
-:class:`~repro.serve.adapters.StreamAdapter` (poisson, replay, shape).
-Per slot it thins the base count into per-SLA-class requests
-(:class:`~repro.ingress.generator.RequestThinner`), routes them through
-the :class:`~repro.ingress.router.IngressRouter`, and hands the runtime a
-plain :class:`~repro.serve.queues.WorkItem` carrying the *released*
-count.  Everything underneath — edge kernels, slot aggregator, sharded
-tier, vectorized fast path — sees ordinary per-slot ``M_i^t`` counts and
-works unchanged.
+:class:`IngressAdapter` is a :class:`~repro.serve.adapters.ColumnFeed`
+over a set of edges, one row per edge: a shard worker's edges, or those
+the serve parent holds after a reconfiguration took them out.  For each
+range of slots it draws, it thins each edge's base column with one
+:meth:`~repro.ingress.generator.RequestThinner.split` call on that edge's
+own stream, then routes the slots in order through one
+:class:`~repro.ingress.router.IngressRouter` over all the rows.  The
+runtime gets the *released* counts; everything underneath (edge kernels,
+slot aggregator, sharded tier) sees ordinary ``M_i^t`` counts.
 
-The adapter also owns the slot-stats lifecycle: ``next_item`` parks the
-router's provisional stats under the slot index, and the runtime calls
-:meth:`IngressAdapter.resolve_slot` with the ``shed`` and ``offline``
-flags of the edge's row once it is known (shed and offline slots turn
-releases into deadline misses).  A shard worker resolves each edge from
-the shed and offline columns of the slot's
-:class:`~repro.sim.kernel.SlotOutcomes` record; the serve parent resolves
-the offline rows of an edge reconfigured out of the fleet, whose router
-it keeps stepping, so the requests parked there still resolve.  During a
-shard worker's silent catch-up the runtime calls
-:meth:`IngressAdapter.discard_slot` instead — queue state advances,
-already-merged stats are not re-reported.
+A draw parks each slot's provisional stats until the runtime resolves
+them with the ``shed`` and ``offline`` columns of the slot's
+:class:`~repro.sim.kernel.SlotOutcomes` record (a shed or offline row
+turns its releases into deadline misses): a shard worker resolves a span
+record into three small arrays summed over its rows
+(:meth:`IngressAdapter.resolve`), the serve parent its reconfigured-out
+rows as offline.  A worker's silent catch-up calls
+:meth:`IngressAdapter.discard_slot` instead: the parent already has
+those stats.  Each edge's state exports and restores per row as
+``{"base", "thinner", "router": {"queues", "fifo", "forecaster"},
+"pending"}``, so checkpoints, reconfig drains and snapshots move edges
+between shards.
 
 Sampled obs events (``request_admit`` / ``request_defer`` /
-``request_drop`` / ``deadline_miss``) are emitted at resolution, only on
-slots where ``t % sample_every == 0`` and the count is nonzero, so event
-volume stays bounded at request scale.
+``request_drop`` / ``deadline_miss``) are emitted at resolution, by slot
+and then by edge, only on slots where ``t % sample_every == 0`` and the
+count is nonzero, so event volume stays bounded at request scale.
 """
 
 from __future__ import annotations
+
+from typing import Mapping
 
 import numpy as np
 
 from repro.ingress.config import IngressConfig
 from repro.ingress.generator import RequestThinner
 from repro.ingress.router import IngressRouter
-from repro.ingress.stats import resolve_payload
+from repro.ingress.stats import Payload, SlotRequests, resolve_payload
 from repro.obs.events import (
     DeadlineMissEvent,
     RequestAdmitEvent,
@@ -44,122 +46,106 @@ from repro.obs.events import (
     RequestDropEvent,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.serve.adapters import StreamAdapter
-from repro.serve.queues import WorkItem
-from repro.sim.scenario import Scenario
+from repro.serve.adapters import ColumnFeed, StreamAdapter
+from repro.sim.kernel import SlotOutcomes
 
-__all__ = ["IngressAdapter", "wrap_with_ingress"]
+__all__ = ["IngressAdapter"]
 
 
-class IngressAdapter(StreamAdapter):
-    """Request-level front end for one edge (see module docstring)."""
-
-    name = "ingress"
+class IngressAdapter(ColumnFeed):
+    """Request-level front end for a set of edges (see module docstring)."""
 
     def __init__(
         self,
-        base: StreamAdapter,
+        adapters: Mapping[int, StreamAdapter],
         *,
-        edge: int,
         config: IngressConfig,
         seed: int,
         horizon: int,
         prices: np.ndarray,
         tracer: Tracer | None = None,
     ) -> None:
-        self.base = base
-        self.edge = int(edge)
+        super().__init__(adapters)
         self.config = config
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.thinner = RequestThinner(seed, edge, config.classes)
-        self.router = IngressRouter(edge, config, horizon)
+        self.thinners = [RequestThinner(seed, e, config.classes) for e in self.edges]
+        self.router = IngressRouter(config, horizon, rows=len(self.edges))
         self._prices = prices
-        self._pending: dict[int, dict[str, object]] = {}
+        self._pending: dict[int, SlotRequests] = {}
 
-    def next_item(self, t: int) -> WorkItem:
-        """Thin and route the base slot count; return the released count."""
-        base_item = self.base.next_item(t)
-        counts = self.thinner.split(base_item.count)
-        released, provisional = self.router.step(t, counts, float(self._prices[t]))
-        self._pending[t] = provisional
-        return WorkItem(t=t, count=released)
+    def draw(self, start: int, stop: int) -> np.ndarray:
+        """Thin and route slots ``start..stop-1``; the released counts per row."""
+        base = super().draw(start, stop)
+        requests = np.zeros((*base.shape, len(self.config.classes)), dtype=np.int64)
+        for row, (thinner, column) in enumerate(zip(self.thinners, base)):
+            requests[row] = thinner.split(column)
+        released = np.empty_like(base)
+        for j, t in enumerate(range(start, stop)):
+            stats = self.router.route(t, requests[:, j], float(self._prices[t]))
+            released[:, j] = stats.released
+            self._pending[t] = stats
+        return released
 
-    def resolve_slot(
-        self, t: int, *, shed: bool = False, offline: bool = False
-    ) -> dict[str, object]:
-        """Finalize slot ``t``'s stats from its row's flags; emits sampled events."""
-        provisional = self._pending.pop(t)
-        payload = resolve_payload(provisional, shed=shed, offline=offline)
+    def resolve_slot(self, t: int, *, shed: np.ndarray, offline: np.ndarray) -> Payload:
+        """Slot ``t`` resolved from its rows' flags, summed; emits sampled events."""
+        totals, per_class, waits = resolve_payload(
+            self._pending.pop(t), shed=shed, offline=offline
+        )
         tracer = self.tracer
         if tracer.enabled and t % self.config.sample_every == 0:
-            edge = self.edge
-            admitted = payload["in"] - payload["dropped"]
-            if admitted:
-                tracer.emit(RequestAdmitEvent(t=t, edge=edge, count=admitted))
-            if payload["deferred"]:
-                tracer.emit(
-                    RequestDeferEvent(t=t, edge=edge, count=payload["deferred"])
-                )
-            if payload["dropped"]:
-                tracer.emit(
-                    RequestDropEvent(t=t, edge=edge, count=payload["dropped"])
-                )
-            if payload["misses"]:
-                tracer.emit(
-                    DeadlineMissEvent(t=t, edge=edge, count=payload["misses"])
-                )
-        return payload
+            for edge, row in zip(self.edges, totals.tolist()):
+                arrived, dropped, _, deferred, _, misses = row
+                admitted = arrived - dropped
+                if admitted:
+                    tracer.emit(RequestAdmitEvent(t=t, edge=edge, count=admitted))
+                if deferred:
+                    tracer.emit(RequestDeferEvent(t=t, edge=edge, count=deferred))
+                if dropped:
+                    tracer.emit(RequestDropEvent(t=t, edge=edge, count=dropped))
+                if misses:
+                    tracer.emit(DeadlineMissEvent(t=t, edge=edge, count=misses))
+        return totals.sum(axis=0), per_class.sum(axis=0), waits.sum(axis=0)
+
+    def resolve(self, record: SlotOutcomes) -> Payload:
+        """A span record's slots resolved in order, stacked on a slot axis."""
+        payloads = [
+            self.resolve_slot(record.t + j, shed=shed, offline=offline)
+            for j, (shed, offline) in enumerate(zip(record.shed.T, record.offline.T))
+        ]
+        totals, per_class, waits = zip(*payloads)
+        width = max(len(w) for w in waits)
+        padded = [np.pad(w, (0, width - len(w))) for w in waits]
+        return np.stack(totals), np.stack(per_class), np.stack(padded)
 
     def discard_slot(self, t: int) -> None:
-        """Drop slot ``t``'s provisional stats (shard catch-up replay)."""
+        """Drop slot ``t``'s parked stats unresolved (shard catch-up replay)."""
         self._pending.pop(t, None)
 
-    def state_dict(self) -> dict[str, object]:
-        """Base-adapter, thinner, and router state in one picklable dict.
+    def state_dict(self) -> dict[int, dict[str, object]]:
+        """Each edge's base-adapter, thinner and router state.
 
-        ``pending`` is serialized defensively; at every quiescent snapshot
-        boundary it is empty (release capping guarantees all released
-        slots resolved before the snapshot).
+        Taken at quiescent boundaries only, where every drawn slot has
+        resolved; ``pending`` stays in the layout, always empty.
         """
+        if self._pending:
+            raise RuntimeError(
+                f"ingress state captured with slots {sorted(self._pending)} unresolved"
+            )
+        bases = super().state_dict()
         return {
-            "base": self.base.state_dict(),
-            "thinner": self.thinner.state_dict(),
-            "router": self.router.state_dict(),
-            "pending": dict(self._pending),
+            e: {
+                "base": bases[e],
+                "thinner": thinner.state_dict(),
+                "router": self.router.state_dict(row),
+                "pending": {},
+            }
+            for row, (e, thinner) in enumerate(zip(self.edges, self.thinners))
         }
 
-    def load_state(self, state: dict[str, object]) -> None:
-        """Restore the state captured by :meth:`state_dict`."""
-        self.base.load_state(state["base"])
-        self.thinner.load_state(state["thinner"])
-        self.router.load_state(state["router"])
-        self._pending = dict(state["pending"])
-
-
-def wrap_with_ingress(
-    adapters: list[StreamAdapter],
-    *,
-    config: IngressConfig,
-    scenario: Scenario,
-    seed: int,
-    tracer: Tracer | None = None,
-) -> list[StreamAdapter]:
-    """Wrap every edge's adapter with the ingress tier.
-
-    Called from :func:`repro.serve.runtime.build_serve_kernels` — the
-    shared determinism seam — so every worker, inline or process, and the
-    parent all hold identically-configured ingress state as a pure function
-    of the serve config.
-    """
-    return [
-        IngressAdapter(
-            base,
-            edge=edge,
-            config=config,
-            seed=seed,
-            horizon=scenario.horizon,
-            prices=scenario.prices.buy,
-            tracer=tracer,
-        )
-        for edge, base in enumerate(adapters)
-    ]
+    def load_state(self, states: Mapping[int, dict[str, object]]) -> None:
+        """Restore the edges in ``states`` from :meth:`state_dict`'s layout."""
+        for e, state in states.items():
+            row = self.edges.index(e)
+            self.adapters[e].load_state(state["base"])
+            self.thinners[row].load_state(state["thinner"])
+            self.router.load_state(state["router"], row)

@@ -1,10 +1,10 @@
 """Request generation by thinning the slot-granular arrival counts.
 
 The ingress tier does not invent a new arrival process: it *thins* the
-count the base stream adapter produced for the slot into per-SLA-class
-request counts with one multinomial draw.  Because a multinomial
-partitions its total exactly, the thinned class counts sum to the base
-count for every slot, every seed, every shape — conservation is exact by
+count the base stream adapter produced for each slot into per-SLA-class
+request counts, with one multinomial draw per edge for a column of slots.
+A multinomial partitions its total exactly, so the class counts sum to
+the base count for every slot, seed and shape: conservation is exact by
 construction, not by test.  The draw comes from the dedicated
 ``ingress-thin-<edge>`` stream (:func:`repro.utils.rng.thinning_stream`),
 so the base arrival/data streams are never perturbed and a
@@ -33,18 +33,17 @@ class RequestThinner:
         self._shares = shares / shares.sum()
         self._rng = thinning_stream(self.seed, self.edge)
 
-    def split(self, count: int) -> np.ndarray:
-        """Class counts for one slot; always sums to ``count`` exactly."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if count == 0:
-            # Draw anyway so every slot consumes the stream exactly once;
-            # the position stays a pure function of the count sequence
-            # (which the base adapter makes deterministic), never of which
-            # code path a quiet slot took.
-            self._rng.multinomial(0, self._shares)
-            return np.zeros(len(self._shares), dtype=int)
-        return self._rng.multinomial(int(count), self._shares)
+    def split(self, counts: int | np.ndarray) -> np.ndarray:
+        """Class counts of one slot, or ``(slots, classes)`` for a column.
+
+        Each slot's classes sum to its count exactly; a negative count
+        raises ``ValueError``.  A column takes one ``multinomial`` call,
+        which draws slot by slot exactly as per-slot calls would, values
+        and final stream state alike.  Quiet slots draw too, so the stream
+        position stays a pure function of the count sequence (which the
+        base adapter makes deterministic).
+        """
+        return self._rng.multinomial(counts, self._shares)
 
     def state_dict(self) -> dict[str, object]:
         """Picklable stream state (for quiescent snapshots)."""

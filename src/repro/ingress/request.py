@@ -1,21 +1,23 @@
-"""The request model: SLA classes and individual requests.
+"""The request model: SLA classes and their deadlines.
 
 Everything below the ingress tier is slot-granular arrival *counts*
-(``M_i^t``); this module is where individual requests exist.  A
-:class:`Request` is immutable and fully determined at arrival: its
-deadline is ``arrival_slot + deadline_slots`` for its class, clamped to
-the last slot of the horizon so every request can always be released
-before the run ends (the accounting equation stays exact by
-construction).  An :class:`SlaClass` describes one service tier: its
-share of the thinned traffic, its deadline budget, its release priority,
-and whether the router may voluntarily defer it to a cheaper slot.
+(``M_i^t``); the ingress tier counts requests per edge, SLA class and
+arrival slot.  A request's deadline is ``arrival_slot + deadline_slots``
+for its class, clamped to the last slot of the horizon so every request
+can always be released before the run ends (the accounting equation
+stays exact by construction).  An :class:`SlaClass` describes one service
+tier: its share of the thinned traffic, its deadline budget, its release
+priority, and whether the router may voluntarily defer it to a cheaper
+slot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Request", "SlaClass", "clamp_deadline"]
+import numpy as np
+
+__all__ = ["SlaClass", "clamp_deadline"]
 
 
 @dataclass(frozen=True)
@@ -59,23 +61,14 @@ class SlaClass:
             )
 
 
-@dataclass(frozen=True)
-class Request:
-    """One inference request flowing through the ingress tier."""
-
-    seq: int
-    edge: int
-    arrival_slot: int
-    sla: str
-    deadline_slot: int
-    priority: int
-
-
-def clamp_deadline(arrival_slot: int, deadline_slots: int, horizon: int) -> int:
+def clamp_deadline(
+    arrival_slot: int | np.ndarray, deadline_slots: int | np.ndarray, horizon: int
+) -> np.ndarray:
     """The effective deadline slot: arrival + budget, clamped into the run.
 
     Clamping to ``horizon - 1`` guarantees the final slot's forced flush
     releases every queued request, which is what makes request accounting
     (``in == served + shed + offline + dropped``) exact at end of run.
+    Arrivals and budgets may be arrays that broadcast together.
     """
-    return min(arrival_slot + deadline_slots, horizon - 1)
+    return np.minimum(np.add(arrival_slot, deadline_slots), horizon - 1)

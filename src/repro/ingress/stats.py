@@ -1,13 +1,12 @@
-"""SLA accounting: per-slot stat payloads and the run-level accumulator.
+"""SLA accounting: per-slot request stats and the run-level accumulator.
 
-Per-slot stats are produced *provisionally* by the router (it cannot know
-whether the slot it released into will actually serve), then **resolved**
-against the shed and offline flags of the edge's row in the slot's
-:class:`~repro.sim.kernel.SlotOutcomes`: if the slot was shed at the work
-queue or the edge was offline, every release that slot becomes a deadline
-miss regardless of timing.  Resolved payloads are plain dicts of ints —
-picklable, mergeable, and safe to ship over the shard frame protocol —
-and :class:`IngressStats` folds any number of them (any edge, any order)
+The router produces each slot's stats *provisionally*, one row per edge
+(:class:`SlotRequests`): it cannot know whether the slot it released into
+will serve.  :func:`resolve_payload` resolves them against the rows' shed
+and offline flags: on a shed or offline row every release becomes a
+deadline miss regardless of timing.  Summed over a shard's rows, a
+resolved slot is three small integer arrays that travel in SLOT frames,
+and :class:`IngressStats` folds any number of them (any shard, any order)
 into run totals.
 
 The run-level accounting identity, checked by ``repro soak --ingress``::
@@ -23,36 +22,63 @@ outcome.
 
 from __future__ import annotations
 
-__all__ = ["IngressStats", "resolve_payload"]
+from typing import NamedTuple
+
+import numpy as np
+
+__all__ = ["IngressStats", "Payload", "SlotRequests", "resolve_payload"]
+
+#: The columns of :attr:`SlotRequests.totals`.
+TOTALS = ("in", "dropped", "released", "deferred", "queued")
+
+#: Resolved stats: totals ``(in, dropped, released, deferred, hits,
+#: misses)``, per-class ``(released, hits)`` and waits, per row or summed.
+Payload = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+class SlotRequests(NamedTuple):
+    """One slot's provisional request stats, one row per edge."""
+
+    #: ``(rows, 5)``: arrived, dropped, released, this slot's arrivals
+    #: still queued (deferred) and all requests queued, per :data:`TOTALS`.
+    totals: np.ndarray
+    #: ``(rows, 2, classes)``: requests released, and released on time.
+    per_class: np.ndarray
+    #: ``(rows, width)``: released requests by the slots they waited.
+    waits: np.ndarray
+
+    @property
+    def released(self) -> np.ndarray:
+        """Requests released per row."""
+        return self.totals[:, 2]
+
+    def row(self, row: int, class_names: tuple[str, ...]) -> dict[str, object]:
+        """One row's stats as a dict of ints (waits listed when nonzero)."""
+        stats: dict[str, object] = dict(zip(TOTALS, self.totals[row].tolist()))
+        released, on_time = self.per_class[row].tolist()
+        stats["per_class"] = {
+            name: [n, hits] for name, n, hits in zip(class_names, released, on_time)
+        }
+        waits = self.waits[row]
+        stats["waits"] = {int(w): int(waits[w]) for w in np.flatnonzero(waits)}
+        return stats
 
 
 def resolve_payload(
-    provisional: dict[str, object], *, shed: bool = False, offline: bool = False
-) -> dict[str, object]:
-    """Finalize one slot's provisional router stats against its row's flags.
+    stats: SlotRequests, *, shed: np.ndarray, offline: np.ndarray
+) -> Payload:
+    """Finalize one slot's provisional stats against its rows' flags.
 
-    A release only counts as a deadline *hit* if the slot actually served
-    (not ``shed``, not ``offline``) **and** the release was on time.
+    A release only counts as a deadline *hit* if its row actually served
+    (neither ``shed`` nor ``offline``) **and** the release was on time.
     """
-    served = not (shed or offline)
-    per_class: dict[str, list[int]] = {}
-    hits = 0
-    for name, (released, on_time) in provisional["per_class"].items():
-        class_hits = on_time if served else 0
-        per_class[name] = [released, class_hits]
-        hits += class_hits
-    released_total = int(provisional["released"])
-    return {
-        "in": int(provisional["in"]),
-        "dropped": int(provisional["dropped"]),
-        "released": released_total,
-        "deferred": int(provisional["deferred"]),
-        "queued": int(provisional["queued"]),
-        "hits": hits,
-        "misses": released_total - hits,
-        "per_class": per_class,
-        "waits": dict(provisional["waits"]),
-    }
+    served = ~(np.asarray(shed) | np.asarray(offline))
+    hits = stats.per_class[:, 1] * served[:, None]
+    total_hits = hits.sum(axis=1)
+    totals = np.column_stack(
+        [stats.totals[:, :4], total_hits, stats.released - total_hits]
+    )
+    return totals, np.stack([stats.per_class[:, 0], hits], axis=1), stats.waits
 
 
 class IngressStats:
@@ -70,29 +96,29 @@ class IngressStats:
         }
         self.waits: dict[int, int] = {}
 
-    def absorb(self, payload: dict[str, object]) -> None:
-        """Fold one resolved slot payload into the run totals."""
-        self.requests_in += payload["in"]
-        self.requests_dropped += payload["dropped"]
-        self.requests_released += payload["released"]
-        self.requests_deferred += payload["deferred"]
-        self.deadline_hits += payload["hits"]
-        self.deadline_misses += payload["misses"]
-        for name, (released, hits) in payload["per_class"].items():
-            bucket = self.per_class[name]
-            bucket["released"] += released
-            bucket["hits"] += hits
-            bucket["misses"] += released - hits
-        for wait, count in payload["waits"].items():
-            wait = int(wait)
-            self.waits[wait] = self.waits.get(wait, 0) + count
+    def absorb(self, payload: Payload) -> None:
+        """Fold one resolved slot payload, summed over rows, into the totals."""
+        totals, per_class, waits = payload
+        requests_in, dropped, released, deferred, hits, misses = totals.tolist()
+        self.requests_in += requests_in
+        self.requests_dropped += dropped
+        self.requests_released += released
+        self.requests_deferred += deferred
+        self.deadline_hits += hits
+        self.deadline_misses += misses
+        for bucket, class_released, class_hits in zip(
+            self.per_class.values(), *per_class.tolist()
+        ):
+            bucket["released"] += class_released
+            bucket["hits"] += class_hits
+            bucket["misses"] += class_released - class_hits
+        for wait in np.flatnonzero(waits).tolist():
+            self.waits[wait] = self.waits.get(wait, 0) + int(waits[wait])
 
     def accounting_ok(self, served: int, shed: int, dropped_offline: int) -> bool:
         """The request-conservation identity against the slot-level counters."""
-        return (
-            self.requests_in
-            == served + shed + dropped_offline + self.requests_dropped
-        )
+        offered = served + shed + dropped_offline + self.requests_dropped
+        return self.requests_in == offered
 
     def summary(self) -> dict[str, object]:
         """JSON-ready run summary (embedded in SoakReport v3)."""

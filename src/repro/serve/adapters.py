@@ -10,23 +10,27 @@ Three sources, all reusing existing subsystems:
 * :class:`ShapeAdapter` — counts from a seeded load-shape grid
   (:mod:`repro.serve.load`) for the soak harness.
 
-Adapters produce counts only; each edge kernel draws its own pool
-indices.  They are synchronous, picklable state machines that a shard
-worker's slot loop (:mod:`repro.serve.shard`) drives.
+Adapters produce counts only, a column of consecutive slots at a time;
+each edge kernel draws its own pool indices.  They are synchronous,
+picklable state machines.  A :class:`ColumnFeed` reads a set of edges'
+adapters as one count matrix per range of slots: a shard worker's slot
+loop (:mod:`repro.serve.shard`) drives one over its edges, and the serve
+parent one over the edges a reconfiguration took out of the fleet.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from repro.data.streams import ArrivalProcess
 from repro.obs.sinks import read_events
-from repro.serve.queues import WorkItem
 from repro.sim.scenario import Scenario
 
 __all__ = [
+    "ColumnFeed",
     "PoissonAdapter",
     "ShapeAdapter",
     "StreamAdapter",
@@ -37,15 +41,15 @@ __all__ = [
 
 
 class StreamAdapter:
-    """Base adapter: produces one :class:`WorkItem` per slot, in order."""
+    """Base adapter: produces one edge's counts, slots in order."""
 
     name = "base"
 
     def __init__(self, edge: int) -> None:
         self.edge = int(edge)
 
-    def next_item(self, t: int) -> WorkItem:
-        """The slot-``t`` workload for this adapter's edge."""
+    def column(self, start: int, stop: int) -> np.ndarray:
+        """The counts of slots ``start..stop-1`` for this adapter's edge."""
         raise NotImplementedError
 
     def state_dict(self) -> dict[str, object]:
@@ -65,8 +69,8 @@ class PoissonAdapter(StreamAdapter):
         super().__init__(edge)
         self.arrivals = arrivals
 
-    def next_item(self, t: int) -> WorkItem:
-        return WorkItem(t=t, count=self.arrivals.sample(t))
+    def column(self, start: int, stop: int) -> np.ndarray:
+        return self.arrivals.sample_span(start, stop)
 
     def state_dict(self) -> dict[str, object]:
         return {"arrivals": self.arrivals}
@@ -87,10 +91,10 @@ class TraceReplayAdapter(StreamAdapter):
 
     def __init__(self, edge: int, counts: np.ndarray) -> None:
         super().__init__(edge)
-        self.counts = np.asarray(counts, dtype=int)
+        self.counts = np.asarray(counts, dtype=np.int64)
 
-    def next_item(self, t: int) -> WorkItem:
-        return WorkItem(t=t, count=int(self.counts[t]))
+    def column(self, start: int, stop: int) -> np.ndarray:
+        return self.counts[start:stop]
 
 
 class ShapeAdapter(TraceReplayAdapter):
@@ -103,6 +107,36 @@ class ShapeAdapter(TraceReplayAdapter):
     """
 
     name = "shape"
+
+
+class ColumnFeed:
+    """A set of edges' adapters, read as one count matrix per range of slots.
+
+    Rows follow the order of ``adapters``; each draw reads one column per
+    edge.  States are exported and restored per edge.
+    """
+
+    def __init__(self, adapters: Mapping[int, StreamAdapter]) -> None:
+        self.adapters = dict(adapters)
+        self.edges = tuple(self.adapters)
+
+    def draw(self, start: int, stop: int) -> np.ndarray:
+        """Counts of slots ``start..stop-1``: one row per edge, one column per slot."""
+        columns = [adapter.column(start, stop) for adapter in self.adapters.values()]
+        return np.array(columns, dtype=np.int64).reshape(len(columns), stop - start)
+
+    def next_item(self, t: int) -> np.ndarray:
+        """Slot ``t``'s counts, one per edge."""
+        return self.draw(t, t + 1)[:, 0]
+
+    def state_dict(self) -> dict[int, dict[str, object]]:
+        """Each edge's picklable adapter state."""
+        return {e: adapter.state_dict() for e, adapter in self.adapters.items()}
+
+    def load_state(self, states: Mapping[int, dict[str, object]]) -> None:
+        """Restore the edges in ``states`` (a subset is fine)."""
+        for e, state in states.items():
+            self.adapters[e].load_state(state)
 
 
 def arrival_counts_from_trace(

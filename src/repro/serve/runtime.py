@@ -6,15 +6,19 @@ trading loop and each worker that steps a shard of edges — calls
 bit-identical kernels.  The kernels and the per-slot fold
 (:class:`~repro.sim.kernel.SlotAggregator`) are the simulator's own
 (``Simulator.build_kernels``), which is why a virtual-clock serve run is
-bit-identical to ``Simulator.run``.  The runtime that drives them is
+bit-identical to ``Simulator.run``.  :func:`make_feed` reads a set of
+edges' adapters as count columns, under the ingress tier when the config
+mounts it.  The runtime that drives them is
 :class:`~repro.serve.shard.ShardRuntime`.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.faults.plan import FaultPlan
 from repro.obs.tracer import Tracer
-from repro.serve.adapters import StreamAdapter, make_adapters
+from repro.serve.adapters import ColumnFeed, StreamAdapter, make_adapters
 from repro.serve.config import ServeConfig
 from repro.serve.load import make_load_grid
 from repro.sim.kernel import EdgeSlotKernel, SlotAggregator, TradingSlotKernel
@@ -25,6 +29,7 @@ from repro.spec import RunSpec
 __all__ = [
     "SlotAggregator",
     "build_serve_kernels",
+    "make_feed",
 ]
 
 
@@ -69,17 +74,35 @@ def build_serve_kernels(
         replay_log=config.replay_log,
         load_counts=load_counts,
     )
-    ingress = config.ingress_config()
-    if ingress is not None:
-        # Lazy import: repro.ingress eagerly imports repro.serve
-        # submodules, and repro.serve.__init__ imports this module.
-        from repro.ingress.adapter import wrap_with_ingress
-
-        adapters = wrap_with_ingress(
-            adapters,
-            config=ingress,
-            scenario=scenario,
-            seed=config.seed,
-            tracer=tracer,
-        )
     return scenario, adapters, edge_kernels, trading_kernel
+
+
+def make_feed(
+    config: ServeConfig,
+    scenario: Scenario,
+    adapters: Sequence[StreamAdapter],
+    edges: Sequence[int],
+    *,
+    tracer: Tracer | None = None,
+) -> ColumnFeed:
+    """The columnar feed of ``edges``, under the ingress tier when configured.
+
+    A shard worker reads its edges' arrivals through one; the parent reads
+    the edges a reconfiguration took out of the fleet through another.
+    """
+    chosen = {e: adapters[e] for e in edges}
+    ingress = config.ingress_config()
+    if ingress is None:
+        return ColumnFeed(chosen)
+    # Lazy import: repro.ingress eagerly imports repro.serve submodules,
+    # and repro.serve.__init__ imports this module.
+    from repro.ingress.adapter import IngressAdapter
+
+    return IngressAdapter(
+        chosen,
+        config=ingress,
+        seed=config.seed,
+        horizon=scenario.horizon,
+        prices=scenario.prices.buy,
+        tracer=tracer,
+    )

@@ -2,17 +2,20 @@
 
 Topology (one run): the fleet's edges are partitioned contiguously across
 workers.  Each worker runs one **slot loop** on its own asyncio loop.  Each
-iteration feeds every released slot whose start time has passed from the
-stream adapters into the edges' bounded queues (blocking or shedding on
-backpressure), then steps the *span* of slots from the current one that
-every edge has queued with one call of its
+iteration draws every released slot whose start time has passed for all
+of its edges at once, as one count matrix from its
+:class:`~repro.serve.adapters.ColumnFeed` (the columnar ingress tier when
+the config mounts it), admits each edge's bursts into its bounded queue
+(blocking or shedding on backpressure), then steps the *span* of slots
+from the current one that every edge has queued with one call of its
 :class:`~repro.sim.kernel.ShardSlotKernel` (the columnar Algorithm-1
 engine, or the per-edge kernel steps slot by slot), and sends the span's
-one :class:`~repro.sim.kernel.SlotOutcomes` record in one SLOT frame.  A
-span ends at the run's stop, before a block-mode edge's held burst, at the
-next restart checkpoint, and around a chaos slot, which is stepped alone;
-snapshots and reconfig barriers end it because releases stop there.  Under
-a virtual clock the parent releases one slot at a time, so every span is
+one :class:`~repro.sim.kernel.SlotOutcomes` record, under ingress with the
+span's request stats, in one SLOT frame.  A span ends at the run's stop,
+before a block-mode edge's held burst, at the next restart checkpoint,
+and around a chaos slot, which is stepped alone; snapshots and reconfig
+barriers end it because releases stop there.  Under a virtual clock the
+parent releases one slot at a time, so every span is
 one slot.  The parent owns the
 :class:`~repro.sim.kernel.TradingSlotKernel`, the result arrays, the
 release schedule, and snapshot persistence.  The two sides exchange frames
@@ -124,6 +127,7 @@ from repro.obs.events import (
 )
 from repro.obs.sinks import JsonlSink
 from repro.obs.tracer import NULL_TRACER, NullTracer, Tracer
+from repro.serve.adapters import ColumnFeed
 from repro.serve.chaos import ChaosPlan, WorkerChaos, realize
 from repro.serve.clock import VirtualClock, WallClock, release_target
 from repro.serve.config import ServeConfig
@@ -146,7 +150,7 @@ from repro.serve.frames import (
 from repro.serve.http import StatusServer
 from repro.serve.queues import BoundedWorkQueue, WorkItem
 from repro.serve.reconfig import ReconfigPlan, apply_op
-from repro.serve.runtime import build_serve_kernels
+from repro.serve.runtime import build_serve_kernels, make_feed
 from repro.serve.snapshot import EdgeState, RunState, load_snapshot, save_snapshot
 from repro.sim.kernel import (
     ShardSlotKernel,
@@ -277,37 +281,51 @@ async def _worker_async(
     )
     horizon = scenario.horizon
     kernels = {e: edge_kernels[e] for e in edges}
-    my_adapters = {e: adapters[e] for e in edges}
     has_ingress = config.ingress is not None
     delay = config.label_delay
 
+    def _feed_of(rows: list[int]) -> ColumnFeed:
+        return make_feed(config, scenario, adapters, rows, tracer=tracer)
+
     # Phase A — silent catch-up: advance each edge from its checkpoint to
-    # the replay point.  ``live`` re-steps already-folded real slots (the
+    # the replay point, the edges whose entries start at the same slot
+    # together.  ``live`` re-steps already-folded real slots (the
     # deterministic kernels reproduce the folded outcomes bit-exactly);
     # ``offline`` covers stretches the parent folded as inactive.
+    states: dict[int, dict] = {}
+    starts: dict[int, list[tuple[int, str]]] = {}
     for e in edges:
-        kernel = kernels[e]
-        adapter = my_adapters[e]
         entry = book.get(e) or EdgeState(None, None, 0)
         if entry.kernel is not None:
-            kernel.load_state(entry.kernel)
-            adapter.load_state(entry.adapter)
+            kernels[e].load_state(entry.kernel)
+            states[e] = entry.adapter
             if tracer is not None:
-                kernel.policy.bind_tracer(tracer, edge=e)
-        as_of, mode = entry.as_of, entry.mode
-        for t in range(as_of, replay_from):
-            item = adapter.next_item(t)
-            if mode == "live":
-                kernel.step(item.t, item.count, shed=item.shed)
-            else:
-                kernel.step_offline(t, item.count)
-            if has_ingress:
-                # The parent already merged these slots' request stats from
-                # the dead incarnation's frames; the catch-up only has to
-                # reproduce queue/stream state, never re-report.
-                adapter.discard_slot(t)
-            if delay:
-                kernel.deliver_due(t - delay)
+                kernels[e].policy.bind_tracer(tracer, edge=e)
+        starts.setdefault(entry.as_of, []).append((e, entry.mode))
+    for as_of, group in sorted(starts.items()):
+        if as_of >= replay_from:
+            continue
+        part = _feed_of([e for e, _ in group])
+        part.load_state({e: states[e] for e, _ in group if e in states})
+        counts = part.draw(as_of, replay_from)
+        if has_ingress:
+            # The parent already merged these slots' request stats from
+            # the dead incarnation's frames; the catch-up only has to
+            # reproduce queue/stream state, never re-report.
+            for t in range(as_of, replay_from):
+                part.discard_slot(t)
+        for (e, mode), column in zip(group, counts.tolist()):
+            kernel = kernels[e]
+            for t, count in enumerate(column, start=as_of):
+                if mode == "live":
+                    kernel.step(t, count)
+                else:
+                    kernel.step_offline(t, count)
+                if delay:
+                    kernel.deliver_due(t - delay)
+        states.update(part.state_dict())
+    feed = _feed_of(edges)
+    feed.load_state(states)
 
     clock = (
         VirtualClock() if config.virtual_clock else WallClock(config.slot_duration)
@@ -328,31 +346,27 @@ async def _worker_async(
             "serve_s": serve_s,
         }
         if has_ingress:
-            # Each slot's requests resolve in slot order: ``slot -> {edge -> payload}``.
-            frame["ingress"] = {
-                part.t: {
-                    e: my_adapters[e].resolve_slot(part.t, shed=shed, offline=offline)
-                    for e, shed, offline in zip(
-                        edges, part.shed[:, 0].tolist(), part.offline[:, 0].tolist()
-                    )
-                }
-                for part in record.split()
-            }
+            # The span's request stats, resolved slot by slot and summed
+            # over the shard's edges: three arrays with a slot axis.
+            frame["ingress"] = feed.resolve(record)
         return frame
 
     # Phase B — offline replay of the slots this worker's predecessor
     # missed: reported with the real arrival counts (the restored adapters
-    # are deterministic), sent ahead of READY so the parent folds them in
-    # order.  Every release in a replayed slot resolves against an offline
-    # outcome, so ingress counts it as a miss.
-    for t in range(replay_from, start):
-        outcomes = []
-        for e in edges:
-            item = my_adapters[e].next_item(t)
-            outcomes.append(kernels[e].step_offline(t, item.count))
-            if delay:
-                kernels[e].deliver_due(t - delay)
-        end.send(_slot_frame(SlotOutcomes.from_rows(outcomes), [], []))
+    # are deterministic) in one frame, sent ahead of READY so the parent
+    # folds them in order.  Every release in a replayed slot resolves
+    # against an offline outcome, so ingress counts it as a miss.
+    if replay_from < start:
+        counts = feed.draw(replay_from, start)
+        records = []
+        for j, t in enumerate(range(replay_from, start)):
+            rows = []
+            for e, count in zip(edges, counts[:, j].tolist()):
+                rows.append(kernels[e].step_offline(t, count))
+                if delay:
+                    kernels[e].deliver_due(t - delay)
+            records.append(SlotOutcomes.from_rows(rows))
+        end.send(_slot_frame(SlotOutcomes.concat(records), [], []))
 
     shard = ShardSlotKernel([kernels[e] for e in edges])  # binds the restored policies
 
@@ -361,7 +375,7 @@ async def _worker_async(
             "type": STATE,
             "worker": index,
             "edges": shard.state_dicts(),
-            "adapters": {e: my_adapters[e].state_dict() for e in edges},
+            "adapters": feed.state_dict(),
         }
 
     def _queue_report() -> dict[int, dict[str, int]]:
@@ -402,48 +416,58 @@ async def _worker_async(
             end.send({"type": HEARTBEAT, "worker": index, "queues": _queue_report()})
 
     shed_mode = config.backpressure == "shed"
-    # Per edge: the next slot to draw, and (block mode) a burst already
-    # drawn that waits, with its feed time, for a step to make room.
-    next_draw = dict.fromkeys(edges, start)
-    held: dict[int, tuple[WorkItem, float]] = {}
+    # Slots ``[start, drawn)`` are drawn for every edge; ``pending`` holds
+    # the drawn columns from slot ``base`` that some edge has not queued.
+    # Per edge: the next slot to queue, and (block mode) the feed time of
+    # a drawn burst that waits for a step to make room.
+    drawn = base = start
+    pending = np.zeros((len(edges), 0), dtype=np.int64)
+    next_put = [start] * len(edges)
+    held: dict[int, float] = {}
 
     def _feed(t: int) -> int:
-        """Draw every released slot from ``t`` whose start time has passed.
+        """Draw every released slot whose start time has passed, then queue.
 
-        Admission is per edge: ``shed`` turns a burst that does not fit a
-        non-empty queue into a zero-weight marker; ``block`` stops drawing
-        the edge at that burst and offers it again after the next step.
-        Slot ``t`` is paced already.  Returns the first slot that some edge
-        has not queued: every edge has queued ``t`` up to it.
+        Every edge's columns are drawn at once, ahead of admission: routing
+        reads no queue and draws no randomness.  Admission is per edge:
+        ``shed`` turns a burst that does not fit a non-empty queue into a
+        zero-weight marker; ``block`` stops queueing the edge at that burst
+        and offers it again after the next step.  Slot ``t`` is paced
+        already.  Returns the first slot that some edge has not queued:
+        every edge has queued ``t`` up to it.
         """
+        nonlocal drawn, base, pending
         last = min(clock.released, stop - 1)
         while last > t and not clock.started(last):
             last -= 1
+        if last >= drawn:
+            pending = np.concatenate([pending, feed.draw(drawn, last + 1)], axis=1)
+            drawn = last + 1
         now = loop.time()
-        for e in edges:
+        for row, e in enumerate(edges):
             queue = queues[e]
-            if e in held:
-                item, fed_at = held[e]
-                if not queue.put(item, fed_at):
-                    continue
-                del held[e]
-            adapter = my_adapters[e]
-            s = next_draw[e]
-            while s <= last:
-                item = adapter.next_item(s)
-                s += 1
-                if trace.enabled:
-                    trace.emit(ArrivalEvent(t=item.t, edge=e, count=item.count))
-                if queue.put(item, now, block=not shed_mode):
+            s = next_put[row]
+            for count in pending[row, s - base :].tolist():
+                fed_at = held.pop(e, None)
+                if fed_at is None:
+                    fed_at = now
+                    if trace.enabled:
+                        trace.emit(ArrivalEvent(t=s, edge=e, count=count))
+                if queue.put(WorkItem(t=s, count=count), fed_at, block=not shed_mode):
+                    s += 1
                     continue
                 if not shed_mode:
-                    held[e] = (item, now)
+                    held[e] = fed_at
                     break
                 if trace.enabled:
-                    trace.emit(QueueShedEvent(t=item.t, edge=e, count=item.count))
-                queue.put(WorkItem(t=item.t, count=item.count, shed=True), now)
-            next_draw[e] = s
-        return min(held[e][0].t if e in held else next_draw[e] for e in edges)
+                    trace.emit(QueueShedEvent(t=s, edge=e, count=count))
+                queue.put(WorkItem(t=s, count=count, shed=True), now)
+                s += 1
+            next_put[row] = s
+        first = min(next_put)
+        pending = pending[:, first - base :]
+        base = first
+        return first
 
     async def _slots() -> None:
         kill_slots = frozenset(chaos.kills) if chaos is not None else frozenset()
@@ -674,12 +698,14 @@ class ShardRuntime:
         self._rebind_tracer = tracer is not None
         self._faults = faults
         # The parent builds the full kernel set too: it keeps the trading
-        # kernel (Algorithm 2 + market + ledger) and the adapters of
+        # kernel (Algorithm 2 + market + ledger) and reads the adapters of
         # inactive edges; the edge kernels are never stepped here and
         # untouched streams cost nothing (draws are lazy).
         self.scenario, self._adapters, _, self.trading_kernel = (
             build_serve_kernels(config, tracer=tracer, faults=faults)
         )
+        #: The feed of the edges no worker serves (reconfigured out).
+        self._inactive = self._feed_of(())
         self.horizon = self.scenario.horizon
         self.num_edges = self.scenario.num_edges
         self._reconfig = (
@@ -773,10 +799,11 @@ class ShardRuntime:
         ingress_config = config.ingress_config()
         self.ingress = None
         #: Resolved per-slot ingress payloads awaiting their slot's fold:
-        #: ``t -> {edge -> payload}``.  Overwrite semantics mirror the
-        #: record buffer — a restarted worker's replay frames replace the
-        #: dead incarnation's unfolded payloads, never double-count.
-        self._pending_ingress: dict[int, dict[int, dict]] = {}
+        #: ``t -> {worker -> payload}``, the parent's inactive edges under
+        #: worker ``-1``.  Overwrite semantics mirror the record buffer — a
+        #: restarted worker's replay frames replace the dead incarnation's
+        #: unfolded payloads, never double-count.
+        self._pending_ingress: dict[int, dict[int, tuple]] = {}
         if ingress_config is not None:
             from repro.ingress.stats import IngressStats
 
@@ -790,6 +817,11 @@ class ShardRuntime:
             )
             self._deadline_hits = tracer_obj.counter("ingress/deadline_hits")
             self._deadline_misses = tracer_obj.counter("ingress/deadline_misses")
+
+    def _feed_of(self, edges: Sequence[int]) -> ColumnFeed:
+        return make_feed(
+            self.config, self.scenario, self._adapters, edges, tracer=self.tracer
+        )
 
     @staticmethod
     def _partition(active: Sequence[int], num_workers: int) -> list[tuple[int, ...]]:
@@ -853,11 +885,7 @@ class ShardRuntime:
             trading=self.trading_kernel.state_dict(),
             arrays=self.aggregator.partial_arrays(next_slot),
             edges=dict(self._edge_states),
-            parent_adapters={
-                e: self._adapters[e].state_dict()
-                for e in range(self.num_edges)
-                if e not in self._active
-            },
+            parent_adapters=self._inactive.state_dict(),
             ingress=self.ingress,
             counters={
                 name: value
@@ -889,8 +917,8 @@ class ShardRuntime:
         self._edge_state_slot = next_slot
         # Workers rebuild their shard and restore it from the book.
         self._edge_states = dict(state.edges)
-        for e, adapter_state in state.parent_adapters.items():
-            self._adapters[e].load_state(adapter_state)
+        self._inactive = self._feed_of(sorted(state.parent_adapters))
+        self._inactive.load_state(state.parent_adapters)
         if state.ingress is not None:
             self.ingress = state.ingress
         for name, value in state.counters.items():
@@ -1222,10 +1250,14 @@ class ShardRuntime:
             self._last_models[record.edge] = record.model[:, -1]
             if "queues" in frame:
                 self._queue_stats.update(frame["queues"])
-            # Stored, not merged: merging happens once at fold time so a
-            # restart replay overwriting a slot cannot double-count.
-            for t, payloads in frame.get("ingress", {}).items():
-                self._pending_ingress.setdefault(t, {}).update(payloads)
+            if "ingress" in frame:
+                # Stored, not merged: merging happens once at fold time so
+                # a restart replay overwriting a slot cannot double-count.
+                totals, per_class, waits = frame["ingress"]
+                for j in range(record.num_slots):
+                    self._pending_ingress.setdefault(record.t + j, {})[
+                        handle.index
+                    ] = (totals[j], per_class[j], waits[j])
             handle.last_slot = max(handle.last_slot, last)
             if (
                 handle.restarted
@@ -1436,17 +1468,20 @@ class ShardRuntime:
     def _pin_inactive_offline(self, at: int) -> None:
         """Mark every inactive edge's stretch from ``at`` as parent-folded.
 
-        The parent's adapter takes over an edge's arrivals from its
+        The parent's feed takes over an edge's arrivals from its
         checkpoint, copied: adapters adopt the objects they restore, and
-        the entry goes back to a worker if the edge is re-added.
+        the entry goes back to a worker if the edge is re-added.  Edges
+        that stay inactive carry on from where the parent's feed was.
         """
-        for e in range(self.num_edges):
-            if e in self._active:
-                continue
+        states = self._inactive.state_dict()
+        inactive = [e for e in range(self.num_edges) if e not in self._active]
+        for e in inactive:
             entry = self._edge_states.get(e, EdgeState(None, None, at, "offline"))
             if entry.mode == "live":
-                self._adapters[e].load_state(copy.deepcopy(entry.adapter))
+                states[e] = copy.deepcopy(entry.adapter)
             self._edge_states[e] = replace(entry, mode="offline")
+        self._inactive = self._feed_of(inactive)
+        self._inactive.load_state({e: states[e] for e in inactive if e in states})
 
     def _join_all(self, handles: list[_Shard]) -> None:
         deadline = time.monotonic() + 10.0
@@ -1548,19 +1583,20 @@ class ShardRuntime:
         bucket = self._pending.pop(t, {})
         parts = [bucket[h.index] for h in self._handles if h.index in bucket]
         reported = {e for part in parts for e in part.edge.tolist()}
-        rows = []
-        for e in range(self.num_edges):
-            if e in reported:
-                continue
-            if e in self._active:
-                rows.append(offline_outcome(t, e, self._last_models[e]))
-                continue
-            adapter = self._adapters[e]
-            count = adapter.next_item(t).count
-            rows.append(offline_outcome(t, e, self._last_models[e], arrivals=count))
+        inactive = self._inactive
+        offered = {}
+        if inactive.edges:
+            offered = dict(zip(inactive.edges, inactive.next_item(t).tolist()))
             if self.ingress is not None:
-                payload = adapter.resolve_slot(t, offline=True)
-                self._pending_ingress.setdefault(t, {})[e] = payload
+                rows = len(inactive.edges)
+                self._pending_ingress.setdefault(t, {})[-1] = inactive.resolve_slot(
+                    t, shed=np.zeros(rows, bool), offline=np.ones(rows, bool)
+                )
+        rows = [
+            offline_outcome(t, e, self._last_models[e], arrivals=offered.get(e, 0))
+            for e in range(self.num_edges)
+            if e not in reported
+        ]
         if rows:
             parts.append(SlotOutcomes.from_rows(rows))
         return SlotOutcomes.merge(parts)
@@ -1602,22 +1638,24 @@ class ShardRuntime:
     def _merge_ingress(self, t: int) -> None:
         """Fold slot ``t``'s resolved request stats into the run accounting.
 
-        Runs exactly once per folded slot.  An inactive edge's payload comes
-        from the parent's own adapter (:meth:`_slot_record`), so the
-        requests its router still holds miss their deadlines rather than
-        vanish.  A degraded edge's offline rows carry no payload and need
-        none: its requests were never generated, so ``requests_in`` never
-        saw them and the accounting identity is waived while any worker is
-        degraded (mirrors the ``total_events`` leg of the soak gate).
+        Runs exactly once per folded slot, one payload per worker.  The
+        inactive edges' payload comes from the parent's own feed
+        (:meth:`_slot_record`), so the requests its router still holds miss
+        their deadlines rather than vanish.  A degraded edge's offline rows
+        carry no payload and need none: its requests were never generated,
+        so ``requests_in`` never saw them and the accounting identity is
+        waived while any worker is degraded (mirrors the ``total_events``
+        leg of the soak gate).
         """
         assert self.ingress is not None
-        for _, payload in sorted(self._pending_ingress.pop(t, {}).items()):
+        for payload in self._pending_ingress.pop(t, {}).values():
             self.ingress.absorb(payload)
-            self._requests_in.increment(payload["in"])
-            self._requests_dropped.increment(payload["dropped"])
-            self._requests_deferred.increment(payload["deferred"])
-            self._deadline_hits.increment(payload["hits"])
-            self._deadline_misses.increment(payload["misses"])
+            requests_in, dropped, _, deferred, hits, misses = payload[0].tolist()
+            self._requests_in.increment(requests_in)
+            self._requests_dropped.increment(dropped)
+            self._requests_deferred.increment(deferred)
+            self._deadline_hits.increment(hits)
+            self._deadline_misses.increment(misses)
 
     def _take_snapshot(self, t: int) -> None:
         """Checkpoint the workers at the quiescent boundary, persist the run.

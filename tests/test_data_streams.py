@@ -45,6 +45,19 @@ class TestArrivalProcess:
         with pytest.raises(ValueError):
             ArrivalProcess(np.ones((2, 2)), np.random.default_rng(0))
 
+    def test_sample_span_draws_as_scalar_samples(self):
+        # A span at an offset, wrapping around the trace and truncating
+        # low draws at 1, moves the stream exactly as scalar samples do.
+        means = np.array([0.2, 3.0, 40.0, 0.0, 7.5])
+        span_rng, scalar_rng = np.random.default_rng(4), np.random.default_rng(4)
+        span = ArrivalProcess(means, span_rng)
+        scalar = ArrivalProcess(means, scalar_rng)
+        for t in range(3):  # a prefix of draws on both
+            assert span.sample(t) == scalar.sample(t)
+        drawn = span.sample_span(3, 14)
+        assert drawn.tolist() == [scalar.sample(t) for t in range(3, 14)]
+        assert span_rng.bit_generator.state == scalar_rng.bit_generator.state
+
     @given(st.floats(0.5, 200.0))
     @settings(max_examples=20, deadline=None)
     def test_samples_always_positive_integers(self, mean):

@@ -18,6 +18,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.faults.plan import EdgeOutage, FaultPlan
 from repro.ingress import (
     DEFAULT_CLASSES,
     IngressAdapter,
@@ -26,11 +27,13 @@ from repro.ingress import (
     IngressStats,
     RequestThinner,
     SlaClass,
+    SlotRequests,
     clamp_deadline,
     resolve_payload,
 )
-from repro.obs import Tracer
+from repro.obs import InMemorySink, Tracer
 from repro.serve import ServeConfig, ShardRuntime, load_snapshot
+from repro.serve.adapters import TraceReplayAdapter
 from repro.serve.soak import run_soak
 from repro.sim.io import result_digest
 from repro.utils.rng import spawn_generator, thinning_stream
@@ -158,6 +161,20 @@ class TestThinning:
             != spawn_generator(3, "arrivals-0").bit_generator.state
         )
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_a_column_splits_as_per_slot_calls(self, seed):
+        # One multinomial call over a column, quiet slots included, draws
+        # the same values and leaves the stream where per-slot calls do.
+        counts = [0, 7, 0, 0, 12, 300, 1, 0]
+        column = RequestThinner(seed, edge=2, classes=DEFAULT_CLASSES)
+        slots = RequestThinner(seed, edge=2, classes=DEFAULT_CLASSES)
+        for count in (5, 0):  # a prefix of per-slot draws on both
+            assert (column.split(count) == slots.split(count)).all()
+        split = column.split(np.array(counts))
+        assert split.shape == (len(counts), len(DEFAULT_CLASSES))
+        assert (split == np.stack([slots.split(c) for c in counts])).all()
+        assert column.state_dict() == slots.state_dict()
+
     def test_state_round_trip_resumes_identically(self):
         a = RequestThinner(9, edge=1, classes=TWO_CLASSES)
         for count in (4, 9, 0):
@@ -171,21 +188,21 @@ class TestThinning:
 class TestRouter:
     def test_deferral_off_unbounded_releases_in_arrival_slot(self):
         config = IngressConfig(classes=TWO_CLASSES, deferral=False)
-        router = IngressRouter(0, config, horizon=6)
+        router = IngressRouter(config, horizon=6)
         for t, counts in enumerate([[3, 2], [0, 0], [10, 5]]):
             released, provisional = router.step(t, counts, 1.0)
             assert released == sum(counts)
             assert provisional["deferred"] == 0 and provisional["dropped"] == 0
-        assert router.depth == 0
+        assert router.depth[0] == 0
 
     def test_fifo_slot_capacity_spills_and_final_slot_flushes(self):
         config = IngressConfig(classes=TWO_CLASSES, deferral=False,
                                slot_capacity=4)
-        router = IngressRouter(0, config, horizon=3)
+        router = IngressRouter(config, horizon=3)
         released, _ = router.step(0, [6, 2], 1.0)
-        assert released == 4 and router.depth == 4
+        assert released == 4 and router.depth[0] == 4
         released, _ = router.step(1, [0, 0], 1.0)
-        assert released == 4 and router.depth == 0
+        assert released == 4 and router.depth[0] == 0
         released, _ = router.step(2, [9, 0], 1.0)
         assert released == 9  # final-slot flush ignores the budget
 
@@ -193,21 +210,21 @@ class TestRouter:
         tight = SlaClass(name="now", share=1.0, deadline_slots=0, priority=0,
                          deferrable=True)
         config = IngressConfig(classes=(tight,), slot_capacity=1)
-        router = IngressRouter(0, config, horizon=4)
+        router = IngressRouter(config, horizon=4)
         released, provisional = router.step(0, [5], 1.0)
         assert released == 5  # all deadline-forced despite the budget of 1
         assert provisional["per_class"]["now"] == [5, 5]
 
     def test_flat_prices_never_defer(self):
         config = IngressConfig(classes=TWO_CLASSES)
-        router = IngressRouter(0, config, horizon=8)
+        router = IngressRouter(config, horizon=8)
         for t in range(8):
             released, provisional = router.step(t, [2, 2], 1.0)
             assert released == 4 and provisional["deferred"] == 0
 
     def test_price_spike_defers_deferrable_class_only(self):
         config = IngressConfig(classes=TWO_CLASSES, defer_margin=0.01)
-        router = IngressRouter(0, config, horizon=12)
+        router = IngressRouter(config, horizon=12)
         for t in range(4):  # establish the EWMA baseline
             router.step(t, [0, 0], 1.0)
         released, provisional = router.step(4, [3, 5], 10.0)
@@ -215,7 +232,7 @@ class TestRouter:
         assert provisional["deferred"] == 5
         # Once the price returns to baseline the parked work drains.
         released, _ = router.step(5, [0, 0], 1.0)
-        assert released == 5 and router.depth == 0
+        assert released == 5 and router.depth[0] == 0
 
     @pytest.mark.parametrize("admission", ["drop-oldest", "deadline-shed"])
     def test_queue_capacity_drops_and_accounting_closes(self, admission):
@@ -223,7 +240,7 @@ class TestRouter:
                                queue_capacity=3, slot_capacity=2,
                                defer_margin=0.01)
         horizon = 10
-        router = IngressRouter(0, config, horizon)
+        router = IngressRouter(config, horizon)
         total_in = released = dropped = 0
         for t in range(horizon):
             counts = [4, 4] if t < 5 else [0, 0]
@@ -232,39 +249,39 @@ class TestRouter:
             released += n
             dropped += provisional["dropped"]
         assert dropped > 0
-        assert router.depth == 0  # final slot drained everything
+        assert router.depth[0] == 0  # final slot drained everything
         assert total_in == released + dropped
 
     def test_deadline_shed_evicts_the_slackest(self):
         config = IngressConfig(classes=TWO_CLASSES, admission="deadline-shed",
                                queue_capacity=2, slot_capacity=1,
                                defer_margin=0.01)
-        router = IngressRouter(0, config, horizon=20)
+        router = IngressRouter(config, horizon=20)
         for t in range(4):
             router.step(t, [0, 0], 1.0)
         # Price spike parks slow work; overflow must shed the latest
         # (slackest) arrivals, keeping the earliest deadlines queued.
         _, p0 = router.step(4, [0, 6], 10.0)
         assert p0["dropped"] == 4  # capacity 2
-        assert p0["deferred"] == router.depth == 2
+        assert p0["deferred"] == router.depth[0] == 2
         # Later arrivals have more slack than the parked pair: all shed.
         _, p1 = router.step(5, [0, 3], 10.0)
-        assert p1["dropped"] == 3 and p1["deferred"] == 0 and router.depth == 2
+        assert p1["dropped"] == 3 and p1["deferred"] == 0 and router.depth[0] == 2
         # Once the price falls, the slot-4 pair releases one per slot
         # (slot capacity 1), each inside its slot-12 deadline.
         for t, wait in ((6, 2), (7, 3)):
             released, provisional = router.step(t, [0, 0], 1.0)
             assert released == 1 and provisional["waits"] == {wait: 1}
             assert provisional["per_class"]["slow"] == [1, 1]
-        assert router.depth == 0
+        assert router.depth[0] == 0
 
     def test_state_round_trip_resumes_identically(self):
         config = IngressConfig(classes=TWO_CLASSES, slot_capacity=3,
                                defer_margin=0.01)
-        a = IngressRouter(0, config, horizon=16)
+        a = IngressRouter(config, horizon=16)
         for t in range(6):
             a.step(t, [2, 3], 1.0 + (t == 5) * 9.0)
-        b = IngressRouter(0, config, horizon=16)
+        b = IngressRouter(config, horizon=16)
         b.load_state(a.state_dict())
         for t in range(6, 16):
             ra = a.step(t, [1, 1], 1.0)
@@ -274,34 +291,69 @@ class TestRouter:
 
 class TestStatsLifecycle:
     def provisional(self):
-        return {
-            "in": 10, "dropped": 1, "released": 6, "deferred": 3,
-            "queued": 3, "per_class": {"fast": [4, 4], "slow": [2, 1]},
-            "waits": {1: 2, 3: 1},
-        }
+        # One edge: 10 in, 1 dropped, 6 released (fast 4 on time, slow 2
+        # with 1 on time), 3 deferred and queued; 2 waited 1 slot, 1 waited 3.
+        return SlotRequests(
+            totals=np.array([[10, 1, 6, 3, 3]]),
+            per_class=np.array([[[4, 2], [4, 1]]]),
+            waits=np.array([[0, 2, 0, 1]]),
+        )
+
+    @staticmethod
+    def flags(shed=False, offline=False):
+        return {"shed": np.array([shed]), "offline": np.array([offline])}
+
+    def summed(self, stats):
+        payload = resolve_payload(stats, **self.flags())
+        return tuple(part.sum(axis=0) for part in payload)
 
     def test_served_slot_keeps_hits(self):
-        payload = resolve_payload(self.provisional())
-        assert payload["hits"] == 5 and payload["misses"] == 1
-        assert payload["per_class"]["fast"] == [4, 4]
+        totals, per_class, _ = resolve_payload(self.provisional(), **self.flags())
+        assert totals[0].tolist() == [10, 1, 6, 3, 5, 1]  # 5 hits, 1 miss
+        assert per_class[0][:, 0].tolist() == [4, 4]  # fast: released, hits
 
     @pytest.mark.parametrize("kwargs", [{"shed": True}, {"offline": True}])
     def test_shed_or_offline_slot_zeroes_hits(self, kwargs):
-        payload = resolve_payload(self.provisional(), **kwargs)
-        assert payload["hits"] == 0 and payload["misses"] == 6
-        assert payload["per_class"]["fast"] == [4, 0]
+        flags = self.flags(**kwargs)
+        totals, per_class, _ = resolve_payload(self.provisional(), **flags)
+        assert totals[0].tolist() == [10, 1, 6, 3, 0, 6]
+        assert per_class[0][:, 0].tolist() == [4, 0]
+
+    @pytest.mark.parametrize(
+        "shed, offline, hit", [(False, False, True), (True, False, False),
+                               (False, True, False)],
+        ids=["served", "shed", "offline"],
+    )
+    def test_adapter_resolves_shed_and_offline_rows_as_misses(self, shed, offline, hit):
+        # Park slot 0 through the adapter, then resolve it with the row's
+        # flags as a shard worker does from its span record.
+        adapter = IngressAdapter(
+            {0: TraceReplayAdapter(0, np.array([9, 9]))},
+            config=IngressConfig(classes=TWO_CLASSES),
+            seed=0,
+            horizon=2,
+            prices=np.ones(2),
+        )
+        assert adapter.draw(0, 1).tolist() == [[9]]
+        totals, per_class, _ = adapter.resolve_slot(
+            0, shed=np.array([shed]), offline=np.array([offline])
+        )
+        in_, _, released, _, hits, misses = totals.tolist()
+        assert in_ == released == per_class[0].sum() == 9
+        assert (hits, misses) == ((9, 0) if hit else (0, 9))
+        assert per_class[1].tolist() == (per_class[0] * hit).tolist()
 
     def test_absorb_and_accounting(self):
         stats = IngressStats(["fast", "slow"])
-        stats.absorb(resolve_payload(self.provisional()))
+        stats.absorb(self.summed(self.provisional()))
         # A final slot that drains the 3 queued requests plus 2 new ones;
         # the conservation identity only closes once the queues are empty.
-        drain = {
-            "in": 2, "dropped": 0, "released": 5, "deferred": 0,
-            "queued": 0, "per_class": {"fast": [2, 2], "slow": [3, 3]},
-            "waits": {2: 3},
-        }
-        stats.absorb(resolve_payload(drain))
+        drain = SlotRequests(
+            totals=np.array([[2, 0, 5, 0, 0]]),
+            per_class=np.array([[[2, 3], [2, 3]]]),
+            waits=np.array([[0, 0, 3]]),
+        )
+        stats.absorb(self.summed(drain))
         assert stats.requests_in == 12 and stats.requests_dropped == 1
         assert stats.requests_released == 11
         # served + shed + offline must cover every non-dropped request.
@@ -310,6 +362,16 @@ class TestStatsLifecycle:
         summary = stats.summary()
         assert summary["per_class"]["fast"]["hit_rate"] == 1.0
         assert summary["wait_histogram"] == {"1": 2, "2": 3, "3": 1}
+
+
+def run_books(runtime: ShardRuntime) -> tuple[dict, dict]:
+    """A finished run's request summary and its request and event counters."""
+    counters = runtime.tracer.metrics_snapshot()["counters"]
+    return runtime.ingress.summary(), {
+        name: value
+        for name, value in counters.items()
+        if name.startswith(("ingress/", "serve/events_"))
+    }
 
 
 class TestGoldenParity:
@@ -385,15 +447,6 @@ class TestServeIntegration:
         # and the resumed run's books cover the whole run, in-process and
         # at 2 workers alike.
         ingress = IngressConfig(slot_capacity=4)
-
-        def books(runtime):
-            counters = runtime.tracer.metrics_snapshot()["counters"]
-            return runtime.ingress.summary(), {
-                name: value
-                for name, value in counters.items()
-                if name.startswith(("serve/events_", "ingress/"))
-            }
-
         for workers in (0, 2):
             whole = ShardRuntime(
                 ingress_serve_config("A", 0, ingress=ingress, num_workers=workers),
@@ -409,20 +462,120 @@ class TestServeIntegration:
             state = load_snapshot(path)
             resumed = ShardRuntime.from_state(state, tracer=Tracer())
             assert result_digest(resumed.run()) == result_digest(uninterrupted)
-            counters = books(resumed)[1]
+            counters = run_books(resumed)[1]
             resolved = sum(
                 counters[f"serve/events_{kind}"]
                 for kind in ("served", "shed", "dropped_offline")
             )
             assert (counters["ingress/requests_in"], resolved) == (4867, 4867)
             assert counters["serve/events_in"] == 4867
-            assert books(resumed) == books(whole)
+            assert run_books(resumed) == run_books(whole)
             parked = 0
-            for edge, entry in state.edges.items():
-                router = IngressRouter(edge, ingress, SCENARIO_CONFIGS["A"].horizon)
+            for entry in state.edges.values():
+                router = IngressRouter(ingress, SCENARIO_CONFIGS["A"].horizon)
                 router.load_state(entry.adapter["router"])
-                parked += router.depth
+                parked += router.depth[0]
             assert parked > 0
+
+
+#: Scenario A, seed 0: each config's digest, deferred and dropped requests.
+PINNED_INGRESS_RUNS = {
+    "slot-capacity-4": (
+        IngressConfig(slot_capacity=4),
+        "764a67d3676c2d2d955efbfd01bfba6b08da2eb6f3be834fd2e0974723d6a410",
+        4760,
+        0,
+    ),
+    "deadline-shed": (
+        IngressConfig(admission="deadline-shed", queue_capacity=4, slot_capacity=4),
+        "f53879448a038c01bfd3c796ce86e9bf44bb2c0cf11fa66afcaf1f45c740b132",
+        165,
+        4360,
+    ),
+    "fifo-drop-oldest": (
+        IngressConfig(
+            deferral=False, slot_capacity=3, admission="drop-oldest",
+            queue_capacity=5,
+        ),
+        "e9210f161c48f5545b2a6993d198493105a21f3a9f6b28ca52b6f92df72137b4",
+        584,
+        4414,
+    ),
+}
+
+
+class TestPartitionAndPipelining:
+    """Request results depend on neither the worker partition nor pipelining."""
+
+    @pytest.mark.parametrize("name", list(PINNED_INGRESS_RUNS))
+    def test_books_and_digest_match_across_runs(self, name):
+        ingress, digest, deferred, dropped = PINNED_INGRESS_RUNS[name]
+        settings = [{"num_workers": w} for w in (0, 2)]
+        if name == "slot-capacity-4":
+            # Multi-slot spans and held bursts under the wall clock.
+            settings += [
+                {
+                    "num_workers": w, "virtual_clock": False, "slot_duration": 0.0,
+                    "pipeline_depth": 8, "backpressure": "block",
+                }
+                for w in (0, 2)
+            ]
+        books = []
+        for overrides in settings:
+            config = ingress_serve_config("A", 0, ingress=ingress, **overrides)
+            runtime = ShardRuntime(config, tracer=Tracer())
+            assert result_digest(runtime.run()) == digest, overrides
+            books.append(run_books(runtime))
+        summary = books[0][0]
+        assert summary["requests_deferred"] == deferred
+        assert summary["requests_dropped"] == dropped
+        assert all(book == books[0] for book in books[1:])
+
+
+#: The sampled request-level obs events.
+REQUEST_EVENTS = ("request_admit", "request_defer", "request_drop", "deadline_miss")
+
+
+class TestSampledRequestEvents:
+    """The sampled request events add up to the run's request books."""
+
+    @staticmethod
+    def traced(ingress, faults=None):
+        sink = InMemorySink()
+        config = ingress_serve_config("A", 0, ingress=ingress)
+        runtime = ShardRuntime(config, tracer=Tracer([sink]), faults=faults)
+        runtime.run()
+        totals = {
+            kind: sum(event.count for event in sink.of_type(kind))
+            for kind in REQUEST_EVENTS
+        }
+        return runtime.ingress, totals, sink
+
+    @pytest.mark.parametrize("case", ["outage", "deadline-shed"])
+    def test_event_counts_equal_the_books(self, case):
+        if case == "outage":
+            ingress = IngressConfig(slot_capacity=4)
+            faults = FaultPlan((EdgeOutage(edge=1, start=10, end=20),))
+        else:
+            ingress, faults = PINNED_INGRESS_RUNS["deadline-shed"][0], None
+        stats, totals, _ = self.traced(ingress, faults)
+        assert totals == {
+            "request_admit": stats.requests_in - stats.requests_dropped,
+            "request_defer": stats.requests_deferred,
+            "request_drop": stats.requests_dropped,
+            "deadline_miss": stats.deadline_misses,
+        }
+        if case == "outage":
+            assert stats.deadline_misses == 674
+        else:
+            assert stats.requests_dropped == 4360
+
+    def test_events_are_sampled_by_slot(self):
+        ingress = IngressConfig(slot_capacity=4, sample_every=4)
+        _, totals, sink = self.traced(ingress)
+        events = [event for event in sink.events if event.type in REQUEST_EVENTS]
+        assert events and all(event.t % 4 == 0 for event in events)
+        assert totals["request_admit"] > 0
 
 
 class TestSoakDeterminism:

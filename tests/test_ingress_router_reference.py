@@ -1,12 +1,14 @@
-"""The cohort ingress router against the per-request reference router.
+"""The columnar ingress router against the per-request reference router.
 
 :mod:`tests.reference_router` keeps a router that parks one heap tuple per
-request.  Over random SLA mixes, arrivals, spiky prices and router knobs,
-in both regimes and under every admission policy, the cohort router must
-give the same released count, provisional stats and queue depth on every
-slot.  It must do so also after a mid-run ``state_dict``/``load_state``
-round trip, and after loading a state the reference wrote in its
-per-request layout (the layout version-2 snapshots carry).
+request and fronts one edge.  Over random SLA mixes, spiky or ramping prices
+and router knobs, in both regimes and under every admission policy, a router
+over 1 to 6 edges with independent arrivals (quiet slots included) must
+give every edge the released count, provisional stats and queue depth of
+that edge's own reference router on every slot.  It must do so also after
+a mid-run rebuild from its per-edge exports, and after a rebuild from the
+states the references wrote in their per-request layout (the layout
+version-2 snapshots carry).
 """
 
 from __future__ import annotations
@@ -50,11 +52,23 @@ def router_cases(draw):
         forecaster=draw(st.sampled_from(FORECASTERS)),
     )
     horizon = draw(st.integers(1, 30))
-    slot_counts = st.lists(
-        st.integers(0, 12), min_size=num_classes, max_size=num_classes
+    edges = draw(st.integers(1, 6))
+    size = horizon * edges * num_classes
+    # One byte string is far cheaper to draw than an integer per cell; a
+    # byte mod 13 is a count in 0..12.
+    cells = np.frombuffer(draw(st.binary(min_size=size, max_size=size)), np.uint8)
+    counts = (cells % 13).reshape(horizon, edges, num_classes)
+    # A quiet slot offers nothing on any edge; the router must still see
+    # its price.
+    counts[draw(st.lists(st.booleans(), min_size=horizon, max_size=horizon))] = 0
+    # Independent prices, or a ramp: a trend bends AR(1) forecasts with the
+    # look-ahead, so one class's cohorts with different windows can differ.
+    ramp = st.builds(
+        lambda start, step: [max(start + step * t, 0.1) for t in range(horizon)],
+        st.floats(0.1, 20.0),
+        st.floats(-2.0, 2.0),
     )
-    counts = draw(st.lists(slot_counts, min_size=horizon, max_size=horizon))
-    prices = draw(st.lists(PRICES, min_size=horizon, max_size=horizon))
+    prices = draw(st.one_of(st.lists(PRICES, min_size=horizon, max_size=horizon), ramp))
     cut = draw(st.integers(0, horizon - 1))
     return config, horizon, counts, prices, cut
 
@@ -74,31 +88,106 @@ FALLING_PRICE = (
         forecaster="ar1",
     ),
     12,
-    [[1, 1]] * 12,
+    [[[1, 1]]] * 12,
     [20.0 - 1.5 * t for t in range(12)],
     6,
 )
 
 
+#: FIFO ``deadline-shed`` at a deadline tie: the later cell goes first.
+FIFO_SHED_TIE = (
+    IngressConfig(
+        classes=(
+            SlaClass(name="a", share=0.5, deadline_slots=3, priority=0,
+                     deferrable=False),
+            SlaClass(name="b", share=0.5, deadline_slots=1, priority=0,
+                     deferrable=False),
+        ),
+        deferral=False,
+        admission="deadline-shed",
+        queue_capacity=2,
+        slot_capacity=1,
+    ),
+    3,
+    [[[0, 2]], [[1, 2]], [[0, 0]]],
+    [1.0, 1.0, 1.0],
+    2,
+)
+
+
+#: Slot capacity fills by class priority first: the newer high-priority
+#: request goes before the older low-priority one.
+CLASS_BEFORE_ARRIVAL = (
+    IngressConfig(
+        classes=(
+            SlaClass(name="hi", share=0.5, deadline_slots=5, priority=1,
+                     deferrable=False),
+            SlaClass(name="lo", share=0.5, deadline_slots=5, priority=0,
+                     deferrable=False),
+        ),
+        slot_capacity=1,
+    ),
+    3,
+    [[[0, 2]], [[1, 0]], [[0, 0]]],
+    [1.0, 1.0, 1.0],
+    2,
+)
+
+
+#: A quiet slot's price spike still moves the forecast: without it the
+#: slot-2 arrivals would wait for a cheaper slot.
+QUIET_SPIKE = (
+    IngressConfig(
+        classes=(
+            SlaClass(name="batch", share=1.0, deadline_slots=4, priority=0,
+                     deferrable=True),
+        ),
+    ),
+    4,
+    [[[1]], [[0]], [[2]], [[0]]],
+    [1.0, 100.0, 10.0, 1.0],
+    3,
+)
+
+
+def rebuilt(config, horizon, states):
+    router = IngressRouter(config, horizon, rows=len(states))
+    for row, state in enumerate(states):
+        router.load_state(state, row)
+    return router
+
+
 @settings(max_examples=200, deadline=None)
 @given(router_cases())
 @example(FALLING_PRICE)
+@example(FIFO_SHED_TIE)
+@example(CLASS_BEFORE_ARRIVAL)
+@example(QUIET_SPIKE)
 def test_cohort_router_matches_the_per_request_reference(case):
     config, horizon, counts, prices, cut = case
-    reference = ReferenceRouter(0, config, horizon)
-    router = IngressRouter(0, config, horizon)
-    routers = [router]
+    edges = len(counts[0])
+    references = [ReferenceRouter(e, config, horizon) for e in range(edges)]
+    shard = IngressRouter(config, horizon, rows=edges)
+    shards = [shard]
     for t in range(horizon):
         if t == cut:
-            # Resume one copy from the cohort state and one from the
-            # reference's per-request state, then run all three on.
-            for state in (router.state_dict(), reference.state_dict()):
-                restored = IngressRouter(0, config, horizon)
-                restored.load_state(state)
-                routers.append(restored)
+            # Rebuild the shard from its per-edge exports and from the
+            # references' per-request states, then run all three on.
+            shards.append(
+                rebuilt(config, horizon, [shard.state_dict(e) for e in range(edges)])
+            )
+            shards.append(
+                rebuilt(config, horizon, [ref.state_dict() for ref in references])
+            )
         arrivals = np.array(counts[t])
-        expected = reference.step(t, arrivals, prices[t])
-        for candidate in routers:
-            assert candidate.step(t, arrivals, prices[t]) == expected, t
-            assert candidate.depth == reference.depth, t
-    assert reference.depth == 0
+        expected = [
+            ref.step(t, arrivals[e], prices[t]) for e, ref in enumerate(references)
+        ]
+        depths = [ref.depth for ref in references]
+        for candidate in shards:
+            stats = candidate.route(t, arrivals, prices[t])
+            for e, (released, provisional) in enumerate(expected):
+                assert int(stats.released[e]) == released, (t, e)
+                assert stats.row(e, config.class_names) == provisional, (t, e)
+            assert candidate.depth.tolist() == depths, t
+    assert not any(ref.depth for ref in references)

@@ -760,10 +760,10 @@ class TestWorkerFailures:
     def test_adapter_exception_propagates(self, monkeypatch):
         from repro.serve.adapters import PoissonAdapter
 
-        def broken(self, t):
+        def broken(self, start, stop):
             raise RuntimeError("stream died")
 
-        monkeypatch.setattr(PoissonAdapter, "next_item", broken)
+        monkeypatch.setattr(PoissonAdapter, "column", broken)
         runtime = ShardRuntime(serve_config("A", 0))
         with pytest.raises(RuntimeError, match="stream died"):
             runtime.run()
