@@ -11,6 +11,8 @@ Tsallis-OMD step.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
 from repro.utils.validation import check_probability_vector
@@ -48,6 +50,15 @@ class ImportanceWeightedEstimator:
     def observations(self) -> int:
         """Number of block observations folded in so far."""
         return self._observations
+
+    def state_dict(self) -> dict[str, object]:
+        """The cumulative estimates (the live array) and observation count."""
+        return {"cumulative": self._cumulative, "observations": self._observations}
+
+    def load_state(self, state: Mapping[str, object]) -> None:
+        """Restore :meth:`state_dict`'s output, adopting its array."""
+        self._cumulative = state["cumulative"]
+        self._observations = int(state["observations"])
 
     def update(
         self,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -67,6 +68,9 @@ class OnlineModelSelection(SelectionPolicy):
 
     name = "Ours"
 
+    _fixed = ("num_models", "horizon", "switch_cost")
+    _rebuilt = ("_schedule",)
+
     def __init__(
         self,
         num_models: int,
@@ -86,7 +90,7 @@ class OnlineModelSelection(SelectionPolicy):
         self._estimator = ImportanceWeightedEstimator(num_models)
         # Entry ``k`` holds block ``k``'s model and sampling distribution
         # once it opens.  A block's feedback tally lives in ``_open`` only
-        # until it closes (lines 8-9 never read it again), so pickled state —
+        # until it closes (lines 8-9 never read it again), so the state —
         # the serve tier's restart checkpoints — does not grow with the run.
         num_blocks = self._schedule.num_blocks
         self._models = [0] * num_blocks
@@ -95,8 +99,33 @@ class OnlineModelSelection(SelectionPolicy):
         self._latest_block = -1
         self._selection_counts = np.zeros(num_models, dtype=int)
 
+    def state_dict(self) -> dict[str, object]:
+        """:meth:`SelectionPolicy.state_dict`, all of it plain data.
+
+        The estimator goes as its array and count, each open block's record
+        as a tuple, and the schedule stays out: the config rebuilds it.
+        """
+        state = super().state_dict()
+        state["_estimator"] = self._estimator.state_dict()
+        state["_open"] = [
+            (r.block, r.model, r.length, r.loss_sum, r.observed, r.lost)
+            for r in self._open.values()
+        ]
+        return state
+
+    def load_state(self, state: Mapping[str, object]) -> None:
+        """Restore :meth:`state_dict`'s output into this policy, in place."""
+        nested = ("_estimator", "_open")
+        super().load_state({k: v for k, v in state.items() if k not in nested})
+        self._estimator.load_state(state["_estimator"])
+        self._open = {record[0]: _BlockRecord(*record) for record in state["_open"]}
+
     def __setstate__(self, state: dict[str, object]) -> None:
-        """Restore a pickled policy, including the one-record-per-block layout."""
+        """Restore a pickled policy, including the one-record-per-block layout.
+
+        Snapshots of version 3 and older hold pickled policies; their
+        migration reads each one's :meth:`state_dict`.
+        """
         state = dict(state)
         if "_blocks" in state:
             # Policies pickled before closed blocks moved into the arrays

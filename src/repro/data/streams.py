@@ -55,6 +55,11 @@ class ArrivalProcess:
         """Number of slots the underlying trace covers."""
         return int(self._means.size)
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """The stream the counts are drawn from."""
+        return self._rng
+
     def mean(self, t: int) -> float:
         """Mean arrival count at slot ``t`` (wraps around the trace)."""
         return float(self._means[t % self._means.size])

@@ -9,9 +9,16 @@ loss is revealed.
 
 from __future__ import annotations
 
+from typing import Mapping
+
+import numpy as np
+
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 __all__ = ["SelectionPolicy"]
+
+#: The tracer binding: the runtime's, never part of a policy's state.
+_BINDING = ("tracer", "trace_edge")
 
 
 class SelectionPolicy:
@@ -25,6 +32,13 @@ class SelectionPolicy:
 
     #: edge index stamped into emitted events (set by ``bind_tracer``).
     trace_edge: int = 0
+
+    #: Attributes the constructor takes from the config; :meth:`load_state`
+    #: refuses a state whose values differ.
+    _fixed: tuple[str, ...] = ("num_models",)
+
+    #: Attributes the constructor rebuilds from the config: never state.
+    _rebuilt: tuple[str, ...] = ()
 
     def __init__(self, num_models: int) -> None:
         if num_models <= 0:
@@ -46,6 +60,42 @@ class SelectionPolicy:
         state = dict(self.__dict__)
         state.pop("tracer", None)
         return state
+
+    def state_dict(self) -> dict[str, object]:
+        """The policy's state as plain data, for checkpoints and snapshots.
+
+        Every instance attribute but the tracer binding and ``_rebuilt``;
+        each ``np.random.Generator`` as its bit-generator state.  Arrays and
+        lists are the live ones: pickle or copy the dict before stepping on.
+        """
+        state = {}
+        for name, value in vars(self).items():
+            if name in _BINDING or name in self._rebuilt:
+                continue
+            if isinstance(value, np.random.Generator):
+                value = value.bit_generator.state
+            state[name] = value
+        return state
+
+    def load_state(self, state: Mapping[str, object]) -> None:
+        """Restore :meth:`state_dict`'s output into this policy, in place.
+
+        Generators keep their objects and take the saved bit-generator
+        state; every other value is adopted.  A state whose ``_fixed``
+        attributes differ from this policy's raises ``ValueError``.
+        """
+        for name in self._fixed:
+            if state[name] != getattr(self, name):
+                raise ValueError(
+                    f"state has {name}={state[name]!r}, "
+                    f"this policy has {getattr(self, name)!r}"
+                )
+        for name, value in state.items():
+            current = getattr(self, name, None)
+            if isinstance(current, np.random.Generator):
+                current.bit_generator.state = value
+            else:
+                setattr(self, name, value)
 
     def select(self, t: int) -> int:
         """Return the model index to host at slot ``t``."""

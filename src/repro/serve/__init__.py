@@ -36,7 +36,7 @@ from repro.serve.clock import SlotClock, VirtualClock, WallClock, release_target
 from repro.serve.config import ServeConfig
 from repro.serve.http import StatusServer
 from repro.serve.load import SHAPE_NAMES, make_load_grid, shape_profile
-from repro.serve.queues import BoundedWorkQueue, QueueStats, WorkItem
+from repro.serve.queues import QueueStats, ShardAdmission
 from repro.serve.reconfig import (
     AddEdge,
     Rebalance,
@@ -58,7 +58,6 @@ __all__ = [
     "SHAPE_NAMES",
     "SNAPSHOT_VERSION",
     "AddEdge",
-    "BoundedWorkQueue",
     "ChaosPlan",
     "PoissonAdapter",
     "QueueStats",
@@ -69,6 +68,7 @@ __all__ = [
     "RunState",
     "ServeConfig",
     "ShapeAdapter",
+    "ShardAdmission",
     "ShardRuntime",
     "SlotClock",
     "SoakReport",
@@ -78,7 +78,6 @@ __all__ = [
     "TransportDrop",
     "VirtualClock",
     "WallClock",
-    "WorkItem",
     "WorkerChaos",
     "WorkerKill",
     "WorkerStall",

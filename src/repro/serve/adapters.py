@@ -11,8 +11,9 @@ Three sources, all reusing existing subsystems:
   (:mod:`repro.serve.load`) for the soak harness.
 
 Adapters produce counts only, a column of consecutive slots at a time;
-each edge kernel draws its own pool indices.  They are synchronous,
-picklable state machines.  A :class:`ColumnFeed` reads a set of edges'
+each edge kernel draws its own pool indices.  They are synchronous
+state machines whose state is plain data, restored into the adapter a
+config built.  A :class:`ColumnFeed` reads a set of edges'
 adapters as one count matrix per range of slots: a shard worker's slot
 loop (:mod:`repro.serve.shard`) drives one over its edges, and the serve
 parent one over the edges a reconfiguration took out of the fleet.
@@ -53,7 +54,7 @@ class StreamAdapter:
         raise NotImplementedError
 
     def state_dict(self) -> dict[str, object]:
-        """Picklable resume state (default: stateless)."""
+        """Plain-data resume state (default: stateless)."""
         return {}
 
     def load_state(self, state: dict[str, object]) -> None:
@@ -73,10 +74,11 @@ class PoissonAdapter(StreamAdapter):
         return self.arrivals.sample_span(start, stop)
 
     def state_dict(self) -> dict[str, object]:
-        return {"arrivals": self.arrivals}
+        """The arrival stream's bit-generator state: the means are config."""
+        return {"rng": self.arrivals.rng.bit_generator.state}
 
     def load_state(self, state: dict[str, object]) -> None:
-        self.arrivals = state["arrivals"]
+        self.arrivals.rng.bit_generator.state = state["rng"]
 
 
 class TraceReplayAdapter(StreamAdapter):
@@ -130,7 +132,7 @@ class ColumnFeed:
         return self.draw(t, t + 1)[:, 0]
 
     def state_dict(self) -> dict[int, dict[str, object]]:
-        """Each edge's picklable adapter state."""
+        """Each edge's plain-data adapter state."""
         return {e: adapter.state_dict() for e, adapter in self.adapters.items()}
 
     def load_state(self, states: Mapping[int, dict[str, object]]) -> None:

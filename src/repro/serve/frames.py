@@ -14,24 +14,32 @@ type                   dir     payload
 =====================  ======  ==================================================
 ``ready``              w -> p  worker built its kernels and entered its loop
 ``release``            p -> w  ``upto``: run slots through this index
-``slot``               w -> p  ``record``: the shard's one-slot
+``slot``               w -> p  ``record``: the shard's span
                                :class:`~repro.sim.kernel.SlotOutcomes`
-                               (slot ``record.t``, rows in edge order), as
-                               its shard step wrote it; ``queue_s`` per-edge
-                               feed-to-step latencies and ``serve_s`` the
-                               step's wall time over the edge count, once
-                               per edge, in seconds; ``ingress`` request
-                               stats per edge, resolved from the record's
-                               ``shed``/``offline`` columns, when ingress is
-                               on; the run's last slot also carries ``queues``
+                               (slots ``record.t`` on, rows in edge order),
+                               as its shard step wrote it; ``queue_s`` the
+                               feed-to-step latency and ``serve_s`` the
+                               step's wall time over the span's edge-slots,
+                               one value per edge-slot (edge-major), in
+                               seconds; ``ingress`` the span's request
+                               stats, resolved from the record's
+                               ``shed``/``offline`` columns and summed over
+                               the shard's edges (three arrays with a slot
+                               axis), when ingress is on; the run's last
+                               span also carries ``queues``
 ``heartbeat``          w -> p  liveness proof while slots are long;
-                               ``queues``: per-edge queue depth/peak/rejected
+                               ``queues``: per-edge queue depth in events
+                               and items, peak and rejected count
 ``snapshot_request``   p -> w  capture kernel/adapter state at the (quiescent)
                                boundary
 ``state``              w -> p  ``edges``/``adapters``: per-edge state dicts
+                               as plain data (arrays, numbers and
+                               bit-generator states, no policy or
+                               ``Generator`` objects)
 ``restart_state``      w -> p  ``next_slot``, ``edges``/``adapters``: a
                                restart checkpoint captured at a quiescent
-                               restart boundary (``restart_state_every``)
+                               restart boundary (``restart_state_every``),
+                               plain data as in ``state``
 ``reconfig``           p -> w  ``barrier``: capture state, answer with
                                ``state`` then ``bye``, and exit — the fleet
                                is being repartitioned at this slot
@@ -43,7 +51,10 @@ type                   dir     payload
 Frames deliberately carry picklable simulator objects (slot records,
 state dicts) rather than JSON projections: the parent folds the *same*
 columns an in-process run would, which is what keeps sharded
-virtual-clock runs bit-identical to ``Simulator.run``.  A record pickles
+virtual-clock runs bit-identical to ``Simulator.run``.  State dicts hold
+data only, which the receiving side loads into kernels it built from the
+config: unpickling a ``Generator`` would seed a fresh bit generator from
+OS entropy only to overwrite its state.  A record pickles
 one numpy array per outcome field, not one object per edge; the inline
 link passes it by reference, and nothing writes a record once it is sent.
 

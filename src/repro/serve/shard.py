@@ -5,8 +5,10 @@ workers.  Each worker runs one **slot loop** on its own asyncio loop.  Each
 iteration draws every released slot whose start time has passed for all
 of its edges at once, as one count matrix from its
 :class:`~repro.serve.adapters.ColumnFeed` (the columnar ingress tier when
-the config mounts it), admits each edge's bursts into its bounded queue
-(blocking or shedding on backpressure), then steps the *span* of slots
+the config mounts it), admits the matrix into the shard's bounded per-edge
+queues with one :class:`~repro.serve.queues.ShardAdmission` (array
+operations for every row that fits, blocking or shedding a row that
+overflows), then takes and steps the *span* of slots
 from the current one that every edge has queued with one call of its
 :class:`~repro.sim.kernel.ShardSlotKernel` (the columnar Algorithm-1
 engine, or the per-edge kernel steps slot by slot), and sends the span's
@@ -54,14 +56,15 @@ edges' trajectories are untouched because edges only couple through the
 trading loop, which does not feed back into selection.
 
 Supervised restart (``on_worker_death="restart"``): workers checkpoint
-their shard state every ``restart_state_every`` slots at quiescent
-boundaries (release capping makes the boundary a barrier).  When a worker
-dies, the parent schedules a respawn after a capped exponential backoff;
-the new incarnation restores the last checkpoint, silently re-steps the
-already-folded slots to recover the exact kernel state, reports the
-*missed* slots as offline outcomes with their real arrival counts (so the
-accounting equation — and ``events_in == total_events`` — survive a full
-recovery), and goes live at the release frontier.  Surviving shards are
+their shard state, as plain data, every ``restart_state_every`` slots at
+quiescent boundaries (release capping makes the boundary a barrier).
+When a worker dies, the parent schedules a respawn after a capped
+exponential backoff; the new incarnation restores the last checkpoint,
+silently re-steps the already-folded slots to recover the exact kernel
+state, reports the *missed* slots as offline outcomes with their real
+arrival counts (so the accounting equation — and ``events_in ==
+total_events`` — survive a full recovery), and goes live at the release
+frontier.  Surviving shards are
 bit-identical to an unfaulted run.  ``max_restarts`` exhaustion falls back
 to ``degrade`` for that worker.  An inline worker takes no restart
 checkpoints; its respawn re-steps from the newest state the parent's
@@ -89,12 +92,13 @@ so a kill aimed at a worker a ``rebalance`` adds fires too.
 Telemetry: the runtime's tracer holds its counters and five stage-latency
 :class:`~repro.obs.metrics.Timer` histograms.  Workers ship one
 ``queue_s`` (feed to step) and one ``serve_s`` (the span step's wall time
-over its edge-slots) sample per edge-slot in each SLOT frame, and the
-parent folds each list into ``serve/stage/queue`` or ``serve/stage/serve``
-in one numpy pass per frame.  The parent itself records ``serve/stage/trade`` (fold +
-trading step) and ``serve/stage/slot`` (release to fold) once per folded
-slot, and ``serve/stage/recovery`` (worker death to its first live outcome
-after a supervised restart).  ``GET /metrics`` serves the same summaries
+over its edge-slots) sample per edge-slot in each SLOT frame, as float
+arrays, and the parent folds each into ``serve/stage/queue`` or
+``serve/stage/serve`` in one numpy pass per frame.  The parent itself
+records ``serve/stage/trade`` (fold + trading step) and
+``serve/stage/slot`` (release to fold) once per folded slot, and
+``serve/stage/recovery`` (worker death to its first live outcome after a
+supervised restart).  ``GET /metrics`` serves the same summaries
 that ``repro soak`` reports.
 """
 
@@ -116,8 +120,6 @@ import numpy as np
 
 from repro.faults.plan import FaultPlan
 from repro.obs.events import (
-    ArrivalEvent,
-    QueueShedEvent,
     ReconfigAppliedEvent,
     SlotStartEvent,
     SnapshotEvent,
@@ -148,7 +150,7 @@ from repro.serve.frames import (
     inline_pair,
 )
 from repro.serve.http import StatusServer
-from repro.serve.queues import BoundedWorkQueue, WorkItem
+from repro.serve.queues import ShardAdmission
 from repro.serve.reconfig import ReconfigPlan, apply_op
 from repro.serve.runtime import build_serve_kernels, make_feed
 from repro.serve.snapshot import EdgeState, RunState, load_snapshot, save_snapshot
@@ -268,13 +270,14 @@ async def _worker_async(
     the single-threaded loop.
 
     Each edge starts from its entry in the parent's per-edge ``book``
-    (fresh kernels at slot 0 without one).  A (re)spawned incarnation runs
-    three phases before going live at ``start``: a silent *catch-up*
-    re-steps each edge from its entry's slot up to ``replay_from`` (rows
-    discarded — the parent already folded them, and the deterministic
-    kernels reproduce the exact same state); an *offline replay* reports
-    ``[replay_from, start)`` as offline outcomes with the real arrival
-    counts; then the slot loop takes over.
+    (fresh kernels at slot 0 without one), loaded into the kernels and
+    adapters this worker builds from the config.  A (re)spawned
+    incarnation runs three phases before going live at ``start``: a
+    silent *catch-up* re-steps each edge from its entry's slot up to
+    ``replay_from`` (rows discarded — the parent already folded them, and
+    the deterministic kernels reproduce the exact same state); an
+    *offline replay* reports ``[replay_from, start)`` as offline outcomes
+    with the real arrival counts; then the slot loop takes over.
     """
     scenario, adapters, edge_kernels, _ = build_serve_kernels(
         config, tracer=tracer, faults=faults
@@ -299,8 +302,6 @@ async def _worker_async(
         if entry.kernel is not None:
             kernels[e].load_state(entry.kernel)
             states[e] = entry.adapter
-            if tracer is not None:
-                kernels[e].policy.bind_tracer(tracer, edge=e)
         starts.setdefault(entry.as_of, []).append((e, entry.mode))
     for as_of, group in sorted(starts.items()):
         if as_of >= replay_from:
@@ -330,14 +331,16 @@ async def _worker_async(
     clock = (
         VirtualClock() if config.virtual_clock else WallClock(config.slot_duration)
     )
-    queues = {e: BoundedWorkQueue(config.queue_capacity) for e in edges}
+    admission = ShardAdmission(
+        edges, config.queue_capacity, shed=config.backpressure == "shed", start=start
+    )
     trace = tracer if tracer is not None else NULL_TRACER
     loop = asyncio.get_running_loop()
     control: asyncio.Queue = asyncio.Queue()
 
     stop_listening = end.listen(loop, control.put_nowait)
 
-    def _slot_frame(record: SlotOutcomes, queue_s: list, serve_s: list) -> dict:
+    def _slot_frame(record: SlotOutcomes, queue_s, serve_s) -> dict:
         frame = {
             "type": SLOT,
             "worker": index,
@@ -368,7 +371,7 @@ async def _worker_async(
             records.append(SlotOutcomes.from_rows(rows))
         end.send(_slot_frame(SlotOutcomes.concat(records), [], []))
 
-    shard = ShardSlotKernel([kernels[e] for e in edges])  # binds the restored policies
+    shard = ShardSlotKernel([kernels[e] for e in edges])
 
     def _state_frame() -> dict:
         return {
@@ -380,15 +383,9 @@ async def _worker_async(
 
     def _queue_report() -> dict[int, dict[str, int]]:
         # The ``/healthz`` view of this shard's queues.
-        return {
-            e: {
-                "depth_events": queue.depth_events,
-                "depth_items": queue.depth_items,
-                "peak_events": queue.stats.peak_events,
-                "rejected": queue.stats.rejected,
-            }
-            for e, queue in queues.items()
-        }
+        keys = ("depth_events", "depth_items", "peak_events", "rejected")
+        stats = admission.stats()
+        return {e: dict(zip(keys, vars(s).values())) for e, s in stats.items()}
 
     async def _control() -> None:
         # Returns on DRAIN or after the RECONFIG checkpoint; a state
@@ -415,59 +412,20 @@ async def _worker_async(
             await asyncio.sleep(heartbeat_interval)
             end.send({"type": HEARTBEAT, "worker": index, "queues": _queue_report()})
 
-    shed_mode = config.backpressure == "shed"
-    # Slots ``[start, drawn)`` are drawn for every edge; ``pending`` holds
-    # the drawn columns from slot ``base`` that some edge has not queued.
-    # Per edge: the next slot to queue, and (block mode) the feed time of
-    # a drawn burst that waits for a step to make room.
-    drawn = base = start
-    pending = np.zeros((len(edges), 0), dtype=np.int64)
-    next_put = [start] * len(edges)
-    held: dict[int, float] = {}
-
     def _feed(t: int) -> int:
-        """Draw every released slot whose start time has passed, then queue.
+        """Draw every released slot whose start time has passed, then admit.
 
         Every edge's columns are drawn at once, ahead of admission: routing
-        reads no queue and draws no randomness.  Admission is per edge:
-        ``shed`` turns a burst that does not fit a non-empty queue into a
-        zero-weight marker; ``block`` stops queueing the edge at that burst
-        and offers it again after the next step.  Slot ``t`` is paced
+        reads no queue and draws no randomness.  Slot ``t`` is paced
         already.  Returns the first slot that some edge has not queued:
         every edge has queued ``t`` up to it.
         """
-        nonlocal drawn, base, pending
         last = min(clock.released, stop - 1)
         while last > t and not clock.started(last):
             last -= 1
-        if last >= drawn:
-            pending = np.concatenate([pending, feed.draw(drawn, last + 1)], axis=1)
-            drawn = last + 1
-        now = loop.time()
-        for row, e in enumerate(edges):
-            queue = queues[e]
-            s = next_put[row]
-            for count in pending[row, s - base :].tolist():
-                fed_at = held.pop(e, None)
-                if fed_at is None:
-                    fed_at = now
-                    if trace.enabled:
-                        trace.emit(ArrivalEvent(t=s, edge=e, count=count))
-                if queue.put(WorkItem(t=s, count=count), fed_at, block=not shed_mode):
-                    s += 1
-                    continue
-                if not shed_mode:
-                    held[e] = fed_at
-                    break
-                if trace.enabled:
-                    trace.emit(QueueShedEvent(t=s, edge=e, count=count))
-                queue.put(WorkItem(t=s, count=count, shed=True), now)
-                s += 1
-            next_put[row] = s
-        first = min(next_put)
-        pending = pending[:, first - base :]
-        base = first
-        return first
+        drawn = admission.drawn
+        columns = feed.draw(drawn, last + 1) if last >= drawn else None
+        return admission.feed(columns, loop.time(), trace)
 
     async def _slots() -> None:
         kill_slots = frozenset(chaos.kills) if chaos is not None else frozenset()
@@ -486,15 +444,11 @@ async def _worker_async(
             nearest = bisect.bisect_left(chaos_slots, t)
             if nearest < len(chaos_slots):
                 until = min(until, max(chaos_slots[nearest], t + 1))
-            popped = [[queues[e].pop() for _ in range(t, until)] for e in edges]
-            counts = np.array(
-                [[item.count for item, _ in row] for row in popped], dtype=np.int64
-            )
-            shed = np.array([[item.shed for item, _ in row] for row in popped])
+            counts, shed, fed_at = admission.take(until)
             began = loop.time()
             record = shard.step(t, counts, shed)
-            serve_s = [(loop.time() - began) / counts.size] * counts.size
-            queue_s = [began - fed_at for row in popped for _, fed_at in row]
+            serve_s = np.full(counts.size, (loop.time() - began) / counts.size)
+            queue_s = (began - fed_at).ravel()
             # Ingress resolves before the checkpoint capture below, so
             # restart checkpoints never carry provisional slot stats.
             slot_frame = _slot_frame(record, queue_s, serve_s)
@@ -1092,8 +1046,8 @@ class ShardRuntime:
         """Start one worker for ``[start, stop slot)`` and return its handle."""
         book = {e: self._edge_states.get(e) for e in edges}
         if self._inline:
-            # Kernels adopt the objects they restore from: each incarnation
-            # gets its own copy, as a forked process would.
+            # Kernels adopt the arrays and lists they restore from: each
+            # incarnation gets its own copy, as a forked process would.
             book = copy.deepcopy(book)
         args = (
             self.config,
@@ -1469,7 +1423,7 @@ class ShardRuntime:
         """Mark every inactive edge's stretch from ``at`` as parent-folded.
 
         The parent's feed takes over an edge's arrivals from its
-        checkpoint, copied: adapters adopt the objects they restore, and
+        checkpoint, copied: adapters adopt the arrays they restore, and
         the entry goes back to a worker if the edge is re-added.  Edges
         that stay inactive carry on from where the parent's feed was.
         """

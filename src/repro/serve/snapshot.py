@@ -10,17 +10,22 @@ edges and the worker count are not stored: they follow from the plan and
 ``next_slot``.  Everything is pickled in a *single* payload, so one file
 holds one consistent slot boundary.
 
+Each edge's kernel and adapter state is plain data: arrays, numbers and
+the bit-generator states of its streams, never a policy, ``Generator`` or
+``ArrivalProcess`` object.  The config rebuilds those objects, and a
+restore loads the data into them.
+
 Writes are atomic (temp file + ``os.replace``) so a crash mid-snapshot
 leaves the previous snapshot intact.  Tracers are never pickled — the
-stateful classes strip them via ``__getstate__`` and the restoring runtime
-rebinds its own.
+trading kernel's classes strip them via ``__getstate__`` and the restoring
+runtime rebinds its own; an edge's state never holds one.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -37,7 +42,7 @@ __all__ = [
 
 #: Bumped on incompatible layout changes; loaders reject other versions
 #: except the ones :func:`load_snapshot` migrates.
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -101,7 +106,11 @@ def load_snapshot(path: str | Path) -> RunState:
     ``next_slot``, and no counters, ingress stats or plan.  A version-2
     config that names the removed ``dataset`` adapter resumes on
     ``poisson``: both drew the same arrivals, and the poisson adapter reads
-    only the ``arrivals`` of the old adapter state.
+    only the ``arrivals`` of the old adapter state.  Version 3 files hold
+    objects where version 4 holds their state: each kernel state's policy
+    and data ``Generator``, and each poisson adapter state's
+    ``ArrivalProcess`` (under ingress, its ``base``), in the book and in
+    ``parent_adapters``.
     """
     with Path(path).open("rb") as handle:
         payload = pickle.load(handle)
@@ -122,6 +131,20 @@ def load_snapshot(path: str | Path) -> RunState:
         }
         if payload["config"].get("adapter") == "dataset":
             payload["config"] = {**payload["config"], "adapter": "poisson"}
+        version = 3
+    if version == 3:
+        payload["edges"] = {
+            e: replace(
+                entry,
+                kernel=_plain_kernel(entry.kernel),
+                adapter=_plain_adapter(entry.adapter),
+            )
+            for e, entry in payload["edges"].items()
+        }
+        payload["parent_adapters"] = {
+            e: _plain_adapter(state)
+            for e, state in payload.get("parent_adapters", {}).items()
+        }
         version = SNAPSHOT_VERSION
     if version != SNAPSHOT_VERSION:
         raise ValueError(
@@ -129,3 +152,25 @@ def load_snapshot(path: str | Path) -> RunState:
             f"this runtime reads version {SNAPSHOT_VERSION}"
         )
     return RunState(**payload)
+
+
+def _plain_kernel(state: dict | None) -> dict | None:
+    """A version-3 kernel state with its policy and data stream as state."""
+    if state is None:
+        return None
+    return {
+        **state,
+        "policy": state["policy"].state_dict(),
+        "data_rng": state["data_rng"].bit_generator.state,
+    }
+
+
+def _plain_adapter(state: dict | None) -> dict | None:
+    """A version-3 adapter state with its ``ArrivalProcess`` as stream state."""
+    if state is None:
+        return None
+    if "base" in state:
+        return {**state, "base": _plain_adapter(state["base"])}
+    if "arrivals" in state:
+        return {"rng": state["arrivals"].rng.bit_generator.state}
+    return state

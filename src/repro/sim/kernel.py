@@ -27,7 +27,9 @@ loop slot by slot, which stays the reference.
 
 State is explicit: each kernel exposes ``state_dict()`` / ``load_state()``
 so a serve snapshot can capture a quiescent slot boundary and a restored
-process can resume mid-horizon without replaying.
+process can resume mid-horizon without replaying.  An edge kernel's state
+is plain data (arrays, numbers and bit-generator states), restored into
+the objects a kernel built from the same config already holds.
 """
 
 from __future__ import annotations
@@ -477,10 +479,14 @@ class EdgeSlotKernel:
         return profile.loss_per_sample[idx]
 
     def state_dict(self) -> dict[str, object]:
-        """Picklable control state (the scenario itself is reattachable)."""
+        """Control state as plain data; the config rebuilds everything else.
+
+        The policy's :meth:`~repro.policies.selection.SelectionPolicy.state_dict`
+        and the data stream's bit-generator state, not the objects.
+        """
         return {
-            "policy": self.policy,
-            "data_rng": self.data_rng,
+            "policy": self.policy.state_dict(),
+            "data_rng": self.data_rng.bit_generator.state,
             "previous_model": self.previous_model,
             "retry_wait": self.retry_wait,
             "retry_backoff": self.retry_backoff,
@@ -489,9 +495,13 @@ class EdgeSlotKernel:
         }
 
     def load_state(self, state: dict[str, object]) -> None:
-        """Restore control state captured by :meth:`state_dict`."""
-        self.policy = state["policy"]
-        self.data_rng = state["data_rng"]
+        """Restore :meth:`state_dict`'s output into this kernel's own objects.
+
+        The policy and the data stream stay the objects the kernel was
+        built with (and bound to its tracer); only their state changes.
+        """
+        self.policy.load_state(state["policy"])
+        self.data_rng.bit_generator.state = state["data_rng"]
         self.previous_model = int(state["previous_model"])
         self.retry_wait = int(state["retry_wait"])
         self.retry_backoff = int(state["retry_backoff"])

@@ -15,9 +15,11 @@ The headline contracts:
 from __future__ import annotations
 
 import asyncio
+import copy
 import json
 import pickle
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,13 +36,12 @@ from repro.faults.plan import (
 from repro.obs import JsonlSink, Tracer, summarize_trace
 from repro.serve import (
     SNAPSHOT_VERSION,
-    BoundedWorkQueue,
     ServeConfig,
+    ShardAdmission,
     ShardRuntime,
     StatusServer,
     VirtualClock,
     WallClock,
-    WorkItem,
     arrival_counts_from_trace,
     load_snapshot,
     save_snapshot,
@@ -74,14 +75,58 @@ def serve_config(scenario_name="A", seed=0, **overrides):
     )
 
 
+def legacy_states(record) -> tuple[dict, dict]:
+    """The record's book and parent adapters in the object layout of version 3.
+
+    Versions 1 to 3 pickled each edge's policy and data ``Generator`` and
+    each poisson adapter's ``ArrivalProcess`` (under ingress, its
+    ``base``): build them from the config and load the states into them.
+    """
+    _, adapters, kernels, _ = build_serve_kernels(ServeConfig.from_dict(record.config))
+
+    def kernel(e, state):
+        if state is None:
+            return None
+        kernels[e].load_state(state)
+        return {**state, "policy": kernels[e].policy, "data_rng": kernels[e].data_rng}
+
+    def adapter(e, state):
+        if state is None or "rng" not in state and "base" not in state:
+            return state
+        if "base" in state:
+            return {**state, "base": adapter(e, state["base"])}
+        adapters[e].load_state(state)
+        return {"arrivals": copy.deepcopy(adapters[e].arrivals)}
+
+    book = {
+        e: replace(
+            entry, kernel=kernel(e, entry.kernel), adapter=adapter(e, entry.adapter)
+        )
+        for e, entry in record.edges.items()
+    }
+    parent = {e: adapter(e, state) for e, state in record.parent_adapters.items()}
+    return book, parent
+
+
+def rewrite_as_version_3(snap) -> dict:
+    """Rewrite a snapshot file in the version-3 layout; returns its payload."""
+    record = load_snapshot(snap)
+    book, parent = legacy_states(record)
+    payload = {**vars(record), "edges": book, "parent_adapters": parent, "version": 3}
+    snap.write_bytes(pickle.dumps(payload))
+    return payload
+
+
 def rewrite_as_version_2(snap) -> dict:
     """Rewrite a snapshot file in the version-2 layout; returns its payload.
 
-    Version 2 held positional per-edge kernel and adapter lists and no
-    book modes, parent adapters, counters, ingress stats or plan.
+    Version 2 held positional per-edge kernel and adapter lists (in the
+    object layout of version 3) and no book modes, parent adapters,
+    counters, ingress stats or plan.
     """
     record = load_snapshot(snap)
-    entries = [record.edges[e] for e in sorted(record.edges)]
+    book, _ = legacy_states(record)
+    entries = [book[e] for e in sorted(book)]
     payload = {
         "version": 2,
         "label": record.label,
@@ -218,42 +263,43 @@ class TestClocksAndQueues:
         assert asyncio.run(scenario()) == (True, True, False, True, False)
 
     def test_queue_blocks_until_room_and_preserves_fifo(self):
-        queue = BoundedWorkQueue(10)
-        assert queue.put(WorkItem(t=0, count=6), 1.0)
-        held = WorkItem(t=1, count=6)
-        # No room: a blocking put refuses without counting a rejection,
-        # and the caller holds the burst until a pop makes room.
-        assert not queue.put(held, 2.0)
-        assert queue.stats.rejected == 0
-        first = queue.pop()
-        assert queue.put(held, 2.0)
-        second = queue.pop()
-        assert (first, second, queue.depth_items) == (
-            (WorkItem(t=0, count=6), 1.0),
-            (held, 2.0),
-            0,
-        )
+        queues = ShardAdmission([0], 10, shed=False, start=0)
+        assert queues.feed(np.array([[6]]), 1.0) == 1
+        # No room: block mode holds the burst without counting a rejection,
+        # and offers it again, with its first feed time, once a take has
+        # made room.
+        assert queues.feed(np.array([[6]]), 2.0) == 1
+        assert queues.stats()[0].rejected == 0
+        first = queues.take(1)
+        assert queues.feed(None, 3.0) == 2
+        second = queues.take(2)
+        assert [
+            (counts.tolist(), shed.tolist(), fed_at.tolist())
+            for counts, shed, fed_at in (first, second)
+        ] == [([[6]], [[False]], [[1.0]]), ([[6]], [[False]], [[2.0]])]
+        assert queues.stats()[0].items == 0
 
     def test_nonblocking_put_rejects_and_counts(self):
-        queue = BoundedWorkQueue(10)
-        assert queue.put(WorkItem(t=0, count=6))
-        assert not queue.put(WorkItem(t=1, count=6), block=False)
-        assert queue.stats.rejected == 1
+        queues = ShardAdmission([0], 10, shed=True, start=0)
+        queues.feed(np.array([[6, 6]]), 0.0)
+        assert queues.stats()[0].rejected == 1
         # shed markers weigh nothing and always fit
-        assert queue.put(WorkItem(t=1, count=6, shed=True), block=False)
-        assert queue.depth_events == 6
+        assert queues.stats()[0].events == 6
+        counts, shed, _ = queues.take(2)
+        assert (counts.tolist(), shed.tolist()) == ([[6, 6]], [[False, True]])
 
     def test_oversized_burst_admitted_only_when_empty(self):
-        queue = BoundedWorkQueue(4)
-        assert queue.put(WorkItem(t=0, count=50), block=False)
-        assert queue.stats.peak_events == 50
-        assert not queue.put(WorkItem(t=1, count=1), block=False)
-        queue.pop()
-        assert queue.put(WorkItem(t=1, count=1), block=False)
+        queues = ShardAdmission([0], 4, shed=True, start=0)
+        queues.feed(np.array([[50, 1]]), 0.0)
+        assert queues.stats()[0].peak_events == 50
+        assert queues.stats()[0].rejected == 1
+        queues.take(1)
+        queues.feed(np.array([[1]]), 1.0)
+        assert queues.stats()[0].rejected == 1
 
     def test_queue_capacity_validated(self):
         with pytest.raises(ValueError):
-            BoundedWorkQueue(0)
+            ShardAdmission([0], 0, shed=True, start=0)
 
 
 class TestVirtualClockParity:
@@ -524,7 +570,7 @@ class TestSnapshotRestore:
         ShardRuntime(config).run(max_slots=8)
         rewrite_as_version_2(snap)
         state = load_snapshot(snap)
-        assert SNAPSHOT_VERSION == 3 and state.counters == {}
+        assert SNAPSHOT_VERSION == 4 and state.counters == {}
         assert {entry.as_of for entry in state.edges.values()} == {8}
         tracer = Tracer()
         result = ShardRuntime.from_state(state, tracer=tracer).run()
@@ -532,6 +578,48 @@ class TestSnapshotRestore:
         counters = tracer.metrics_snapshot()["counters"]
         assert counters["serve/slots_completed"] == 32
         assert counters["serve/events_in"] == int(result.arrivals[8:].sum())
+
+    def test_version_3_snapshot_resumes_to_the_golden_digest(self, tmp_path):
+        # Version 3 pickled policy, Generator and ArrivalProcess objects;
+        # they load as their plain-data states.
+        from repro.data.streams import ArrivalProcess
+
+        snap = tmp_path / "state.pkl"
+        config = serve_config("A", 0, snapshot_every=8, snapshot_path=str(snap))
+        ShardRuntime(config).run(max_slots=8)
+        payload = rewrite_as_version_3(snap)
+        kernel = payload["edges"][0].kernel
+        assert isinstance(kernel["policy"], model_selection.OnlineModelSelection)
+        assert isinstance(kernel["data_rng"], np.random.Generator)
+        assert isinstance(payload["edges"][0].adapter["arrivals"], ArrivalProcess)
+        state = load_snapshot(snap)
+        assert state.edges[0].adapter.keys() == {"rng"}
+        rng_state = kernel["data_rng"].bit_generator.state
+        assert state.edges[0].kernel["data_rng"] == rng_state
+        assert result_digest(ShardRuntime.from_state(state).run()) == (
+            GOLDEN_DIGESTS[("A", 0)]
+        )
+
+    def test_version_3_ingress_snapshot_migrates_parent_adapters(self, tmp_path):
+        # Under ingress a poisson adapter sits under ``base``; a removed
+        # edge's adapter state sits in ``parent_adapters`` too.
+        from repro.ingress import IngressConfig
+        from repro.serve import ReconfigPlan, RemoveEdge
+
+        snap = tmp_path / "state.pkl"
+        plan = ReconfigPlan((RemoveEdge(at=4, edge=1),))
+        config = serve_config(
+            "A", 0, snapshot_every=8, snapshot_path=str(snap),
+            ingress=IngressConfig(slot_capacity=4).to_dict(),
+        )
+        whole = ShardRuntime(config, reconfig=plan).run()
+        ShardRuntime(config, reconfig=plan).run(max_slots=8)
+        payload = rewrite_as_version_3(snap)
+        assert "arrivals" in payload["parent_adapters"][1]["base"]
+        state = load_snapshot(snap)
+        assert state.parent_adapters[1]["base"].keys() == {"rng"}
+        resumed = ShardRuntime.from_state(state).run()
+        assert result_digest(resumed) == result_digest(whole)
 
     def test_snapshot_event_and_counter_emitted(self, tmp_path):
         tracer = Tracer()
@@ -553,14 +641,14 @@ class TestBackpressureLoad:
         import repro.serve.shard as shard_module
 
         # The inline worker builds its queues in this process: record them.
-        queues = []
+        admissions = []
 
-        class RecordedQueue(BoundedWorkQueue):
-            def __init__(self, capacity):
-                super().__init__(capacity)
-                queues.append(self)
+        class RecordedAdmission(ShardAdmission):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                admissions.append(self)
 
-        monkeypatch.setattr(shard_module, "BoundedWorkQueue", RecordedQueue)
+        monkeypatch.setattr(shard_module, "ShardAdmission", RecordedAdmission)
         log = tmp_path / "load.jsonl"
         scenario = ScenarioConfig(
             dataset="synthetic",
@@ -601,22 +689,22 @@ class TestBackpressureLoad:
         max_burst = max(
             e.count for e in _read_arrivals(log)
         )
-        assert len(queues) == scenario.num_edges
-        for queue in queues:
-            assert queue.stats.peak_events <= max(
-                config.queue_capacity, max_burst
-            )
-            assert queue.depth_items == 0
+        [admission] = admissions
+        queues = admission.stats()
+        assert sorted(queues) == list(range(scenario.num_edges))
+        for stats in queues.values():
+            assert stats.peak_events <= max(config.queue_capacity, max_burst)
+            assert stats.items == 0
         # /healthz reports the drained queues as the worker left them.
         assert runtime.health()["queues"] == [
             {
                 "edge": e,
                 "depth_events": 0,
                 "depth_items": 0,
-                "peak_events": queue.stats.peak_events,
-                "rejected": queue.stats.rejected,
+                "peak_events": stats.peak_events,
+                "rejected": stats.rejected,
             }
-            for e, queue in enumerate(queues)
+            for e, stats in sorted(queues.items())
         ]
 
         # The trace's own accounting agrees with the live counters.
