@@ -30,17 +30,16 @@ type                   dir     payload
 ``heartbeat``          w -> p  liveness proof while slots are long;
                                ``queues``: per-edge queue depth in events
                                and items, peak and rejected count
-``snapshot_request``   p -> w  capture kernel/adapter state at the (quiescent)
-                               boundary
-``state``              w -> p  ``edges``/``adapters``: per-edge state dicts
+``snapshot_request``   p -> w  ``as_of``: answer with ``state`` captured at
+                               this quiescent boundary (a snapshot's, or a
+                               restart checkpoint's every
+                               ``restart_state_every`` slots)
+``state``              w -> p  ``as_of`` echoed from the request;
+                               ``edges``/``adapters``: per-edge state dicts
                                as plain data (arrays, numbers and
                                bit-generator states, no policy or
                                ``Generator`` objects)
-``restart_state``      w -> p  ``next_slot``, ``edges``/``adapters``: a
-                               restart checkpoint captured at a quiescent
-                               restart boundary (``restart_state_every``),
-                               plain data as in ``state``
-``reconfig``           p -> w  ``barrier``: capture state, answer with
+``reconfig``           p -> w  ``as_of``: the barrier slot; answer with
                                ``state`` then ``bye``, and exit — the fleet
                                is being repartitioned at this slot
 ``drain``              p -> w  finish sending, then exit cleanly
@@ -97,7 +96,6 @@ __all__ = [
     "READY",
     "RECONFIG",
     "RELEASE",
-    "RESTART_STATE",
     "SLOT",
     "SNAPSHOT_REQUEST",
     "STATE",
@@ -115,7 +113,6 @@ SLOT = "slot"
 HEARTBEAT = "heartbeat"
 SNAPSHOT_REQUEST = "snapshot_request"
 STATE = "state"
-RESTART_STATE = "restart_state"
 RECONFIG = "reconfig"
 DRAIN = "drain"
 BYE = "bye"
@@ -129,7 +126,6 @@ FRAME_TYPES = (
     HEARTBEAT,
     SNAPSHOT_REQUEST,
     STATE,
-    RESTART_STATE,
     RECONFIG,
     DRAIN,
     BYE,
@@ -237,9 +233,6 @@ def drain_frames(conn: Connection) -> Iterator[dict]:
             return
 
 
-#: Frames whose payload aliases live kernel/adapter state on the sender.
-_STATE_FRAMES = frozenset({STATE, RESTART_STATE})
-
 #: Called with each frame a worker-side end receives.
 Deliver = Callable[[dict], None]
 
@@ -316,7 +309,8 @@ class InlineEnd:
         peer = self.peer
         if peer is None or peer.closed:
             raise BrokenPipeError("inline peer is closed")
-        if frame["type"] in _STATE_FRAMES:
+        if frame["type"] == STATE:
+            # Its payload aliases the sender's live kernel/adapter state.
             frame = copy.deepcopy(frame)
         if peer._deliver is not None:
             peer._deliver(frame)

@@ -14,11 +14,10 @@ from the current one that every edge has queued with one call of its
 engine, or the per-edge kernel steps slot by slot), and sends the span's
 one :class:`~repro.sim.kernel.SlotOutcomes` record, under ingress with the
 span's request stats, in one SLOT frame.  A span ends at the run's stop,
-before a block-mode edge's held burst, at the next restart checkpoint,
-and around a chaos slot, which is stepped alone; snapshots and reconfig
-barriers end it because releases stop there.  Under a virtual clock the
-parent releases one slot at a time, so every span is
-one slot.  The parent owns the
+before a block-mode edge's held burst, and around a chaos slot, which is
+stepped alone; snapshots, restart checkpoints and reconfig barriers end it
+because releases stop there.  Under a virtual clock the parent releases
+one slot at a time, so every span is one slot.  The parent owns the
 :class:`~repro.sim.kernel.TradingSlotKernel`, the result arrays, the
 release schedule, and snapshot persistence.  The two sides exchange frames
 (:mod:`repro.serve.frames`): the parent broadcasts slot releases, workers
@@ -55,20 +54,23 @@ slot on the surviving emissions, and completes the horizon — surviving
 edges' trajectories are untouched because edges only couple through the
 trading loop, which does not feed back into selection.
 
-Supervised restart (``on_worker_death="restart"``): workers checkpoint
-their shard state, as plain data, every ``restart_state_every`` slots at
-quiescent boundaries (release capping makes the boundary a barrier).
-When a worker dies, the parent schedules a respawn after a capped
-exponential backoff; the new incarnation restores the last checkpoint,
-silently re-steps the already-folded slots to recover the exact kernel
-state, reports the *missed* slots as offline outcomes with their real
+Supervised restart (``on_worker_death="restart"``): releases stop at
+every ``restart_state_every``-th slot, and once the parent has folded the
+slot before one it asks every worker for its shard state, as plain data,
+without waiting; each ``state`` answer enters the per-edge book as it
+arrives, as snapshot and reconfig answers do.  When a worker dies, the
+parent schedules a respawn after a capped exponential backoff; the new
+incarnation restores its edges' book entries, silently re-steps every
+slot that was folded or that its predecessor reported, as one span of its
+shard kernel, to recover the exact kernel state, steps the *missed* slots
+as one all-lost span and reports them as offline outcomes with their real
 arrival counts (so the accounting equation — and ``events_in ==
 total_events`` — survive a full recovery), and goes live at the release
-frontier.  Surviving shards are
-bit-identical to an unfaulted run.  ``max_restarts`` exhaustion falls back
-to ``degrade`` for that worker.  An inline worker takes no restart
-checkpoints; its respawn re-steps from the newest state the parent's
-per-edge book holds (the run's start, a snapshot or a reconfig barrier).
+frontier.  Surviving shards are bit-identical to an unfaulted run.
+``max_restarts`` exhaustion falls back to ``degrade`` for that worker.  An
+inline worker takes no restart checkpoints; its respawn re-steps from the
+newest state the parent's per-edge book holds (the run's start, a
+snapshot or a reconfig barrier).
 
 Live reconfiguration: a :class:`~repro.serve.reconfig.ReconfigPlan` applies
 ``add_edge``/``remove_edge``/``rebalance`` ops at slot barriers — the
@@ -141,7 +143,6 @@ from repro.serve.frames import (
     READY,
     RECONFIG,
     RELEASE,
-    RESTART_STATE,
     SLOT,
     SNAPSHOT_REQUEST,
     STATE,
@@ -260,7 +261,6 @@ async def _worker_async(
     heartbeat_interval: float,
     chaos: WorkerChaos | None,
     replay_from: int,
-    restart_every: int,
 ) -> None:
     """One shard's event loop: a slot loop beside a control and a heartbeat task.
 
@@ -272,12 +272,16 @@ async def _worker_async(
     Each edge starts from its entry in the parent's per-edge ``book``
     (fresh kernels at slot 0 without one), loaded into the kernels and
     adapters this worker builds from the config.  A (re)spawned
-    incarnation runs three phases before going live at ``start``: a
-    silent *catch-up* re-steps each edge from its entry's slot up to
-    ``replay_from`` (rows discarded — the parent already folded them, and
-    the deterministic kernels reproduce the exact same state); an
-    *offline replay* reports ``[replay_from, start)`` as offline outcomes
-    with the real arrival counts; then the slot loop takes over.
+    incarnation steps two spans before going live at ``start``, both
+    through :meth:`ShardSlotKernel.step`: a silent *catch-up* brings each
+    edge from its entry's slot up to ``replay_from`` (rows discarded — the
+    parent already holds them, and the deterministic kernels reproduce the
+    exact same state), and an *offline replay* steps ``[replay_from,
+    start)`` with every row lost and reports those rows as offline
+    outcomes with the real arrival counts.  Then the slot loop takes over.
+
+    Every ``snapshot_request`` and ``reconfig`` frame is answered with one
+    ``state`` frame that echoes the request's ``as_of``.
     """
     scenario, adapters, edge_kernels, _ = build_serve_kernels(
         config, tracer=tracer, faults=faults
@@ -285,29 +289,31 @@ async def _worker_async(
     horizon = scenario.horizon
     kernels = {e: edge_kernels[e] for e in edges}
     has_ingress = config.ingress is not None
-    delay = config.label_delay
 
     def _feed_of(rows: list[int]) -> ColumnFeed:
         return make_feed(config, scenario, adapters, rows, tracer=tracer)
 
-    # Phase A — silent catch-up: advance each edge from its checkpoint to
-    # the replay point, the edges whose entries start at the same slot
-    # together.  ``live`` re-steps already-folded real slots (the
-    # deterministic kernels reproduce the folded outcomes bit-exactly);
-    # ``offline`` covers stretches the parent folded as inactive.
+    # Phase A — silent catch-up: the edges whose entries start at the same
+    # slot step one span up to the replay point.  A ``live`` entry
+    # re-steps slots whose outcomes the parent already holds (the
+    # deterministic kernels reproduce them bit-exactly); an ``offline``
+    # one covers a stretch the parent folded as inactive, so its rows are
+    # lost: a lost row selects and records lost feedback, and draws,
+    # switches and retries nothing.
     states: dict[int, dict] = {}
-    starts: dict[int, list[tuple[int, str]]] = {}
+    starts: dict[int, list[tuple[int, bool]]] = {}
     for e in edges:
         entry = book.get(e) or EdgeState(None, None, 0)
         if entry.kernel is not None:
             kernels[e].load_state(entry.kernel)
             states[e] = entry.adapter
-        starts.setdefault(entry.as_of, []).append((e, entry.mode))
+        starts.setdefault(entry.as_of, []).append((e, entry.mode == "offline"))
     for as_of, group in sorted(starts.items()):
         if as_of >= replay_from:
             continue
-        part = _feed_of([e for e, _ in group])
-        part.load_state({e: states[e] for e, _ in group if e in states})
+        rows, lost = zip(*group)
+        part = _feed_of(rows)
+        part.load_state({e: states[e] for e in rows if e in states})
         counts = part.draw(as_of, replay_from)
         if has_ingress:
             # The parent already merged these slots' request stats from
@@ -315,18 +321,12 @@ async def _worker_async(
             # reproduce queue/stream state, never re-report.
             for t in range(as_of, replay_from):
                 part.discard_slot(t)
-        for (e, mode), column in zip(group, counts.tolist()):
-            kernel = kernels[e]
-            for t, count in enumerate(column, start=as_of):
-                if mode == "live":
-                    kernel.step(t, count)
-                else:
-                    kernel.step_offline(t, count)
-                if delay:
-                    kernel.deliver_due(t - delay)
+        shed = np.repeat(np.array(lost)[:, None], counts.shape[1], axis=1)
+        ShardSlotKernel([kernels[e] for e in rows]).step(as_of, counts, shed)
         states.update(part.state_dict())
     feed = _feed_of(edges)
     feed.load_state(states)
+    shard = ShardSlotKernel([kernels[e] for e in edges])
 
     clock = (
         VirtualClock() if config.virtual_clock else WallClock(config.slot_duration)
@@ -355,31 +355,16 @@ async def _worker_async(
         return frame
 
     # Phase B — offline replay of the slots this worker's predecessor
-    # missed: reported with the real arrival counts (the restored adapters
-    # are deterministic) in one frame, sent ahead of READY so the parent
-    # folds them in order.  Every release in a replayed slot resolves
-    # against an offline outcome, so ingress counts it as a miss.
+    # missed: one span of the shard with every row lost, its lost rows
+    # reported as offline with the real arrival counts (the restored
+    # adapters are deterministic) in one frame, sent ahead of READY so the
+    # parent folds them in order.  Every release in a replayed slot
+    # resolves against an offline outcome, so ingress counts it as a miss.
     if replay_from < start:
         counts = feed.draw(replay_from, start)
-        records = []
-        for j, t in enumerate(range(replay_from, start)):
-            rows = []
-            for e, count in zip(edges, counts[:, j].tolist()):
-                rows.append(kernels[e].step_offline(t, count))
-                if delay:
-                    kernels[e].deliver_due(t - delay)
-            records.append(SlotOutcomes.from_rows(rows))
-        end.send(_slot_frame(SlotOutcomes.concat(records), [], []))
-
-    shard = ShardSlotKernel([kernels[e] for e in edges])
-
-    def _state_frame() -> dict:
-        return {
-            "type": STATE,
-            "worker": index,
-            "edges": shard.state_dicts(),
-            "adapters": feed.state_dict(),
-        }
+        lost = shard.step(replay_from, counts, np.ones(counts.shape, bool))
+        replayed = lost._replace(offline=lost.shed, shed=lost.offline)
+        end.send(_slot_frame(replayed, [], []))
 
     def _queue_report() -> dict[int, dict[str, int]]:
         # The ``/healthz`` view of this shard's queues.
@@ -395,15 +380,19 @@ async def _worker_async(
             kind = frame["type"]
             if kind == RELEASE:
                 await clock.release(int(frame["upto"]))
-            elif kind == SNAPSHOT_REQUEST:
+            elif kind in (SNAPSHOT_REQUEST, RECONFIG):
                 # Only requested at quiescent boundaries (release capping),
                 # so kernel/adapter state is settled for every shard edge.
-                end.send(_state_frame())
-            elif kind == RECONFIG:
-                # Reconfig barrier: checkpoint at the (quiescent) barrier
-                # and exit; the parent respawns the reshaped fleet.
-                end.send(_state_frame())
-                return
+                end.send({
+                    "type": STATE,
+                    "worker": index,
+                    "as_of": frame["as_of"],
+                    "edges": shard.state_dicts(),
+                    "adapters": feed.state_dict(),
+                })
+                if kind == RECONFIG:
+                    # The parent respawns the fleet reshaped at the barrier.
+                    return
             elif kind == DRAIN:
                 return
 
@@ -439,8 +428,6 @@ async def _worker_async(
             await clock.wait_for_slot(t)
             await clock.pace(t)
             until = min(_feed(t), stop)
-            if restart_every:
-                until = min(until, (t // restart_every + 1) * restart_every)
             nearest = bisect.bisect_left(chaos_slots, t)
             if nearest < len(chaos_slots):
                 until = min(until, max(chaos_slots[nearest], t + 1))
@@ -449,20 +436,7 @@ async def _worker_async(
             record = shard.step(t, counts, shed)
             serve_s = np.full(counts.size, (loop.time() - began) / counts.size)
             queue_s = (began - fed_at).ravel()
-            # Ingress resolves before the checkpoint capture below, so
-            # restart checkpoints never carry provisional slot stats.
             slot_frame = _slot_frame(record, queue_s, serve_s)
-            # Captured before anything hits the wire: releases are capped
-            # at the checkpoint boundary, so every shard kernel is
-            # quiescent at state ``until``, and a chaos kill below can never
-            # orphan a checkpoint whose slot was not reported.
-            state_frame = None
-            if restart_every and until % restart_every == 0 and until < stop:
-                state_frame = {
-                    **_state_frame(),
-                    "type": RESTART_STATE,
-                    "next_slot": until,
-                }
             drop = drop_slots.get(t)
             if drop:
                 arm_transport_faults(drop)
@@ -480,10 +454,8 @@ async def _worker_async(
                 # stats, so health reports the drain, not a stale beat.
                 slot_frame["queues"] = _queue_report()
             end.send(slot_frame)
-            if state_frame is not None:
-                end.send(state_frame)
             t = until
-        if delay and stop == horizon:
+        if config.label_delay and stop == horizon:
             for e in edges:
                 kernels[e].deliver_due(horizon)
 
@@ -565,6 +537,8 @@ class _Shard:
     restarted: bool = False
     recovered: bool = False
     last_slot: int = -1
+    #: The ``as_of`` of the last state request this incarnation answered.
+    answered: int = -1
     last_frame: float = field(default_factory=time.monotonic)
 
 
@@ -672,11 +646,13 @@ class ShardRuntime:
             )
         #: The event loop inline workers run on, open for the span of a run.
         self._loop: asyncio.AbstractEventLoop | None = None
-        #: Slots between restart checkpoints (0 = none).  A checkpoint spares
-        #: a respawned worker process from re-stepping the run so far.  An
-        #: inline worker dies only by raising and takes none: copying the
-        #: state in-process would cost as much as the slots themselves, so
-        #: its respawn re-steps from the newest state in the book instead.
+        #: Slots between restart checkpoints (0 = none): releases stop at
+        #: each boundary, and the parent requests the workers' states there.
+        #: A checkpoint spares a respawned worker process from re-stepping
+        #: the run so far.  An inline worker dies only by raising and takes
+        #: none: copying the state in-process would cost as much as the
+        #: slots themselves, so its respawn re-steps from the newest state
+        #: in the book instead.
         self._restart_every = (
             config.restart_state_every
             if config.on_worker_death == "restart" and not self._inline
@@ -717,7 +693,6 @@ class ShardRuntime:
         self._release_ts: dict[int, float] = {}
         self._released = -1
         self._stop_slot = self.horizon
-        self._state_frames: dict[int, dict] = {}
         self._barriers: list[int] = []
         #: The per-edge book: each edge's last-good state.  Restart
         #: checkpoints, reconfig drains and snapshots fill it; (re)spawned
@@ -754,9 +729,8 @@ class ShardRuntime:
         self.ingress = None
         #: Resolved per-slot ingress payloads awaiting their slot's fold:
         #: ``t -> {worker -> payload}``, the parent's inactive edges under
-        #: worker ``-1``.  Overwrite semantics mirror the record buffer — a
-        #: restarted worker's replay frames replace the dead incarnation's
-        #: unfolded payloads, never double-count.
+        #: worker ``-1``.  A respawn reports only slots its predecessor did
+        #: not, so a slot gets one payload per worker.
         self._pending_ingress: dict[int, dict[int, tuple]] = {}
         if ingress_config is not None:
             from repro.ingress.stats import IngressStats
@@ -1059,7 +1033,6 @@ class ShardRuntime:
             self._heartbeat_interval,
             self._chaos.get(w),
             replay_from,
-            self._restart_every,
         )
         if self._inline:
             assert self._loop is not None
@@ -1197,7 +1170,7 @@ class ShardRuntime:
         if kind == SLOT:
             record = frame["record"]
             # Split into slots, each folded once every worker reported it;
-            # a restart's replay replaces the dead incarnation's record.
+            # a respawn reports only slots its predecessor did not.
             for part in record.split():
                 self._pending.setdefault(part.t, {})[handle.index] = part
             last = record.t + record.num_slots - 1
@@ -1205,8 +1178,7 @@ class ShardRuntime:
             if "queues" in frame:
                 self._queue_stats.update(frame["queues"])
             if "ingress" in frame:
-                # Stored, not merged: merging happens once at fold time so
-                # a restart replay overwriting a slot cannot double-count.
+                # Stored, not merged: a slot's payloads merge at its fold.
                 totals, per_class, waits = frame["ingress"]
                 for j in range(record.num_slots):
                     self._pending_ingress.setdefault(record.t + j, {})[
@@ -1230,9 +1202,13 @@ class ShardRuntime:
             self._heartbeats.increment()
             self._queue_stats.update(frame["queues"])
         elif kind == STATE:
-            self._state_frames[handle.index] = frame
-        elif kind == RESTART_STATE:
-            self._checkpoint(frame, as_of=int(frame["next_slot"]))
+            # Every answer enters the book as its edges' last-good state.
+            as_of = int(frame["as_of"])
+            for e, kernel_state in frame["edges"].items():
+                self._edge_states[e] = EdgeState(
+                    kernel_state, frame["adapters"][e], as_of
+                )
+            handle.answered = as_of
         elif kind == BYE:
             handle.byed = True
         elif kind == ERROR:
@@ -1309,24 +1285,21 @@ class ShardRuntime:
     def _respawn(self, w: int) -> None:
         """Respawn worker ``w`` from its last-good state at the frontier.
 
-        The new incarnation replays ``[replay_from, released + 1)`` as
-        offline outcomes — every earlier slot of this shard either was
-        already folded or sits in ``_pending`` from the dead incarnation's
-        reported frames (pipe FIFO guarantees anything before the last
-        checkpoint made it over) — and goes live right after the current
-        release frontier, so the fold never double-counts a slot.
+        Every slot up to the fold or the dead incarnation's last report,
+        whichever is later, was folded or sits in ``_pending``; the new
+        incarnation catches up over them silently, so no reported outcome
+        is overwritten.  It replays the rest up to the release frontier,
+        ``[replay_from, released + 1)``, as offline outcomes and goes live
+        right after the frontier, so the fold never double-counts a slot.
+        Book entries are requested only for folded boundaries, so none is
+        past ``replay_from``.
         """
         old = self._handles[w]
         used = self._restarts_used.get(w, 0) + 1
         self._restarts_used[w] = used
         backoff = self._restart_backoff.pop(w, 0.0)
         old.conn.close()
-        as_of = [
-            entry.as_of
-            for entry in (self._edge_states.get(e) for e in old.edges)
-            if entry is not None
-        ]
-        replay_from = max([self.completed_slot + 1, *as_of])
+        replay_from = max(self.completed_slot, old.last_slot) + 1
         start = self._released + 1
         handle = self._spawn_worker(
             w,
@@ -1382,28 +1355,23 @@ class ShardRuntime:
                 except (BrokenPipeError, OSError):
                     pass
 
-    def _request_states(
-        self, frame: dict, *, as_of: int, abort_on_death: bool = False
-    ) -> bool:
-        """Broadcast ``frame``; adopt every running worker's STATE answer.
+    def _request_states(self, frame: dict, *, abort_on_death: bool = False) -> bool:
+        """Broadcast the state request ``frame``; wait for every running worker.
 
-        The answers enter the per-edge book as of slot ``as_of``, all at
-        once.  With ``abort_on_death``, a worker death while waiting
-        returns ``False`` instead of waiting on, and adopts nothing.
+        A worker is answered once its STATE frame for the request's
+        ``as_of`` is in: :meth:`_dispatch` adopts each answer into the book
+        as it arrives.  With ``abort_on_death``, a worker death while
+        waiting returns ``False`` instead of waiting on; the answers that
+        did arrive stay in the book, each a quiescent state as of the
+        folded boundary ``as_of``.
         """
-        self._state_frames = {}
+        as_of = frame["as_of"]
         handles = self._handles
         self._broadcast(frame, handles)
         deadline = time.monotonic() + self._stall_timeout
         while True:
-            waiting = [
-                h.index
-                for h in handles
-                if h.running and h.index not in self._state_frames
-            ]
+            waiting = [h.index for h in handles if h.running and h.answered != as_of]
             if not waiting:
-                for answer in self._state_frames.values():
-                    self._checkpoint(answer, as_of=as_of)
                 return True
             if abort_on_death and any(h.failed or h.restarting for h in handles):
                 return False
@@ -1413,11 +1381,6 @@ class ShardRuntime:
                     f"{frame['type']!r} with their state"
                 )
             self._poll(handles, timeout=0.1)
-
-    def _checkpoint(self, frame: dict, *, as_of: int) -> None:
-        """Adopt a worker's per-edge state as its edges' last-good state."""
-        for e, kernel_state in frame["edges"].items():
-            self._edge_states[e] = EdgeState(kernel_state, frame["adapters"][e], as_of)
 
     def _pin_inactive_offline(self, at: int) -> None:
         """Mark every inactive edge's stretch from ``at`` as parent-folded.
@@ -1467,7 +1430,7 @@ class ShardRuntime:
         self._death_ts.clear()
         self._reconfiguring = True
         try:
-            self._request_states({"type": RECONFIG, "barrier": barrier}, as_of=barrier)
+            self._request_states({"type": RECONFIG, "as_of": barrier})
             self._join_all(handles)
         finally:
             self._reconfiguring = False
@@ -1581,13 +1544,30 @@ class ShardRuntime:
                 self._stage_slot.add(folded - released_at)
             self.completed_slot = t
             self._slots_completed.increment()
-            # A snapshot records the fleet after the barrier at its slot.
-            if self._barriers and self._barriers[0] == t + 1:
-                self._apply_reconfig(self._barriers.pop(0))
-            every = self.config.snapshot_every
-            if every and (t + 1) % every == 0 and t + 1 < self.horizon:
-                self._take_snapshot(t)
+            self._request_boundary_states(t + 1)
             self._release_through(self._release_target_for(t))
+
+    def _request_boundary_states(self, boundary: int) -> None:
+        """Ask for the workers' states at ``boundary`` where the run needs them.
+
+        Releases stop at each of these boundaries, so every worker is
+        quiescent there.  A reconfig barrier drains the fleet, and a
+        snapshot, taken after the barrier at its slot, waits for every
+        answer.  A restart boundary only broadcasts its request and folds
+        on, and sends none where a barrier or a snapshot already asked:
+        the answers land in the book as they arrive.
+        """
+        requested = bool(self._barriers) and self._barriers[0] == boundary
+        if requested:
+            self._apply_reconfig(self._barriers.pop(0))
+        every = self.config.snapshot_every
+        if every and boundary % every == 0 and boundary < self.horizon:
+            requested = self._take_snapshot(boundary - 1) or requested
+        every = self._restart_every
+        if not requested and every and boundary % every == 0:
+            if boundary < self._stop_slot:
+                request = {"type": SNAPSHOT_REQUEST, "as_of": boundary}
+                self._broadcast(request, self._handles)
 
     def _merge_ingress(self, t: int) -> None:
         """Fold slot ``t``'s resolved request stats into the run accounting.
@@ -1611,24 +1591,25 @@ class ShardRuntime:
             self._deadline_hits.increment(hits)
             self._deadline_misses.increment(misses)
 
-    def _take_snapshot(self, t: int) -> None:
+    def _take_snapshot(self, t: int) -> bool:
         """Checkpoint the workers at the quiescent boundary, persist the run.
 
-        Degraded runs are not resumable — once any shard is dead, snapshots
-        are skipped (the run still completes under ``degrade``).  Boundaries
-        that race a pending or in-flight restart are skipped too: a
-        replaying incarnation's kernels are not at the boundary state.
+        Returns whether it requested the workers' states.  Degraded runs
+        are not resumable — once any shard is dead, snapshots are skipped
+        (the run still completes under ``degrade``).  Boundaries that race
+        a pending or in-flight restart are skipped too: a replaying
+        incarnation's kernels are not at the boundary state.
         """
         if self._restart_due or any(
             h.failed or h.restarting for h in self._handles
         ):
-            return
+            return False
         if any(h.live_from > t + 1 for h in self._handles):
-            return  # a respawned worker is still past-due; skip this boundary
+            return False  # a respawned worker is still past-due
         if not self._request_states(
-            {"type": SNAPSHOT_REQUEST}, as_of=t + 1, abort_on_death=True
+            {"type": SNAPSHOT_REQUEST, "as_of": t + 1}, abort_on_death=True
         ):
-            return  # a death raced the snapshot; skip persisting
+            return True  # a death raced the snapshot; skip persisting
         missing = [
             e
             for e in self._active
@@ -1648,3 +1629,4 @@ class ShardRuntime:
         save_snapshot(path, self._run_state(t + 1))
         if self.tracer.enabled:
             self.tracer.emit(SnapshotEvent(t=t, path=str(path)))
+        return True

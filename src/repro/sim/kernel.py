@@ -246,10 +246,11 @@ def offline_outcome(
 ) -> EdgeSlotOutcome:
     """A zero-cost offline outcome for an edge that served nothing at ``t``.
 
-    Used for edge outages, for the serve tier's dead shards and inactive
-    (reconfigured-out) edges, and for worker-side offline replay after a
-    restart: ``arrivals`` are counted as dropped-offline so the accounting
-    equation ``in == served + shed + offline`` stays exact.
+    Used for edge outages and for the serve tier's dead shards and inactive
+    (reconfigured-out) edges: ``arrivals`` are counted as dropped-offline so
+    the accounting equation ``in == served + shed + offline`` stays exact.
+    A respawned worker's offline replay reports the lost rows of a
+    :meth:`ShardSlotKernel.step` span instead, which equal these rows.
     """
     return EdgeSlotOutcome(
         t=t, edge=edge, model=int(model), switched=False,
@@ -262,8 +263,11 @@ class EdgeSlotKernel:
 
     Owns everything the simulator used to keep per edge — the selection
     policy, the data-draw RNG stream, download-retry state, and the delayed
-    feedback queue — so the simulator loop, a serve shard's per-edge body
-    and a respawned worker's catch-up execute identical logic.
+    feedback queue — so the simulator loop and a shard's per-edge body
+    execute identical logic.  A serve worker steps every slot, a respawn's
+    catch-up and offline replay included, through its
+    :class:`ShardSlotKernel`, which runs whichever body its edges qualify
+    for.
     """
 
     def __init__(
@@ -441,13 +445,16 @@ class EdgeSlotKernel:
     def step_offline(self, t: int, count: int) -> EdgeSlotOutcome:
         """Execute slot ``t`` as a missed (offline) slot with real arrivals.
 
-        The restart path of the sharded tier replays a dead worker's
-        missed slots through this: the selection policy advances exactly
-        as it would through an :class:`~repro.faults.plan.EdgeOutage`
-        (``select`` then ``observe_lost``, keeping Algorithm 1's block
-        schedule closing on time), the ``count`` arrivals are recorded as
-        dropped-offline so ``in == served + shed + offline`` stays exact,
-        and nothing runs — no draws, no emissions, no feedback.
+        The selection policy advances exactly as it would through an
+        :class:`~repro.faults.plan.EdgeOutage` (``select`` then
+        ``observe_lost``, keeping Algorithm 1's block schedule closing on
+        time), the ``count`` arrivals are recorded as dropped-offline so
+        ``in == served + shed + offline`` stays exact, and nothing runs —
+        no draws, no emissions, no feedback.  That is what a shed row of
+        :meth:`step` does, so a respawned serve worker replays its missed
+        slots as one all-lost :meth:`ShardSlotKernel.step` span and reports
+        those rows as offline.  No program code calls this method: it is
+        the per-slot reference that span is tested against.
         """
         model = self.policy.select(t)
         self.policy.observe_lost(t, model)
@@ -539,7 +546,8 @@ class ShardSlotKernel:
     mid-block included.  One :meth:`step` call steps the slots ``[a, b)``
     of every edge and returns their one record: the vectorized simulator
     steps its whole horizon as one span, a serve worker each run of
-    released slots.  One of two bodies runs, chosen once from the kernels:
+    released slots, and a respawned worker its catch-up and its all-lost
+    offline replay.  One of two bodies runs, chosen once from the kernels:
 
     * the *engine*, when every policy is exactly
       :class:`~repro.core.model_selection.OnlineModelSelection` and no

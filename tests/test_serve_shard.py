@@ -600,6 +600,29 @@ class TestWorkerRestart:
         assert stats.requests_in == clean_stats.requests_in
         assert run(kill_plan(1, 10), **RESTART)[2] == digest
 
+    def test_a_respawn_keeps_its_predecessors_reported_slots(self):
+        # Worker 0 stalls at slot 5, so the fold stops at 4 while worker 1
+        # serves 5 and 6 and dies at 7.  Its respawn re-steps 5 and 6
+        # silently, since the parent holds their outcomes, and replays
+        # only slot 7, up to the release cap at the 8-slot checkpoint.
+        from repro.obs import InMemorySink
+
+        sink = InMemorySink()
+        tracer = Tracer([sink])
+        config = shard_config(
+            "A", 0, num_workers=2, virtual_clock=False, **RESTART
+        )
+        chaos = ChaosPlan((
+            WorkerStall(worker=0, at=5, seconds=1.0),
+            WorkerKill(worker=1, at=7),
+        ))
+        ShardRuntime(config, tracer=tracer, chaos=chaos, **FAST).run()
+        (restart,) = sink.of_type("worker_restart")
+        assert restart.replay_from == 7
+        counters = tracer.metrics_snapshot()["counters"]
+        assert counters["serve/events_dropped_offline"] == 36
+        assert counters["serve/events_in"] == 4867
+
     def test_simultaneous_deaths_restart_all_workers(self):
         config = shard_config("A", 0, num_workers=3, **RESTART)
         chaos = ChaosPlan((

@@ -9,7 +9,9 @@ equal, slot by slot, to ``SlotOutcomes.from_rows`` of the per-edge
 and every kernel and policy left in the state those steps leave, at any
 partition of the horizon into spans.  Two kernel sets built from one config
 are bit-identical, so one steps through the engine and the other through
-the reference.
+the reference.  An all-lost span, whose rows a respawned serve worker
+reports as offline, is held the same way to per-slot
+:meth:`~repro.sim.kernel.EdgeSlotKernel.step_offline` calls.
 """
 
 from __future__ import annotations
@@ -78,6 +80,32 @@ class PerEdge:
         return SlotOutcomes.from_rows(
             [kernel.step(t, count, shed=mark) for kernel, count, mark in rows]
         )
+
+
+class Offline:
+    """The reference for lost spans: one ``step_offline`` per edge-slot."""
+
+    def __init__(self, edge_kernels: list[EdgeSlotKernel]) -> None:
+        self.kernels = edge_kernels
+
+    def step(self, t: int, counts, shed) -> SlotOutcomes:
+        assert shed.all()
+        rows = zip(self.kernels, counts.tolist())
+        return SlotOutcomes.from_rows(
+            [kernel.step_offline(t, count) for kernel, count in rows]
+        )
+
+
+class Replay:
+    """A shard's all-lost spans, rows reported offline as a respawn reports them."""
+
+    def __init__(self, shard: ShardSlotKernel) -> None:
+        self.shard = shard
+        self.kernels = shard.kernels
+
+    def step(self, a: int, counts, shed) -> SlotOutcomes:
+        record = self.shard.step(a, counts, shed)
+        return record._replace(offline=record.shed, shed=record.offline)
 
 
 def workload(seed: int):
@@ -183,6 +211,31 @@ def test_state_captured_under_one_body_continues_under_the_other():
             ShardSlotKernel(ours), PerEdge(theirs), counts, shed,
             partition(8, start=cut),
         )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: kernels(faults=FAULTS),
+        lambda: kernels(faults=FAULTS, tracer=Tracer()),
+    ],
+    ids=["engine", "per-edge"],
+)
+def test_lost_spans_match_the_step_offline_calls(build):
+    # A respawned worker replays its missed slots as all-lost spans and
+    # reports their rows offline.  From a mid-block cut on faulted kernels,
+    # both bodies must leave the state per-slot ``step_offline`` calls
+    # leave, in rows equal to theirs.
+    cut = 9
+    counts, shed = workload(5)
+    ours, theirs = build(), build()
+    shard = ShardSlotKernel(ours)
+    assert shard.columnar == (not ours[0].tracer.enabled)
+    step_spans(shard, PerEdge(theirs), counts, shed, partition(5, stop=cut))
+    assert any(cut not in kernel.policy.schedule.starts.tolist() for kernel in ours)
+    assert any(kernel.retry_wait > 0 for kernel in ours)
+    lost = np.ones_like(shed)
+    step_spans(Replay(shard), Offline(theirs), counts, lost, partition(6, start=cut))
 
 
 @pytest.mark.parametrize(
